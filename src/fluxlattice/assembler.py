@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -140,7 +139,9 @@ def _assemble(p: Potential, c: CouplingParams, flux: RationalFlux,
               used_floor: bool) -> SpectralSet:
     harper = harper_spectrum(flux, c.beta)
     threshold = c.threshold
-    intervals: list[ContinuousInterval] = []
+    # collect every (window, band) pair, invert all endpoints that clipping
+    # left free in one call, then hand the results back in the same order
+    pairs = []
     floor_touched = False
     for w in windows:
         floor_touched = floor_touched or (w.truncated_lo and used_floor)
@@ -162,21 +163,21 @@ def _assemble(p: Potential, c: CouplingParams, flux: RationalFlux,
                     z2 = w.b if w.increasing else w.a
                 if y1 > y2:
                     continue  # band lies entirely outside the clipped window
-            free_ys = [y for y, zz in ((y1, z1), (y2, z2)) if zz is None]
-            if free_ys:
-                inv = invert_eta_many(w, np.asarray(free_ys))
-            k = 0
-            if z1 is None:
-                z1 = float(inv[k]); k += 1
-            if z2 is None:
-                z2 = float(inv[k])
-            z_lo, z_hi = min(z1, z2), max(z1, z2)
-            z_lo, z_hi = max(z_lo, w.a), min(z_hi, w.b)
-            if z_hi < z_lo:
-                continue
-            intervals.append(ContinuousInterval(
-                z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
-                truncated=bool(clipped)))
+            pairs.append((w, j, y1, y2, z1, z2, clipped))
+    free = [(w, y) for w, _, y1, y2, z1, z2, _ in pairs
+            for y, z in ((y1, z1), (y2, z2)) if z is None]
+    inv = iter(invert_eta_many([w for w, _ in free],
+                               np.asarray([y for _, y in free])).tolist())
+    intervals: list[ContinuousInterval] = []
+    for w, j, _, _, z1, z2, clipped in pairs:
+        z1 = next(inv) if z1 is None else z1
+        z2 = next(inv) if z2 is None else z2
+        z_lo, z_hi = max(min(z1, z2), w.a), min(max(z1, z2), w.b)
+        if z_hi < z_lo:
+            continue
+        intervals.append(ContinuousInterval(
+            z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
+            truncated=bool(clipped)))
     intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
     return SpectralSet(
         point_spectrum=_point_spectrum(p, c, harper, z_min, z_max),
@@ -252,45 +253,31 @@ class ButterflyRow:
     truncated: bool
 
 
-def _sweep_one(flux: RationalFlux, p: Potential, c: CouplingParams,
-               windows: tuple[BandWindow, ...], z_min: float, z_max: float,
-               used_floor: bool):
-    try:
-        s = _assemble(p, c, flux, list(windows), z_min, z_max, flux.theta,
-                      None, used_floor)
-        return [(flux, i, iv.z_lo, iv.z_hi, iv.truncated)
-                for i, iv in enumerate(s.continuous)], None
-    except NumericalError as exc:
-        return [], f"theta={flux}: {exc}"
-
-
 def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
-                    z_min: float | None = None, z_max: float = 100.0,
-                    map_fn=None) -> tuple[list[ButterflyRow], list[str]]:
+                    z_min: float | None = None, z_max: float = 100.0
+                    ) -> tuple[list[ButterflyRow], list[str]]:
     """Continuous spectrum intervals for every Farey flux with q' <= q_max.
 
     Band windows are computed once (flux-independent) and shared across rows.
     Rows come back ordered by (q', p') then z; per-flux failures are collected
-    as diagnostics without aborting the sweep.  map_fn may be any
-    order-preserving map over pure calls (e.g. a process pool's .map); the
-    worker is a module-level partial, so it pickles.
+    as diagnostics without aborting the sweep.
     """
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     used_floor = z_min is None
     if used_floor:
         z_min = default_scan_floor(c)
-    windows = tuple(band_windows(c, z_min, z_max))
-    fluxes = farey_fluxes(q_max)
-    worker = partial(_sweep_one, p=p, c=c, windows=windows, z_min=z_min,
-                     z_max=z_max, used_floor=used_floor)
-    mapper = map_fn if map_fn is not None else map
+    windows = band_windows(c, z_min, z_max)
     rows: list[ButterflyRow] = []
     diagnostics: list[str] = []
-    for result, err in mapper(worker, fluxes):
-        if err is not None:
-            diagnostics.append(err)
-        for flux, i, z_lo, z_hi, trunc in result:
-            rows.append(ButterflyRow(flux=flux, band_index=i, z_lo=z_lo,
-                                     z_hi=z_hi, truncated=trunc))
+    for flux in farey_fluxes(q_max):
+        try:
+            s = _assemble(p, c, flux, windows, z_min, z_max, flux.theta, None,
+                          used_floor)
+        except NumericalError as exc:
+            diagnostics.append(f"theta={flux}: {exc}")
+            continue
+        rows.extend(ButterflyRow(flux=flux, band_index=i, z_lo=iv.z_lo,
+                                 z_hi=iv.z_hi, truncated=iv.truncated)
+                    for i, iv in enumerate(s.continuous))
     return rows, diagnostics

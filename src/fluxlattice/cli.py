@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -207,18 +206,12 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
     return 0
 
 
-def cmd_butterfly(cfg: RunConfig, out: str | None, jobs: int) -> int:
+def cmd_butterfly(cfg: RunConfig, out: str | None) -> int:
     if cfg.fmt == "json":
         raise ConfigError("butterfly output is CSV")
     z_max = _require_z_max(cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows, diagnostics = butterfly_sweep(
-                cfg.potential, _coupling(cfg), cfg.q_max, z_min=cfg.z_min,
-                z_max=z_max, map_fn=pool.map)
-    else:
-        rows, diagnostics = butterfly_sweep(
-            cfg.potential, _coupling(cfg), cfg.q_max, z_min=cfg.z_min, z_max=z_max)
+    rows, diagnostics = butterfly_sweep(
+        cfg.potential, _coupling(cfg), cfg.q_max, z_min=cfg.z_min, z_max=z_max)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BUTTERFLY_HEADER)
@@ -291,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default=None, choices=("json", "csv"),
                         dest="fmt", help="output format where applicable")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
         sp.add_argument("--q-max", type=int, default=None, dest="q_max",
                         help="override config q_max")
         if name == "spectrum":
@@ -314,7 +306,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out, args.stamp)
         if args.command == "butterfly":
-            return cmd_butterfly(cfg, out, args.jobs)
+            return cmd_butterfly(cfg, out)
         if args.command == "dirichlet":
             return cmd_dirichlet(cfg, out)
         if args.command == "harper":

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .edge_solver import _basis_many, _count_below_many, dirichlet_eigenvalues, spectrum_upto
+from .edge_solver import (_basis_many, _count_below_many, dirichlet_eigenvalues,
+                          round_up_index, spectrum_upto)
 from .errors import ConfigError, DomainError, NumericalError
 from .potential import Potential
 
@@ -91,10 +92,7 @@ def eta(c: CouplingParams, z: float) -> float:
 def eta_on_pole(c: CouplingParams, k: int) -> float:
     """eta(mu_k) = (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the alpha term drops
     since u1(l;mu_k) = 0, so the value is coupling-independent."""
-    k_round = 7
-    while k_round < k:
-        k_round = 2 * k_round + 1
-    return (1.0 + c.beta**2) * _nus_upto(c.potential, k_round)[k]
+    return (1.0 + c.beta**2) * _nus_upto(c.potential, round_up_index(k))[k]
 
 
 @lru_cache(maxsize=512)
@@ -225,43 +223,54 @@ def band_windows(c: CouplingParams, z_min: float, z_max: float) -> list[BandWind
     return [BandWindow(coupling=c, **w) for w in raw]
 
 
-def invert_eta_many(w: BandWindow, ys: np.ndarray) -> np.ndarray:
-    """Solve eta(z) = y on the window's full domain for a batch of y values."""
-    c = w.coupling
+def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
+    """Solve eta(z) = y on a window's full domain for a batch of y values.
+
+    w is one BandWindow for all targets, or a sequence holding one window per
+    target, so a whole request inverts in one call; the windows must share one
+    coupling.  Newton steps only the targets whose residual is still above
+    INVERT_RESIDUAL, so no answer depends on the other targets of its batch.
+    """
     ys = np.asarray(ys, dtype=float)
+    ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
+    if not ws:
+        return np.empty(ys.shape)
+    c = ws[0].coupling
+    if any(x.coupling != c for x in ws):
+        raise DomainError("windows of different couplings in one inversion")
     if np.any(np.abs(ys) > c.threshold * (1.0 + 1e-12)):
         bad = float(ys[np.argmax(np.abs(ys))])
         raise DomainError(f"eta target {bad} outside [-{c.threshold}, {c.threshold}]")
     ys = np.clip(ys, -c.threshold, c.threshold)
+    a = np.array([x.a_full for x in ws])
+    b = np.array([x.b_full for x in ws])
+    inc = np.array([x.increasing for x in ws])
     # the homeomorphism maps -+threshold to the window edges exactly; at a
     # touching window the edge is a double root of eta -+ threshold, so root
     # finding there would be sqrt(eps)-conditioned while the edge is known
     at_top = np.abs(ys - c.threshold) <= 1e-13 * c.threshold
     at_bot = np.abs(ys + c.threshold) <= 1e-13 * c.threshold
-    z_top = w.b_full if w.increasing else w.a_full
-    z_bot = w.a_full if w.increasing else w.b_full
-    z = np.empty(ys.shape)
+    z = np.where(at_top == inc, b, a)  # the edge that eta sends to the target
     interior = ~(at_top | at_bot)
     if np.any(interior):
-        yv = ys[interior]
-        lo = np.full(yv.shape, w.a_full)
-        hi = np.full(yv.shape, w.b_full)
-        sign_lo = -1.0 if w.increasing else 1.0  # sign of eta(a_full) - y inside
-        zi = _bisect_batch(lambda zz: eta_many(c, zz) - yv, lo, hi,
-                           np.full(yv.shape, sign_lo))
+        yv, lo, hi = ys[interior], a[interior], b[interior]
+        sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
+        zi = _bisect_batch(lambda zz: eta_many(c, zz) - yv, lo, hi, sign_lo)
         # safeguarded Newton polish, derivative by central difference
+        todo = np.arange(zi.size)
         for _ in range(4):
-            res = eta_many(c, zi) - yv
-            if np.all(np.abs(res) <= INVERT_RESIDUAL * (1.0 + np.abs(yv))):
+            res = eta_many(c, zi[todo]) - yv[todo]
+            high = np.abs(res) > INVERT_RESIDUAL * (1.0 + np.abs(yv[todo]))
+            todo, res = todo[high], res[high]
+            if not todo.size:
                 break
-            dz = 1e-6 * np.maximum(1.0, np.abs(zi))
-            deriv = (eta_many(c, zi + dz) - eta_many(c, zi - dz)) / (2.0 * dz)
+            zt = zi[todo]
+            dz = 1e-6 * np.maximum(1.0, np.abs(zt))
+            deriv = (eta_many(c, zt + dz) - eta_many(c, zt - dz)) / (2.0 * dz)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(deriv != 0.0, res / deriv, 0.0)
-            zi = np.clip(zi - step, w.a_full, w.b_full)
+            zi[todo] = np.clip(zt - step, lo[todo], hi[todo])
         z[interior] = zi
-    z[at_top] = z_top
-    z[at_bot] = z_bot
     return z
 
 

@@ -90,6 +90,8 @@ def _rk4_steps(p: Potential, z_scale: float) -> int:
     return _align_steps(p, int(max(DEFAULT_STEPS, np.ceil(n))))
 
 
+# overflow far below the spectrum is reported by the isfinite guard, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
     """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape."""
     z = np.asarray(z, dtype=float)
@@ -278,13 +280,18 @@ def dirichlet_eigenvalues(p: Potential, k_max: int, tol: float = 1e-10) -> Diric
                              tuple(float(v) for v in achieved))
 
 
-def spectrum_upto(p: Potential, k: int) -> DirichletSpectrum:
-    """Dirichlet spectrum covering index k, rounded up so repeated queries with
-    nearby k share one cached batched computation."""
+def round_up_index(k: int) -> int:
+    """The smallest 2^m * 8 - 1 >= k, so nearby indices share one cache entry."""
     k_round = 7
     while k_round < k:
         k_round = 2 * k_round + 1
-    return dirichlet_eigenvalues(p, k_round)
+    return k_round
+
+
+def spectrum_upto(p: Potential, k: int) -> DirichletSpectrum:
+    """Dirichlet spectrum covering index k, rounded up so repeated queries with
+    nearby k share one cached batched computation."""
+    return dirichlet_eigenvalues(p, round_up_index(k))
 
 
 def krein_matrix(p: Potential, z: float, mu_guard: float = DEFAULT_MU_GUARD) -> KreinMatrix:

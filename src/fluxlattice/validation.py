@@ -34,7 +34,7 @@ class PropertyResult:
         return self.defect <= self.tolerance
 
 
-def _z_samples(p: Potential, z_min: float, z_max: float, n: int) -> np.ndarray:
+def _z_samples(z_min: float, z_max: float, n: int) -> np.ndarray:
     # keep samples off the Dirichlet poles: interior points of a uniform grid
     return np.linspace(z_min, z_max, n + 2)[1:-1] + 1e-3
 
@@ -42,7 +42,7 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float,
                     n: int = 64) -> PropertyResult:
     # defect measured relative to the solution scale: below the spectral
     # floor the products grow past the point where 1e-8 is representable
-    z = _z_samples(c.potential, z_min, z_max, n)
+    z = _z_samples(z_min, z_max, n)
     u1, du1, u2, du2 = _basis_many(c.potential, z)
     scale = np.maximum(1.0, np.abs(du1 * u2))
     defect = float(np.max(np.abs(du1 * u2 - u1 * du2 - 1.0) / scale))
@@ -64,7 +64,7 @@ def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
 
 def check_kp_identity(c: CouplingParams, z_min: float, z_max: float,
                       n: int = 100) -> PropertyResult:
-    z = _z_samples(c.potential, z_min, z_max, n)
+    z = _z_samples(z_min, z_max, n)
     factor = 1.0 + c.beta**2
     traces = kp_trace_many(c.potential, c.alpha / factor, z)
     defect = float(np.max(np.abs(factor * traces - eta_many(c, z))))

@@ -168,10 +168,3 @@ def test_butterfly_row_ordering(free_pot, free_coupling):
     rows, _ = butterfly_sweep(free_pot, free_coupling, 3, z_min=0.0, z_max=4.0)
     keys = [(r.flux.q, r.flux.p, r.band_index) for r in rows]
     assert keys == sorted(keys)
-
-
-def test_butterfly_parallel_map_matches_serial(free_pot, free_coupling):
-    serial, _ = butterfly_sweep(free_pot, free_coupling, 3, z_min=0.0, z_max=4.0)
-    swept, _ = butterfly_sweep(free_pot, free_coupling, 3, z_min=0.0, z_max=4.0,
-                               map_fn=lambda f, xs: list(map(f, xs)))
-    assert serial == swept

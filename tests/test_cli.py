@@ -133,11 +133,11 @@ def test_butterfly_half_flux_gap(tmp_path):
     assert half[-1][0] - half[0][1] > 0.5  # the gap straddling mu_0 = 1
 
 
-def test_butterfly_deterministic_and_parallel(tmp_path):
+def test_butterfly_deterministic(tmp_path):
     cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 3, "z_max": 4.0})
     out1, out2 = str(tmp_path / "1.csv"), str(tmp_path / "2.csv")
     assert main(["butterfly", "--config", cfg, "--out", out1]) == 0
-    assert main(["butterfly", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
+    assert main(["butterfly", "--config", cfg, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 

@@ -1,10 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxlattice import (CouplingParams, DomainError, band_windows,
                          dirichlet_eigenvalues, eta, eta_on_pole, invert_eta,
                          invert_eta_many, krein_matrix)
-from fluxlattice.discriminant import eta_many
+from fluxlattice.discriminant import INVERT_RESIDUAL, eta_many
 from oracles import free_eta
 
 L = np.pi
@@ -124,6 +128,28 @@ def test_invert_round_trip(free_pot):
         zs = invert_eta_many(w, ys)
         res = np.abs(eta_many(c, zs) - ys)
         assert np.all(res < 1e-9 * (1.0 + np.abs(ys)))
+
+
+@lru_cache(maxsize=None)
+def _step_windows(p, alpha):
+    return band_windows(CouplingParams(alpha=alpha, beta=1.0, potential=p), -2.0, 40.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=40))
+def test_batched_inversion_across_windows(step_pot, picks):
+    ws = _step_windows(step_pot, 1.0)
+    c = ws[0].coupling
+    batch = [ws[i % len(ws)] for i, _ in picks]
+    ys = np.asarray([f * c.threshold for _, f in picks])
+    zs = invert_eta_many(batch, ys)
+    alone = np.asarray([invert_eta(w, y) for w, y in zip(batch, ys)])
+    assert np.all(np.abs(zs - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
+    assert np.all(np.abs(eta_many(c, zs) - ys) <= INVERT_RESIDUAL * (1.0 + np.abs(ys)))
+    other = _step_windows(step_pot, 2.0)[0]
+    with pytest.raises(DomainError, match="coupling"):
+        invert_eta_many(batch + [other], np.append(ys, 0.0))
 
 
 def test_monotone_inside_windows(step_pot):

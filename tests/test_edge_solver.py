@@ -74,6 +74,7 @@ def test_wronskian_defect_all_kinds(fixture, request):
         assert pair.wronskian_defect / scale < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard(free_pot):
     with pytest.raises(IntegrationOverflowError, match="rescale"):
         integrate_basis(free_pot, -1e7)
