@@ -16,9 +16,8 @@ from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
                         GapReport, PointEigenvalue, SpectralSet, butterfly_sweep,
                         classify_eigenvalue, farey_fluxes, gap_report,
                         graph_spectrum, resolve_flux)
-from .discriminant import (BandWindow, CouplingParams, band_windows,
-                           default_scan_floor, eta, eta_on_pole, invert_eta,
-                           invert_eta_many)
+from .discriminant import (BandWindow, CouplingParams, band_windows, eta,
+                           eta_on_pole, invert_eta, invert_eta_many)
 from .edge_solver import (DirichletSpectrum, KreinMatrix, SolutionPair,
                           dirichlet_count_below, dirichlet_eigenvalues,
                           integrate_basis, krein_matrix)

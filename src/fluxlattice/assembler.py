@@ -8,8 +8,8 @@ the window orientation.  Eigenvalues are classified against the Harper bands
 through eta(mu_k): strictly outside every band -> Isolated, on an edge within
 tolerance -> BandEdge, strictly inside -> Embedded.
 
-Band windows and eta(mu_k) do not depend on the flux, so the butterfly sweep
-computes them once and reuses them for every Farey fraction.
+The scan range, band windows and eta(mu_k) do not depend on the flux, so a
+request computes them once (`_scan`) and reuses them for every flux.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import (BandWindow, CouplingParams, band_windows,
-                           default_scan_floor, eta_many, eta_on_pole,
-                           invert_eta_many)
+from .discriminant import (BandWindow, CouplingParams, band_windows, eta_many,
+                           eta_on_pole, invert_eta_many)
 from .edge_solver import _count_below_many, spectrum_upto
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
@@ -57,6 +56,9 @@ class ContinuousInterval:
 
 @dataclass(frozen=True)
 class SpectralSet:
+    """The spectrum over [z_min, z_max]; z_min defaults to the lowest band
+    window's a_full, below which there is no spectrum."""
+
     point_spectrum: tuple[PointEigenvalue, ...]
     continuous: tuple[ContinuousInterval, ...]
     z_min: float
@@ -65,8 +67,6 @@ class SpectralSet:
     flux: RationalFlux = RationalFlux(0, 1)
     theta_input: float = 0.0
     convergent_used: str | None = None  # "p/q" when a decimal theta was resolved
-    scan_floor_heuristic: bool = False  # z_min came from the heuristic floor
-    floor_touched: bool = False         # lowest window clipped at z_min
     harper: HarperBands | None = field(default=None, repr=False)
     windows: tuple[BandWindow, ...] = field(default=(), repr=False)
 
@@ -119,50 +119,61 @@ def _classify_value(y: float, bands: HarperBands, tol: float) -> Classification:
     return Classification.ISOLATED
 
 
-def _point_spectrum(p: Potential, c: CouplingParams, harper: HarperBands,
-                    z_min: float, z_max: float) -> tuple[PointEigenvalue, ...]:
-    k_hi = int(_count_below_many(p, np.asarray([z_max]))[0])  # mu_{k_hi} >= z_max
-    spec = spectrum_upto(p, k_hi)
-    points = []
-    for k, mu in enumerate(spec.eigenvalues[:k_hi + 1]):
-        if z_min <= mu <= z_max:
-            y = eta_on_pole(c, k)
-            points.append(PointEigenvalue(
-                k=k, mu=mu,
-                classification=_classify_value(y, harper, EDGE_CLASSIFY_TOL)))
-    return tuple(points)
+@dataclass(frozen=True)
+class _Scan:
+    """The flux-independent part of a request over [z_min, z_max]: y_bounds
+    is eta's range on each window as clipped, poles holds (k, mu_k, eta(mu_k))
+    for mu_k in range."""
+
+    coupling: CouplingParams
+    z_min: float
+    z_max: float
+    windows: tuple[BandWindow, ...]
+    y_bounds: tuple[tuple[float, float], ...]
+    poles: tuple[tuple[int, float, float], ...]
 
 
-def _assemble(p: Potential, c: CouplingParams, flux: RationalFlux,
-              windows: list[BandWindow], z_min: float, z_max: float,
-              theta_input: float, convergent_used: str | None,
-              used_floor: bool) -> SpectralSet:
-    harper = harper_spectrum(flux, c.beta)
-    threshold = c.threshold
+def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
+    """z_min None starts the range at the lowest window's a_full."""
+    windows = band_windows(c, z_min, z_max)
+    if z_min is None:
+        if not windows:
+            raise ConfigError(f"z_max = {z_max} lies below the lowest band window, "
+                              "so there is no spectrum up to it; give z_min")
+        z_min = windows[0].a_full
+    y_bounds = []
+    for w in windows:
+        v = (eta_many(c, np.asarray([w.a, w.b])) if w.truncated
+             else [-c.threshold, c.threshold])
+        y_bounds.append((float(np.min(v)), float(np.max(v))))
+    k_hi = int(_count_below_many(c.potential, np.asarray([z_max]))[0])  # mu_{k_hi} >= z_max
+    mus = spectrum_upto(c.potential, k_hi).eigenvalues[:k_hi + 1]
+    poles = tuple((k, mu, eta_on_pole(c, k)) for k, mu in enumerate(mus)
+                  if z_min <= mu <= z_max)
+    return _Scan(coupling=c, z_min=float(z_min), z_max=float(z_max),
+                 windows=tuple(windows), y_bounds=tuple(y_bounds), poles=poles)
+
+
+def _assemble(scan: _Scan, flux: RationalFlux, theta_input: float,
+              convergent_used: str | None) -> SpectralSet:
+    harper = harper_spectrum(flux, scan.coupling.beta)
+    threshold = scan.coupling.threshold
     # collect every (window, band) pair, invert all endpoints that clipping
     # left free in one call, then hand the results back in the same order
     pairs = []
-    floor_touched = False
-    for w in windows:
-        floor_touched = floor_touched or (w.truncated_lo and used_floor)
-        y_bounds = None
-        if w.truncated_lo or w.truncated_hi:
-            vals = eta_many(c, np.asarray([w.a, w.b]))
-            y_bounds = (float(np.min(vals)), float(np.max(vals)))
+    for w, (yl, yh) in zip(scan.windows, scan.y_bounds):
         for j, (lo, hi) in enumerate(harper.bands):
             y1, y2 = max(lo, -threshold), min(hi, threshold)
             z1 = z2 = None  # endpoints pinned by clipping, no inversion needed
             clipped = False
-            if y_bounds is not None:
-                yl, yh = y_bounds
-                if y1 < yl:
-                    y1, clipped = yl, True
-                    z1 = w.a if w.increasing else w.b
-                if y2 > yh:
-                    y2, clipped = yh, True
-                    z2 = w.b if w.increasing else w.a
-                if y1 > y2:
-                    continue  # band lies entirely outside the clipped window
+            if y1 < yl:
+                y1, clipped = yl, True
+                z1 = w.a if w.increasing else w.b
+            if y2 > yh:
+                y2, clipped = yh, True
+                z2 = w.b if w.increasing else w.a
+            if y1 > y2:
+                continue  # band lies entirely outside the clipped window
             pairs.append((w, j, y1, y2, z1, z2, clipped))
     free = [(w, y) for w, _, y1, y2, z1, z2, _ in pairs
             for y, z in ((y1, z1), (y2, z2)) if z is None]
@@ -180,15 +191,15 @@ def _assemble(p: Potential, c: CouplingParams, flux: RationalFlux,
             truncated=bool(clipped)))
     intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
     return SpectralSet(
-        point_spectrum=_point_spectrum(p, c, harper, z_min, z_max),
+        point_spectrum=tuple(
+            PointEigenvalue(k, mu, _classify_value(y, harper, EDGE_CLASSIFY_TOL))
+            for k, mu, y in scan.poles),
         continuous=tuple(intervals),
-        z_min=float(z_min), z_max=float(z_max),
-        coupling=c, flux=flux, theta_input=theta_input,
+        z_min=scan.z_min, z_max=scan.z_max,
+        coupling=scan.coupling, flux=flux, theta_input=theta_input,
         convergent_used=convergent_used,
-        scan_floor_heuristic=used_floor,
-        floor_touched=floor_touched,
         harper=harper,
-        windows=tuple(windows),
+        windows=scan.windows,
     )
 
 
@@ -199,18 +210,13 @@ def graph_spectrum(p: Potential, c: CouplingParams, theta,
 
     theta may be a RationalFlux or a float (resolved to its best convergent
     with denominator <= q_max, recorded in the result).  z_min defaults to the
-    heuristic scan floor min(0, inf V) - |alpha|/l - 1.
+    lowest band window's a_full (ConfigError if z_max lies below it).
     """
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     flux, convergent_used = resolve_flux(theta, q_max)
     theta_input = flux.theta if isinstance(theta, RationalFlux) else float(theta)
-    used_floor = z_min is None
-    if used_floor:
-        z_min = default_scan_floor(c)
-    windows = band_windows(c, z_min, z_max)
-    return _assemble(p, c, flux, windows, z_min, z_max, theta_input,
-                     convergent_used, used_floor)
+    return _assemble(_scan(c, z_min, z_max), flux, theta_input, convergent_used)
 
 
 def gap_report(s: SpectralSet, merge_eps: float = 1e-12) -> GapReport:
@@ -258,22 +264,18 @@ def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
                     ) -> tuple[list[ButterflyRow], list[str]]:
     """Continuous spectrum intervals for every Farey flux with q' <= q_max.
 
-    Band windows are computed once (flux-independent) and shared across rows.
-    Rows come back ordered by (q', p') then z; per-flux failures are collected
-    as diagnostics without aborting the sweep.
+    One flux-independent scan is shared across rows; z_min defaults as in
+    graph_spectrum.  Rows come back ordered by (q', p') then z; per-flux
+    failures are collected as diagnostics without aborting the sweep.
     """
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
-    used_floor = z_min is None
-    if used_floor:
-        z_min = default_scan_floor(c)
-    windows = band_windows(c, z_min, z_max)
+    scan = _scan(c, z_min, z_max)
     rows: list[ButterflyRow] = []
     diagnostics: list[str] = []
     for flux in farey_fluxes(q_max):
         try:
-            s = _assemble(p, c, flux, windows, z_min, z_max, flux.theta, None,
-                          used_floor)
+            s = _assemble(scan, flux, flux.theta, None)
         except NumericalError as exc:
             diagnostics.append(f"theta={flux}: {exc}")
             continue

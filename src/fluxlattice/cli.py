@@ -5,6 +5,11 @@ dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
 Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 3 numerical failure.  Output is byte-identical for identical configs unless
 --stamp is given.
+spectrum JSON: parameters (with the scan range z_min..z_max; z_min defaults to
+the lower edge of the lowest band window), point_spectrum, continuous, gaps,
+metadata {convergent_used[, generated_at]}.  butterfly exits 0 when some
+fluxes fail, since the other rows still hold; stderr names each failure and
+ends with "butterfly: K of N fluxes failed".
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import validation
-from .assembler import butterfly_sweep, gap_report, graph_spectrum
+from .assembler import butterfly_sweep, farey_fluxes, gap_report, graph_spectrum
 from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
@@ -196,8 +201,6 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
             for g in gaps.gaps],
         "metadata": {
             "convergent_used": s.convergent_used,
-            "scan_floor_heuristic": s.scan_floor_heuristic,
-            "floor_touched": s.floor_touched,
         },
     }
     if stamp:
@@ -221,6 +224,8 @@ def cmd_butterfly(cfg: RunConfig, out: str | None) -> int:
     _emit(buf.getvalue(), out)
     for msg in diagnostics:
         print(f"butterfly diagnostic: {msg}", file=sys.stderr)
+    print(f"butterfly: {len(diagnostics)} of {len(farey_fluxes(cfg.q_max))} "
+          "fluxes failed", file=sys.stderr)
     return 0
 
 
@@ -261,9 +266,8 @@ def cmd_harper(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     z_max = _require_z_max(cfg)
-    results = validation.run_all(cfg.potential, _coupling(cfg), cfg.theta,
-                                 cfg.z_min, z_max, q_max=cfg.q_max,
-                                 k_max=cfg.k_max)
+    results = validation.run_all(_coupling(cfg), cfg.theta, cfg.z_min, z_max,
+                                 q_max=cfg.q_max, k_max=cfg.k_max)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

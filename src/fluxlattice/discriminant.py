@@ -125,22 +125,23 @@ def _bisect_batch(g, lo, hi, sign_lo, tol_z=EDGE_TOL_Z, max_iter=70):
 
 
 def _scan_windows(p: Potential, g_many, threshold: float,
-                  z_min: float, z_max: float) -> list[dict]:
+                  z_min: float | None, z_max: float) -> list[dict]:
     """Maximal closed windows of |g| <= threshold intersecting [z_min, z_max].
 
     g must share the discriminant's structure: sign alternation on the
     Dirichlet eigenvalues of p, no root outside a window, +inf limit below
     the spectrum.  Full edges are always resolved; clipping to the scan range
-    is recorded per window.
+    is recorded per window; z_min None clips nothing from below.
     """
-    if not (np.isfinite(z_min) and np.isfinite(z_max)) or z_min >= z_max:
+    if not np.isfinite(z_max) or (
+            z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
     n_above = int(_count_below_many(p, np.asarray([z_max]))[0])
     spec = spectrum_upto(p, n_above)  # ensures mu_{n_above} >= z_max
     mus = np.asarray(spec.eigenvalues[:n_above + 1])
 
     # left anchor below the lowest window: walk down until g > threshold
-    start = min(z_min, float(mus[0])) - 1.0
+    start = (float(mus[0]) if z_min is None else min(z_min, float(mus[0]))) - 1.0
     step = 1.0
     for _ in range(80):
         if g_many(np.asarray([start]))[0] > threshold:
@@ -149,6 +150,8 @@ def _scan_windows(p: Potential, g_many, threshold: float,
         step *= 2.0
     else:
         raise NumericalError("could not find g > threshold below the lowest window")
+    if z_min is None:
+        z_min = start  # the lowest window lies above its anchor
 
     anchors = np.concatenate([[start], mus])
     g_anchor = g_many(anchors)
@@ -211,12 +214,15 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     return windows
 
 
-def band_windows(c: CouplingParams, z_min: float, z_max: float) -> list[BandWindow]:
+def band_windows(c: CouplingParams, z_min: float | None,
+                 z_max: float) -> list[BandWindow]:
     """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
 
     Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
     windows share the eigenvalue as an endpoint and are kept distinct.
     Partial windows at the range boundary come back clipped and flagged.
+    z_min None scans from below the lowest window (eta > 2(1+beta^2) below
+    its a_full, where the spectrum starts), so none is clipped there.
     """
     raw = _scan_windows(c.potential, lambda zz: eta_many(c, zz), c.threshold,
                         z_min, z_max)
@@ -278,11 +284,3 @@ def invert_eta(w: BandWindow, y: float) -> float:
     """Unique z in J_n with eta(z) = y; requires |y| <= 2(1+beta^2)."""
     return float(invert_eta_many(w, np.asarray([float(y)]))[0])
 
-
-def default_scan_floor(c: CouplingParams) -> float:
-    """Heuristic lower scan bound: min(0, inf V) - |alpha|/l - 1.
-
-    Consistent with semiboundedness but not a proof; results carry a flag when
-    the lowest window is clipped at this floor.
-    """
-    return min(0.0, c.potential.infimum()) - abs(c.alpha) / c.potential.l - 1.0

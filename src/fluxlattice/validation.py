@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import _assemble, resolve_flux
-from .discriminant import CouplingParams, band_windows, default_scan_floor, eta_many, eta_on_pole
-from .edge_solver import _basis_many, _count_below_many
+from .assembler import _assemble, _scan, _Scan, resolve_flux
+from .discriminant import CouplingParams, eta_many, eta_on_pole
+from .edge_solver import _basis_many
 from .harper import RationalFlux, chambers_defect, harper_spectrum, torus_oracle
 from .kp_oracle import kp_trace_many
-from .potential import Potential
 
 SIGN_ALTERNATION_SLACK = 1e-6  # equality is attained (free V, midpoint-even V)
 
@@ -83,12 +82,9 @@ def check_torus_containment(flux: RationalFlux, beta: float,
     return PropertyResult("torus_containment", float(worst), 1e-9)
 
 
-def check_flux_periodicity(p: Potential, c: CouplingParams, flux: RationalFlux,
-                           z_min: float, z_max: float) -> PropertyResult:
+def check_flux_periodicity(scan: _Scan, flux: RationalFlux) -> PropertyResult:
     shifted = RationalFlux(flux.p + flux.q, flux.q)
-    windows = band_windows(c, z_min, z_max)
-    sets = [_assemble(p, c, f, windows, z_min, z_max, f.theta, None, False)
-            for f in (flux, shifted)]
+    sets = [_assemble(scan, f, f.theta, None) for f in (flux, shifted)]
     ends = [np.asarray([(iv.z_lo, iv.z_hi) for iv in s.continuous]) for s in sets]
     if ends[0].shape != ends[1].shape:
         return PropertyResult("flux_periodicity", np.inf, 1e-9)
@@ -96,16 +92,15 @@ def check_flux_periodicity(p: Potential, c: CouplingParams, flux: RationalFlux,
     return PropertyResult("flux_periodicity", defect, 1e-9)
 
 
-def run_all(p: Potential, c: CouplingParams, theta, z_min: float | None,
-            z_max: float, q_max: int = 50, k_max: int = 10) -> list[PropertyResult]:
+def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
+            q_max: int = 50, k_max: int = 10) -> list[PropertyResult]:
     flux, _ = resolve_flux(theta, q_max)
-    if z_min is None:
-        z_min = default_scan_floor(c)
+    scan = _scan(c, z_min, z_max)
     return [
-        check_wronskian(c, z_min, z_max),
+        check_wronskian(c, scan.z_min, z_max),
         check_sign_alternation(c, k_max),
         check_chambers(flux, c.beta),
-        check_kp_identity(c, z_min, z_max),
+        check_kp_identity(c, scan.z_min, z_max),
         check_torus_containment(flux, c.beta),
-        check_flux_periodicity(p, c, flux, z_min, z_max),
+        check_flux_periodicity(scan, flux),
     ]

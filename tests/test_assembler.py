@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxlattice import (Classification, CouplingParams, RationalFlux,
+from fluxlattice import (Classification, ConfigError, CouplingParams, RationalFlux,
                          butterfly_sweep, classify_eigenvalue,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
                          graph_spectrum, resolve_flux)
@@ -126,13 +128,43 @@ def test_pullback_endpoints_hit_band_edges(free_pot):
             assert np.min(np.abs(edges - val)) < 1e-8
 
 
-def test_scan_floor_heuristic_metadata(free_pot, free_coupling):
-    s = graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1), z_max=5.0)
-    assert s.scan_floor_heuristic
-    assert s.z_min == pytest.approx(-1.0)
-    s2 = graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1),
-                        z_min=-2.0, z_max=5.0)
-    assert not s2.scan_floor_heuristic
+def _ends(s):
+    return np.asarray([(iv.z_lo, iv.z_hi, iv.window, iv.band) for iv in s.continuous])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -10.0])
+def test_default_floor_is_lowest_window_edge(free_pot, alpha):
+    # attractive coupling pushes window 0 far below zero (near z = -6.26 at
+    # alpha = -10); the default floor must still start the scan there
+    c = CouplingParams(alpha=alpha, beta=1.0, potential=free_pot)
+    s = graph_spectrum(free_pot, c, RationalFlux(1, 3), z_max=5.0)
+    assert s.z_min == pytest.approx(s.windows[0].a_full, abs=1e-9)
+    assert s.windows[0].index == 0
+    assert not any(w.truncated_lo for w in s.windows)
+    far = graph_spectrum(free_pot, c, RationalFlux(1, 3), z_min=-100.0, z_max=5.0)
+    assert _ends(s).shape == _ends(far).shape
+    assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
+    assert s.point_spectrum == far.point_spectrum
+
+
+def test_default_floor_rejects_z_max_below_spectrum(free_pot, free_coupling):
+    with pytest.raises(ConfigError, match="below the lowest band window"):
+        graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1), z_max=-5.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.floats(-15.0, 5.0), beta=st.floats(0.5, 2.0),
+       edge=st.sampled_from(["free", "step"]),
+       flux=st.sampled_from([RationalFlux(0, 1), RationalFlux(1, 3),
+                             RationalFlux(2, 5)]))
+def test_default_floor_loses_nothing(free_pot, step_pot, alpha, beta, edge, flux):
+    p = free_pot if edge == "free" else step_pot
+    c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+    s = graph_spectrum(p, c, flux, z_max=12.0)
+    far = graph_spectrum(p, c, flux, z_min=s.z_min - 50.0, z_max=12.0)
+    assert _ends(s).shape == _ends(far).shape
+    assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
+    assert s.point_spectrum == far.point_spectrum
 
 
 def test_farey_enumeration():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fluxlattice import ConsistencyError, RationalFlux, assembler
 from fluxlattice.cli import main
 
 L = np.pi
@@ -34,7 +35,7 @@ def test_spectrum_free_case(tmp_path, capsys):
     assert len(doc["point_spectrum"]) == 3
     for pt in doc["point_spectrum"]:
         assert pt["classification"] in ("BandEdge", "Embedded")
-    assert doc["metadata"]["convergent_used"] is None
+    assert doc["metadata"] == {"convergent_used": None}
     assert doc["parameters"]["theta_resolved"] == "0/1"
 
 
@@ -85,7 +86,17 @@ def test_spectrum_stamp_adds_timestamp(tmp_path, capsys):
     cfg = write_config(tmp_path, FREE_CFG)
     assert main(["spectrum", "--config", cfg, "--stamp"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert "generated_at" in doc["metadata"]
+    assert sorted(doc["metadata"]) == ["convergent_used", "generated_at"]
+
+
+def test_spectrum_default_floor_above_z_max(tmp_path, capsys):
+    doc = {**FREE_CFG, "z_max": -5.0}
+    del doc["z_min"]
+    cfg = write_config(tmp_path, doc)
+    assert main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "below the lowest band window" in err
+    assert "invalid scan range" not in err
 
 
 def test_spectrum_from_field_sample(tmp_path, capsys):
@@ -139,6 +150,25 @@ def test_butterfly_deterministic(tmp_path):
     assert main(["butterfly", "--config", cfg, "--out", out1]) == 0
     assert main(["butterfly", "--config", cfg, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_butterfly_counts_failed_fluxes(tmp_path, capsys, monkeypatch):
+    real = assembler.harper_spectrum
+
+    def flaky(flux, beta):
+        if flux == RationalFlux(1, 2):
+            raise ConsistencyError("band pairing failed")
+        return real(flux, beta)
+
+    monkeypatch.setattr(assembler, "harper_spectrum", flaky)
+    cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 3, "z_max": 4.0})
+    out = str(tmp_path / "b.csv")
+    assert main(["butterfly", "--config", cfg, "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["butterfly diagnostic: theta=1/2: band pairing failed",
+                   "butterfly: 1 of 5 fluxes failed"]
+    fluxes = {tuple(row[:2]) for row in csv.reader(open(out, encoding="utf-8"))}
+    assert ("1", "2") not in fluxes and ("1", "3") in fluxes
 
 
 def test_dirichlet_json(tmp_path, capsys):
