@@ -22,7 +22,7 @@ import numpy as np
 
 from .discriminant import (BandWindow, CouplingParams, band_windows, eta_many,
                            eta_on_pole, invert_eta_many)
-from .edge_solver import _count_below_many, spectrum_upto
+from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
 from .potential import Potential
@@ -146,8 +146,7 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
         v = (eta_many(c, np.asarray([w.a, w.b])) if w.truncated
              else [-c.threshold, c.threshold])
         y_bounds.append((float(np.min(v)), float(np.max(v))))
-    k_hi = int(_count_below_many(c.potential, np.asarray([z_max]))[0])  # mu_{k_hi} >= z_max
-    mus = spectrum_upto(c.potential, k_hi).eigenvalues[:k_hi + 1]
+    mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
     poles = tuple((k, mu, eta_on_pole(c, k)) for k, mu in enumerate(mus)
                   if z_min <= mu <= z_max)
     return _Scan(coupling=c, z_min=float(z_min), z_max=float(z_max),

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .edge_solver import (_basis_many, _count_below_many, dirichlet_eigenvalues,
-                          round_up_index, spectrum_upto)
+from .edge_solver import (_basis_many, _mus_through, dirichlet_eigenvalues,
+                          round_up_index)
 from .errors import ConfigError, DomainError, NumericalError
 from .potential import Potential
 
@@ -136,9 +136,7 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     if not np.isfinite(z_max) or (
             z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
-    n_above = int(_count_below_many(p, np.asarray([z_max]))[0])
-    spec = spectrum_upto(p, n_above)  # ensures mu_{n_above} >= z_max
-    mus = np.asarray(spec.eigenvalues[:n_above + 1])
+    mus = np.asarray(_mus_through(p, z_max))  # the last one is >= z_max
 
     # left anchor below the lowest window: walk down until g > threshold
     start = (float(mus[0]) if z_min is None else min(z_min, float(mus[0]))) - 1.0

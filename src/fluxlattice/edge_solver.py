@@ -294,6 +294,14 @@ def spectrum_upto(p: Potential, k: int) -> DirichletSpectrum:
     return dirichlet_eigenvalues(p, round_up_index(k))
 
 
+@lru_cache(maxsize=64)
+def _mus_through(p: Potential, z: float) -> tuple[float, ...]:
+    """mu_0..mu_n, n the Pruefer count below z, so mu_n >= z; cached so a
+    request's window scan and its pole list share one count."""
+    n = int(_count_below_many(p, np.asarray([z]))[0])
+    return spectrum_upto(p, n).eigenvalues[:n + 1]
+
+
 def krein_matrix(p: Potential, z: float, mu_guard: float = DEFAULT_MU_GUARD) -> KreinMatrix:
     """s(z) = (1/u1(l;z)) [[-u2(l;z), 1], [1, -u1'(l;z)]].
 

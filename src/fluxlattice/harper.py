@@ -22,7 +22,11 @@ are the eigenvalues of H at the extremal momenta (0,0) and (pi/q, pi/q).
 
 The Chambers pipeline runs in extended precision (numpy longdouble): in plain
 float64 the roundoff of an 8x8 determinant already exceeds the 1e-9
-k-independence budget at beta = 2.
+k-independence budget at beta = 2.  `chambers_defect` measures that
+independence with one batched LU kernel over stacks of E I - H(k): E I - H is
+cyclic tridiagonal, so below each pivot only two rows can be nonzero, and the
+kernel visits only those, with the pivot choices and arithmetic of the dense
+`_det_cld`.  It is exact for cyclic-tridiagonal input only.
 """
 
 from __future__ import annotations
@@ -133,6 +137,41 @@ def _det_cld(a: np.ndarray) -> np.clongdouble:
     return det * a[n - 1, n - 1]
 
 
+def _det_cyclic_many(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (m, q, q) of complex longdouble cyclic-tridiagonal
+    matrices; like LAPACK's getrf, the elimination overwrites a.
+
+    The LU of `_det_cld`, batched: pivoting keeps column col nonzero only in
+    rows col, col+1 and q-1 (the wrap row gathers all fill-in), so the pivot
+    search and the update touch those rows alone.  Pivots, row swaps and the
+    arithmetic on nonzeros are those of `_det_cld`, so each determinant equals
+    its result bit for bit; other sparsity patterns give wrong answers.  A zero
+    pivot gives det = 0 without dividing by it.
+    """
+    m, n = a.shape[0], a.shape[1]
+    stack = np.arange(m)
+    det = np.ones(m, dtype=_CLD)
+    singular = np.zeros(m, dtype=bool)
+    for col in range(n - 1):
+        rows = np.array(sorted({col, col + 1, n - 1}))  # ascending: ties as in _det_cld
+        piv = rows[np.argmax(np.abs(a[:, rows, col]), axis=1)]
+        top = a[stack, piv, col:]
+        a[stack, piv, col:] = a[:, col, col:]
+        a[:, col, col:] = top
+        det = np.where(piv != col, -det, det)
+        d = a[:, col, col]
+        zero = d == 0
+        singular |= zero
+        d = np.where(zero, _CLD(1.0), d)  # a zero pivot's column is zero: no update
+        det = det * d
+        below = rows[1:]
+        factors = a[:, below, col] / d[:, None]
+        a[:, below, col + 1:] -= factors[:, :, None] * a[:, None, col, col + 1:]
+    det = det * a[:, n - 1, n - 1]
+    det[singular] = 0
+    return det
+
+
 def _polyval_ld(coeffs_desc: np.ndarray, x):
     out = x * _LD(0.0)
     for c in coeffs_desc:
@@ -204,30 +243,38 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
     """The degree-q Chambers polynomial P(E), momentum independent.
 
     Coefficients are fit from det(E I - H) at q+1 Chebyshev-spaced energies at
-    the reference momentum (pi/2q, pi/2q) and verified against a spot k-grid.
+    the reference momentum (pi/2q, pi/2q) and verified against a spot k-grid;
+    the fit is cached per (p mod q, q, beta), since H depends on p mod q only.
     """
-    coeffs_desc = _chambers_ld(f.p, f.q, float(beta))
+    coeffs_desc = _chambers_ld(f.p % f.q, f.q, float(beta))
     return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])
 
 
 def chambers_defect(f: RationalFlux, beta: float, n_k: int = 10, n_e: int = 5) -> float:
     """Max |det(E I - H(k)) + 2 cos(q k1) + 2 beta^{2q} cos(q k2) - P(E)| over a
-    k-grid at in-band test energies; the measured momentum-independence defect."""
+    k-grid at in-band test energies; the measured momentum-independence defect.
+
+    The determinants come from `_det_cyclic_many`, one stack of n_k * n_e
+    matrices per k1; E I - H(k) is cyclic tridiagonal, which that kernel
+    requires, so they equal per-matrix `_det_cld` results exactly.
+    """
     p, q = f.p, f.q
-    coeffs = _chambers_ld(p, q, float(beta))
+    coeffs = _chambers_ld(p % q, q, float(beta))
     beta_ld = _LD(beta)
     level = _LD(2.0) * beta_ld ** (2 * q)
-    energies = np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * beta_ld**2)
+    energies = (np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * beta_ld**2)).astype(_LD)
+    poly = _polyval_ld(coeffs, energies)
     kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
-    eye = np.eye(q, dtype=_CLD)
+    shifted = energies[:, None, None] * np.eye(q, dtype=_CLD)
+    a = np.empty((n_k, n_e, q, q), dtype=_CLD)  # one buffer for every k1 row
     worst = 0.0
     for k1 in kgrid:
-        for k2 in kgrid:
-            h = _fiber(p, q, beta, k1, k2, dtype=_CLD)
-            for e in energies:
-                det = np.real(_det_cld(_LD(e) * eye - h))
-                val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
-                worst = max(worst, abs(float(val - _polyval_ld(coeffs, _LD(e)))))
+        h = np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in kgrid])
+        np.subtract(shifted, h[:, None], out=a)
+        det = np.real(_det_cyclic_many(a.reshape(-1, q, q)))
+        val = (det.reshape(n_k, n_e) + 2 * np.cos(q * k1)
+               + (level * np.cos(q * kgrid))[:, None])
+        worst = max(worst, float(np.max(np.abs((val - poly).astype(float)))))
     return worst
 
 
@@ -248,7 +295,7 @@ def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
     roots = [(float(e), _LD(1.0)) for e in e_plus] + [(float(e), _LD(-1.0)) for e in e_minus]
     roots.sort(key=lambda t: t[0])
     if float(level) < 1e12:  # beyond that the polynomial scale swamps the edge scale
-        coeffs = _chambers_ld(p, q, float(beta))
+        coeffs = _chambers_ld(p % q, q, float(beta))
         roots = [(_polish_edge(coeffs, e, s * level), s) for e, s in roots]
     edges = [e for e, _ in roots]
     bands = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(q))

@@ -75,11 +75,10 @@ def check_torus_containment(flux: RationalFlux, beta: float,
     reps = max(1, target_n // flux.q)
     bands = harper_spectrum(flux, beta)
     evals = torus_oracle(flux, beta, reps)
-    worst = 0.0
-    for e in evals:
-        dist = min(max(lo - e, e - hi, 0.0) for lo, hi in bands.bands)
-        worst = max(worst, dist)
-    return PropertyResult("torus_containment", float(worst), 1e-9)
+    lo, hi = np.asarray(bands.bands).T
+    e = evals[:, None]
+    dist = np.maximum(np.maximum(lo - e, e - hi), 0.0).min(axis=1)
+    return PropertyResult("torus_containment", float(np.max(dist)), 1e-9)
 
 
 def check_flux_periodicity(scan: _Scan, flux: RationalFlux) -> PropertyResult:

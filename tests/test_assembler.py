@@ -152,7 +152,7 @@ def test_default_floor_rejects_z_max_below_spectrum(free_pot, free_coupling):
         graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1), z_max=-5.0)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(alpha=st.floats(-15.0, 5.0), beta=st.floats(0.5, 2.0),
        edge=st.sampled_from(["free", "step"]),
        flux=st.sampled_from([RationalFlux(0, 1), RationalFlux(1, 3),

@@ -135,7 +135,7 @@ def _step_windows(p, alpha):
     return band_windows(CouplingParams(alpha=alpha, beta=1.0, potential=p), -2.0, 40.0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)),
                 min_size=1, max_size=40))
 def test_batched_inversion_across_windows(step_pot, picks):

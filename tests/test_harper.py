@@ -1,10 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          TorusSizeError, approximate_irrational, best_convergent,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
+from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld,
+                                _det_cyclic_many, _fiber, _polyval_ld)
 from oracles import dense_kgrid_bands, symmetric_gauge_torus
 
 SQ3 = np.sqrt(3.0)
@@ -68,6 +74,70 @@ def test_chambers_independence(beta):
         for p in range(q):
             if np.gcd(p, q) == 1:
                 assert chambers_defect(RationalFlux(p, q), beta) < 1e-9
+
+
+@settings(max_examples=40)
+@given(q=st.integers(1, 40), p=st.integers(-60, 60),
+       mats=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 2 * np.pi),
+                               st.floats(0.0, 2 * np.pi), st.floats(-25.0, 25.0)),
+                     min_size=1, max_size=6))
+def test_cyclic_det_kernel_matches_dense_lu(q, p, mats):
+    eye = np.eye(q, dtype=_CLD)
+    stack = np.stack([_LD(e) * eye - _fiber(p, q, beta, _LD(k1), _LD(k2), dtype=_CLD)
+                      for beta, k1, k2, e in mats])
+    dense = np.array([_det_cld(a) for a in stack], dtype=_CLD)
+    assert np.array_equal(_det_cyclic_many(stack), dense)  # overwrites stack
+
+
+def test_cyclic_det_kernel_zero_pivot():
+    regular = _LD(0.3) * np.eye(4, dtype=_CLD) - _fiber(1, 4, 1.0, _LD(0.2), _LD(0.7),
+                                                         dtype=_CLD)
+    first = np.zeros((4, 4), dtype=_CLD)  # column 0 vanishes: zero pivot at once
+    first[1, 2] = first[2, 1] = first[2, 3] = first[3, 2] = first[3, 3] = 1
+    later = np.zeros((4, 4), dtype=_CLD)  # column 1 vanishes after eliminating column 0
+    later[0, 0] = later[0, 1] = later[1, 0] = later[1, 1] = 1
+    later[1, 2] = later[2, 2] = later[2, 3] = later[3, 2] = later[3, 3] = 2
+    stack = np.stack([regular, first, later])
+    dense = [_det_cld(a) for a in stack]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = _det_cyclic_many(stack)
+    assert dets[1] == 0 and dets[2] == 0 and dets[0] != 0
+    assert np.array_equal(dets, dense)
+
+
+def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
+    """chambers_defect with one dense _det_cld per momentum and energy."""
+    p, q = f.p, f.q
+    coeffs = _chambers_ld(p % q, q, beta)
+    level = _LD(2.0) * _LD(beta) ** (2 * q)
+    energies = np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * _LD(beta) ** 2)
+    kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
+    eye = np.eye(q, dtype=_CLD)
+    worst = 0.0
+    for k1 in kgrid:
+        for k2 in kgrid:
+            h = _fiber(p, q, beta, k1, k2, dtype=_CLD)
+            for e in energies:
+                det = np.real(_det_cld(_LD(e) * eye - h))
+                val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
+                worst = max(worst, abs(float(val - _polyval_ld(coeffs, _LD(e)))))
+    return worst
+
+
+@pytest.mark.parametrize("p,q", [(5, 13), (8, 21)])
+def test_chambers_defect_matches_dense_loop(p, q):
+    f = RationalFlux(p, q)
+    assert chambers_defect(f, 1.0) == _dense_chambers_defect(f, 1.0)
+
+
+def test_chambers_fit_shared_across_flux_period():
+    poly = chambers_polynomial(RationalFlux(3, 8), 1.0)
+    before = _chambers_ld.cache_info()
+    shifted = chambers_polynomial(RationalFlux(11, 8), 1.0)
+    after = _chambers_ld.cache_info()
+    assert np.array_equal(shifted.coef, poly.coef)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_harper_integer_flux():
