@@ -102,12 +102,11 @@ def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
     return flux, (None if exact else str(flux))
 
 
-def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int,
-                        tol: float = EDGE_CLASSIFY_TOL) -> Classification:
+def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int) -> Classification:
     """Locate eta(mu_k) relative to the Harper bands of M(theta, beta)."""
     y = eta_on_pole(c, k)
     bands = harper_spectrum(f, c.beta)
-    return _classify_value(y, bands, tol)
+    return _classify_value(y, bands, EDGE_CLASSIFY_TOL)
 
 
 def _classify_value(y: float, bands: HarperBands, tol: float) -> Classification:
@@ -218,14 +217,14 @@ def graph_spectrum(p: Potential, c: CouplingParams, theta,
     return _assemble(_scan(c, z_min, z_max), flux, theta_input, convergent_used)
 
 
-def gap_report(s: SpectralSet, merge_eps: float = 1e-12) -> GapReport:
+def gap_report(s: SpectralSet) -> GapReport:
     """Maximal open subintervals of [z_min, z_max] free of the continuous part.
 
     Touching continuous intervals produce no gap; each gap is annotated with
     the eigenvalues mu_k sitting inside it.
     """
     gaps = []
-    eps = merge_eps * max(1.0, abs(s.z_min), abs(s.z_max))
+    eps = 1e-12 * max(1.0, abs(s.z_min), abs(s.z_max))
     cursor = s.z_min
     mus = [pt.mu for pt in s.point_spectrum]
     for iv in s.continuous:

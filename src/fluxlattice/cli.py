@@ -25,7 +25,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import validation
-from .assembler import butterfly_sweep, farey_fluxes, gap_report, graph_spectrum
+from .assembler import (butterfly_sweep, farey_fluxes, gap_report, graph_spectrum,
+                        resolve_flux)
 from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
@@ -70,6 +71,17 @@ def parse_theta(raw) -> RationalFlux | float:
     raise ConfigError(f"theta must be a number or 'p/q' string, got {raw!r}")
 
 
+def _number_array(raw, name: str) -> np.ndarray:
+    def has_bool(x):  # JSON true/false would convert as 1.0/0.0
+        return isinstance(x, bool) or (isinstance(x, list) and any(has_bool(v) for v in x))
+    try:
+        if not has_bool(raw):
+            return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be an array of numbers")
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -93,18 +105,17 @@ def parse_config(doc: dict) -> RunConfig:
         for key in ("grid_x", "grid_y", "values"):
             if key not in fld:
                 raise ConfigError(f"missing field: field.{key}")
-        gx = np.asarray(fld["grid_x"], dtype=float)
-        gy = np.asarray(fld["grid_y"], dtype=float)
-        vals = np.asarray(fld["values"], dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(len(gx), len(gy))  # row-major over grid_x
+        gx, gy, vals = (_number_array(fld[key], f"field.{key}")
+                        for key in ("grid_x", "grid_y", "values"))
+        if vals.ndim == 1 and vals.size == gx.size * gy.size:
+            vals = vals.reshape(gx.size, gy.size)  # row-major over grid_x
         sample = FieldSample(grid_x=gx, grid_y=gy, values=vals)
         theta = flux_from_field(sample, potential.l)
         theta_repr = theta
     else:
         raise ConfigError("missing field: theta (or a field sample)")
     q_max = doc.get("q_max", 50)
-    if not isinstance(q_max, int) or q_max < 1:
+    if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 1:
         raise ConfigError(f"q_max must be an integer >= 1, got {q_max!r}")
     z_min = doc.get("z_min")
     z_max = doc.get("z_max")
@@ -115,7 +126,7 @@ def parse_config(doc: dict) -> RunConfig:
     if z_min is not None and z_max is not None and z_min >= z_max:
         raise ConfigError(f"z_min must be below z_max, got [{z_min}, {z_max}]")
     k_max = doc.get("k_max", 10)
-    if not isinstance(k_max, int) or k_max < 0:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise ConfigError(f"k_max must be an integer >= 0, got {k_max!r}")
     fmt = doc.get("format")
     if fmt is not None and fmt not in ("json", "csv"):
@@ -246,7 +257,6 @@ def cmd_dirichlet(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_harper(cfg: RunConfig, out: str | None) -> int:
-    from .assembler import resolve_flux
     flux, convergent = resolve_flux(cfg.theta, cfg.q_max)
     bands = harper_spectrum(flux, cfg.beta)
     if cfg.fmt == "csv":

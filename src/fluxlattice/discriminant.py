@@ -103,17 +103,18 @@ def _nus_upto(p: Potential, k_max: int) -> tuple[float, ...]:
     return tuple(float(v) for v in du1 + u2)
 
 
-def _bisect_batch(g, lo, hi, sign_lo, tol_z=EDGE_TOL_Z, max_iter=70):
+def _bisect_batch(g, lo, hi, sign_lo):
     """Vectorized bisection for g(z) = 0.
 
     Brackets require lo < hi with sign(g(lo)) = sign_lo != 0 and exactly one
-    sign change inside; g maps a full-size z array to values.
+    sign change inside; g maps a full-size z array to values.  Stops at
+    brackets of width EDGE_TOL_Z or after 70 halvings.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sgn = np.sign(sign_lo)
-    for _ in range(max_iter):
-        live = (hi - lo) > tol_z
+    for _ in range(70):
+        live = (hi - lo) > EDGE_TOL_Z
         if not np.any(live):
             break
         mid = 0.5 * (lo + hi)

@@ -9,18 +9,21 @@ with Wronskian u1'*u2 - u1*u2' identically 1.  Everything downstream (the
 discriminant, the Krein matrix, the Kronig-Penney monodromy) is a combination
 of the four endpoint values (u1(l), u1'(l), u2(l), u2'(l)).
 
-Propagation: for zero / constant / piecewise-constant potentials each segment
-of constant V = c is crossed with the exact transfer
+Propagation: one walk, `_propagate`, carries (u, u') from t=0 to t=l cell by
+cell and yields the state at the right end of each cell.  For zero / constant /
+piecewise-constant potentials every segment of constant V = c is one cell,
+crossed with the exact transfer
 
     [u ]  ->  [ cos(w d)           sin(w d)/w ] [u ]      w^2 = z - c
     [u']      [ -(z-c) sin(w d)/w  cos(w d)   ] [u']
 
 (trigonometric above the segment, hyperbolic below; one code path via complex
-sqrt).  Sampled potentials use classical fixed-step RK4 on the linearly
-interpolated V; the step count has floor l/2048 and grows like |z|^(5/4) so
-the accumulated phase error stays below ~1e-10 across the scan range.  All
-propagation is vectorized over a batch of z values, which is what makes the
-bisection sweeps downstream affordable.
+sqrt).  A sampled potential is cut into n equal cells, each crossed by one
+classical RK4 step on the linearly interpolated V; n is at least 2048 (a step
+of at most l/2048) and grows like (|z| - inf V)^(5/8) so the accumulated phase
+error stays below ~1e-10 across the scan range.  The basis and the Pruefer count
+are both loops over this walk.  All propagation is vectorized over a batch of z
+values, which is what makes the bisection sweeps downstream affordable.
 """
 
 from __future__ import annotations
@@ -73,21 +76,50 @@ class DirichletSpectrum:
     tolerances: tuple[float, ...]  # achieved per-eigenvalue error estimates
 
 
-def _align_steps(p: Potential, n: int) -> int:
-    # steps must not straddle interpolation kinks of a sampled potential,
-    # otherwise RK4 drops below fourth order
-    cells = p.uniform_cells
-    if cells is None:
-        return n
-    return cells * int(np.ceil(n / cells))
-
-
 def _rk4_steps(p: Potential, z_scale: float) -> int:
     # RK4 phase error on u'' = -w^2 u accumulates like l * w^5 h^4 / 120;
     # choose n = l/h to keep it under _RK4_PHASE_TOL, never below the default.
+    # Steps must not straddle interpolation kinks of a sampled potential,
+    # otherwise RK4 drops below fourth order: n is a multiple of the cells.
     w = np.sqrt(max(abs(z_scale) - p.infimum(), 1.0))
-    n = p.l * (p.l * w**5 / (120.0 * _RK4_PHASE_TOL)) ** 0.25
-    return _align_steps(p, int(max(DEFAULT_STEPS, np.ceil(n))))
+    n = int(max(DEFAULT_STEPS, np.ceil(p.l * (p.l * w**5 / (120.0 * _RK4_PHASE_TOL)) ** 0.25)))
+    cells = p.uniform_cells
+    return n if cells is None else cells * int(np.ceil(n / cells))
+
+
+def _propagate(p: Potential, z: np.ndarray, u, du, n_steps: int | None):
+    """Walk (u, u') from t=0 across [0, l]; yield (u, du, cell) at the right
+    end of each cell.
+
+    A constant segment is one cell, crossed exactly, with cell = (z - V,
+    width); a sampled potential is n_steps RK4 cells (None: `_rk4_steps` at
+    the largest |z|), each with cell = None.  u and du broadcast against z.
+    """
+    if p.is_piecewise:
+        for c, dt in p.segments():
+            w2 = z - c
+            arg = np.sqrt(w2.astype(complex)) * dt
+            C = np.cos(arg).real
+            S = (dt * np.sinc(arg / np.pi)).real  # sin(w dt)/w with exact w->0 limit
+            u, du = u * C + du * S, du * C - (w2 * S) * u
+            yield u, du, (w2, dt)
+        return
+    n = n_steps or _rk4_steps(p, float(np.max(np.abs(z))) if z.size else 1.0)
+    h = p.l / n
+    h2, h6 = 0.5 * h, h / 6.0
+    vg = p.values_on(np.linspace(0.0, p.l, 2 * n + 1)).tolist()
+    for v0, vh, v1 in zip(vg[0:-1:2], vg[1::2], vg[2::2]):
+        v0, vh, v1 = v0 - z, vh - z, v1 - z
+        k1u, k1d = du, v0 * u
+        yu, yd = u + h2 * k1u, du + h2 * k1d
+        k2u, k2d = yd, vh * yu
+        yu, yd = u + h2 * k2u, du + h2 * k2d
+        k3u, k3d = yd, vh * yu
+        yu, yd = u + h * k3u, du + h * k3d
+        k4u, k4d = yd, v1 * yu
+        u, du = (u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+                 du + h6 * (k1d + 2.0 * (k2d + k3d) + k4d))
+        yield u, du, None
 
 
 # overflow far below the spectrum is reported by the isfinite guard, not as warnings
@@ -95,32 +127,10 @@ def _rk4_steps(p: Potential, z_scale: float) -> int:
 def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
     """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape."""
     z = np.asarray(z, dtype=float)
-    if p.is_piecewise:
-        u = np.stack([np.zeros_like(z), np.ones_like(z)])   # rows: u1, u2
-        du = np.stack([np.ones_like(z), np.zeros_like(z)])
-        for c, dt in p.segments():
-            w2 = z - c
-            arg = np.sqrt(w2.astype(complex)) * dt
-            C = np.cos(arg).real
-            S = (dt * np.sinc(arg / np.pi)).real  # sin(w dt)/w with exact w->0 limit
-            u, du = u * C + du * S, du * C - (w2 * S) * u
-    else:
-        n = n_steps or _rk4_steps(p, float(np.max(np.abs(z))) if z.size else 1.0)
-        h = p.l / n
-        vg = p.values_on(np.linspace(0.0, p.l, 2 * n + 1))
-        u = np.stack([np.zeros_like(z), np.ones_like(z)])
-        du = np.stack([np.ones_like(z), np.zeros_like(z)])
-        for i in range(n):
-            v0, vh, v1 = vg[2 * i] - z, vg[2 * i + 1] - z, vg[2 * i + 2] - z
-            k1u, k1d = du, v0 * u
-            yu, yd = u + (0.5 * h) * k1u, du + (0.5 * h) * k1d
-            k2u, k2d = yd, vh * yu
-            yu, yd = u + (0.5 * h) * k2u, du + (0.5 * h) * k2d
-            k3u, k3d = yd, vh * yu
-            yu, yd = u + h * k3u, du + h * k3d
-            k4u, k4d = yd, v1 * yu
-            u = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-            du = du + (h / 6.0) * (k1d + 2.0 * (k2d + k3d) + k4d)
+    u = np.stack([np.zeros_like(z), np.ones_like(z)])   # rows: u1, u2
+    du = np.stack([np.ones_like(z), np.zeros_like(z)])
+    for u, du, _ in _propagate(p, z, u, du, n_steps):
+        pass
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
         raise IntegrationOverflowError(
             "edge propagation overflowed (z too far below the spectrum for "
@@ -128,9 +138,9 @@ def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
     return u[0], du[0], u[1], du[1]
 
 
-def integrate_basis(p: Potential, z: float, n_steps: int | None = None) -> SolutionPair:
+def integrate_basis(p: Potential, z: float) -> SolutionPair:
     """Endpoint values of u1, u2 at t=l for one real z."""
-    u1, du1, u2, du2 = _basis_many(p, np.asarray([float(z)]), n_steps)
+    u1, du1, u2, du2 = _basis_many(p, np.asarray([float(z)]))
     pair = SolutionPair(float(z), float(u1[0]), float(du1[0]), float(u2[0]), float(du2[0]))
     scale = max(1.0, abs(pair.du1_l * pair.u2_l))  # defect is relative once the
     if pair.wronskian_defect > 1e-6 * scale:       # solutions grow large
@@ -142,59 +152,41 @@ def integrate_basis(p: Potential, z: float, n_steps: int | None = None) -> Solut
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues below each z (Pruefer oscillation count).
 
-    Counts zeros of u1(.; z) in (0, l).  Piecewise-constant V: the zero count
-    per segment is exact, from the phase of (u, u'/w) on oscillatory segments
-    and a sign change test on hyperbolic ones.  Sampled V: sign changes of u1
-    on the RK4 grid; the default step already resolves every half-wave, and
-    the ~1e-6 uncertainty this leaves in the count transition point is
-    removed by the Newton polish of the eigenvalue search.
+    Counts zeros of u1(.; z) on (t0, t1] of each cell of `_propagate`: the
+    exact phase advance of (u, u'/w) past multiples of pi on a constant cell
+    with z > V, else 1 if u1 changes sign or becomes zero; a zero exactly at
+    t=l is removed after the walk.  Sampled V takes max(2048, 4 w_max l) RK4
+    cells, which resolves every half-wave; the ~1e-6 uncertainty this leaves
+    in the count transition point is removed by the Newton polish of the
+    eigenvalue search.
     """
     z = np.asarray(z, dtype=float)
-    if p.is_piecewise:
-        count = np.zeros(z.shape, dtype=np.int64)
-        u = np.zeros_like(z)
-        du = np.ones_like(z)
-        for c, dt in p.segments():
-            w2 = z - c
+    n = None
+    if not p.is_piecewise:
+        # counting tolerates the small kink bias of unaligned steps (integer
+        # output; the transition shift is cleaned up by the Newton polish)
+        wmax = np.sqrt(max(float(np.max(z)) - p.infimum(), 1.0)) if z.size else 1.0
+        n = int(max(DEFAULT_STEPS, 4 * wmax * p.l))  # >= ~12 steps per half-wave
+    count = np.zeros(z.shape, dtype=np.int64)
+    u = np.zeros_like(z)
+    du = np.ones_like(z)
+    sign = np.sign(u)
+    for u_next, du_next, cell in _propagate(p, z, u, du, n):
+        sign_next = np.sign(u_next)
+        zeros = sign * (sign - sign_next) > 0  # u1 changes sign or becomes zero
+        if cell is not None:
+            w2, dt = cell
             osc = w2 > 1e-14
             w = np.sqrt(np.where(osc, w2, 1.0))
-            # u = A sin(w t + delta) on oscillatory segments; zeros in (t0,t1]
+            # u = A sin(w t + delta) on oscillatory cells; zeros in (t0,t1]
             # sit at integer multiples of pi of the advancing phase
             delta = np.arctan2(u * w, du)
             adv = (np.floor((delta + w * dt) / np.pi) - np.floor(delta / np.pi)).astype(np.int64)
-            u_prev = u
-            arg = np.sqrt(w2.astype(complex)) * dt
-            C = np.cos(arg).real
-            S = (dt * np.sinc(arg / np.pi)).real
-            u, du = u * C + du * S, du * C - (w2 * S) * u
-            hyp = ((u_prev * u < 0) | ((u == 0.0) & (u_prev != 0.0))).astype(np.int64)
-            count += np.where(osc, adv, hyp)
-        # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior
-        count -= (u == 0.0).astype(np.int64)
-        return count
-
-    # counting tolerates the small kink bias of unaligned steps (integer
-    # output; the transition shift is cleaned up by the Newton polish)
-    wmax = np.sqrt(max(float(np.max(z)) - p.infimum(), 1.0)) if z.size else 1.0
-    n = int(max(DEFAULT_STEPS, 4 * wmax * p.l))  # >= ~12 steps per half-wave
-    h = p.l / n
-    vg = p.values_on(np.linspace(0.0, p.l, 2 * n + 1))
-    u = np.zeros_like(z)
-    du = np.ones_like(z)
-    count = np.zeros(z.shape, dtype=np.int64)
-    for i in range(n):
-        v0, vh, v1 = vg[2 * i] - z, vg[2 * i + 1] - z, vg[2 * i + 2] - z
-        k1u, k1d = du, v0 * u
-        yu, yd = u + (0.5 * h) * k1u, du + (0.5 * h) * k1d
-        k2u, k2d = yd, vh * yu
-        yu, yd = u + (0.5 * h) * k2u, du + (0.5 * h) * k2d
-        k3u, k3d = yd, vh * yu
-        yu, yd = u + h * k3u, du + h * k3d
-        k4u, k4d = yd, v1 * yu
-        un = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        du = du + (h / 6.0) * (k1d + 2.0 * (k2d + k3d) + k4d)
-        count += (u * un < 0).astype(np.int64)
-        u = un
+            zeros = np.where(osc, adv, zeros)
+        count += zeros
+        u, du, sign = u_next, du_next, sign_next
+    # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior
+    count -= u == 0.0
     return count
 
 
@@ -203,12 +195,8 @@ def dirichlet_count_below(p: Potential, z: float) -> int:
     return int(_count_below_many(p, np.asarray([float(z)]))[0])
 
 
-def _u1_many(p: Potential, z: np.ndarray, n_steps: int | None = None) -> np.ndarray:
-    return _basis_many(p, z, n_steps)[0]
-
-
 @lru_cache(maxsize=64)
-def dirichlet_eigenvalues(p: Potential, k_max: int, tol: float = 1e-10) -> DirichletSpectrum:
+def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     """First k_max+1 zeros of z -> u1(l; z).
 
     Isolation by the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
@@ -218,8 +206,6 @@ def dirichlet_eigenvalues(p: Potential, k_max: int, tol: float = 1e-10) -> Diric
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     ks = np.arange(k_max + 1)
     vbar = p.mean()
     spacing = (np.pi / p.l) ** 2
@@ -260,7 +246,7 @@ def dirichlet_eigenvalues(p: Potential, k_max: int, tol: float = 1e-10) -> Diric
     slope = np.ones(B)
     for _ in range(8):
         dz = 1e-7 * np.maximum(1.0, np.abs(z))
-        vals = _u1_many(p, np.concatenate([z, z + dz, z - dz]))
+        vals = _basis_many(p, np.concatenate([z, z + dz, z - dz]))[0]
         f, fp, fm = vals[:B], vals[B:2 * B], vals[2 * B:]
         slope = (fp - fm) / (2.0 * dz)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,7 +254,7 @@ def dirichlet_eigenvalues(p: Potential, k_max: int, tol: float = 1e-10) -> Diric
         step = np.clip(step, -step_cap, step_cap)
         z = z - step
         last_step = np.abs(step)
-        if np.all(last_step <= tol * np.maximum(1.0, np.abs(z))):
+        if np.all(last_step <= 1e-10 * np.maximum(1.0, np.abs(z))):
             break
 
     if np.any(np.abs(slope) * np.maximum(1.0, np.abs(z)) < 1e-13):
@@ -302,20 +288,19 @@ def _mus_through(p: Potential, z: float) -> tuple[float, ...]:
     return spectrum_upto(p, n).eigenvalues[:n + 1]
 
 
-def krein_matrix(p: Potential, z: float, mu_guard: float = DEFAULT_MU_GUARD) -> KreinMatrix:
+def krein_matrix(p: Potential, z: float) -> KreinMatrix:
     """s(z) = (1/u1(l;z)) [[-u2(l;z), 1], [1, -u1'(l;z)]].
 
     Raises PoleProximityError inside the guard band around a Dirichlet
     eigenvalue; use the entire discriminant there instead.
     """
     pair = integrate_basis(p, z)
-    if abs(pair.u1_l) <= mu_guard:
+    if abs(pair.u1_l) <= DEFAULT_MU_GUARD:
         mu = _nearest_mu(p, z)
         raise PoleProximityError(
             f"z={z} within pole guard of Dirichlet eigenvalue mu={mu:.12g}", mu)
     inv = 1.0 / pair.u1_l
-    s12 = inv
-    return KreinMatrix(z=float(z), s11=-pair.u2_l * inv, s12=s12, s21=s12,
+    return KreinMatrix(z=float(z), s11=-pair.u2_l * inv, s12=inv, s21=inv,
                        s22=-pair.du1_l * inv)
 
 

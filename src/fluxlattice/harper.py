@@ -250,7 +250,7 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
     return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])
 
 
-def chambers_defect(f: RationalFlux, beta: float, n_k: int = 10, n_e: int = 5) -> float:
+def chambers_defect(f: RationalFlux, beta: float) -> float:
     """Max |det(E I - H(k)) + 2 cos(q k1) + 2 beta^{2q} cos(q k2) - P(E)| over a
     k-grid at in-band test energies; the measured momentum-independence defect.
 
@@ -259,6 +259,7 @@ def chambers_defect(f: RationalFlux, beta: float, n_k: int = 10, n_e: int = 5) -
     requires, so they equal per-matrix `_det_cld` results exactly.
     """
     p, q = f.p, f.q
+    n_k, n_e = 10, 5  # k-grid points per axis, test energies
     coeffs = _chambers_ld(p % q, q, float(beta))
     beta_ld = _LD(beta)
     level = _LD(2.0) * beta_ld ** (2 * q)

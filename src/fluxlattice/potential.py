@@ -180,12 +180,9 @@ def make_potential(spec: dict) -> Potential:
     """
     if not isinstance(spec, dict):
         raise ConfigError("potential spec must be a mapping")
-    try:
-        l = float(spec["l"])
-    except KeyError:
-        raise ConfigError("missing field: l") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"field l must be a number, got {spec.get('l')!r}") from None
+    if "l" not in spec:
+        raise ConfigError("missing field: l")
+    l = _as_float(spec["l"], "l")
     pot = spec.get("potential", {"kind": "zero"})
     if not isinstance(pot, dict) or "kind" not in pot:
         raise ConfigError("field potential must be an object with a 'kind'")
@@ -208,6 +205,9 @@ def make_potential(spec: dict) -> Potential:
 
 
 def _as_float(x, name: str) -> float:
+    # JSON true/false would pass float() as 1.0/0.0
+    if isinstance(x, bool):
+        raise ConfigError(f"field {name} must be a number, got {x!r}")
     try:
         return float(x)
     except (TypeError, ValueError):
@@ -218,9 +218,11 @@ def _as_float_tuple(x, name: str) -> tuple[float, ...]:
     if x is None:
         raise ConfigError(f"missing field: {name}")
     try:
-        return tuple(float(v) for v in x)
+        if not any(isinstance(v, bool) for v in x):  # as in _as_float
+            return tuple(float(v) for v in x)
     except (TypeError, ValueError):
-        raise ConfigError(f"field {name} must be a list of numbers") from None
+        pass
+    raise ConfigError(f"field {name} must be a list of numbers")
 
 
 def evaluate_potential(p: Potential, t: float) -> float:

@@ -37,11 +37,10 @@ def _z_samples(z_min: float, z_max: float, n: int) -> np.ndarray:
     # keep samples off the Dirichlet poles: interior points of a uniform grid
     return np.linspace(z_min, z_max, n + 2)[1:-1] + 1e-3
 
-def check_wronskian(c: CouplingParams, z_min: float, z_max: float,
-                    n: int = 64) -> PropertyResult:
+def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyResult:
     # defect measured relative to the solution scale: below the spectral
     # floor the products grow past the point where 1e-8 is representable
-    z = _z_samples(z_min, z_max, n)
+    z = _z_samples(z_min, z_max, 64)
     u1, du1, u2, du2 = _basis_many(c.potential, z)
     scale = np.maximum(1.0, np.abs(du1 * u2))
     defect = float(np.max(np.abs(du1 * u2 - u1 * du2 - 1.0) / scale))
@@ -58,21 +57,19 @@ def check_sign_alternation(c: CouplingParams, k_max: int = 10) -> PropertyResult
 
 def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
     return PropertyResult("chambers_independence",
-                          chambers_defect(flux, beta, n_k=10, n_e=5), 1e-9)
+                          chambers_defect(flux, beta), 1e-9)
 
 
-def check_kp_identity(c: CouplingParams, z_min: float, z_max: float,
-                      n: int = 100) -> PropertyResult:
-    z = _z_samples(z_min, z_max, n)
+def check_kp_identity(c: CouplingParams, z_min: float, z_max: float) -> PropertyResult:
+    z = _z_samples(z_min, z_max, 100)
     factor = 1.0 + c.beta**2
     traces = kp_trace_many(c.potential, c.alpha / factor, z)
     defect = float(np.max(np.abs(factor * traces - eta_many(c, z))))
     return PropertyResult("kp_trace_identity", defect, 1e-8)
 
 
-def check_torus_containment(flux: RationalFlux, beta: float,
-                            target_n: int = 12) -> PropertyResult:
-    reps = max(1, target_n // flux.q)
+def check_torus_containment(flux: RationalFlux, beta: float) -> PropertyResult:
+    reps = max(1, 12 // flux.q)  # torus side: the largest multiple of q up to 12, or q
     bands = harper_spectrum(flux, beta)
     evals = torus_oracle(flux, beta, reps)
     lo, hi = np.asarray(bands.bands).T

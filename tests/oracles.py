@@ -2,7 +2,8 @@
 
 Nothing here reuses the package's solution paths: the Dirichlet oracle is a
 finite-difference matrix eigenproblem, the Harper oracle a dense momentum-grid
-diagonalization, and the free-edge discriminant a closed trigonometric form.
+diagonalization, the free-edge discriminant a closed trigonometric form, and
+the linear-potential basis a closed Airy-function form.
 """
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.linalg import eigh_tridiagonal
 
 
 def fd_dirichlet(vfunc, l, n_interior, k_count):
-    """Second-order finite-difference Dirichlet eigenvalues on [0, l]."""
+    """Finite-difference Dirichlet eigenvalues on [0, l], V sampled at the
+    nodes: second order for smooth V, first order at a jump between nodes."""
     h = l / (n_interior + 1)
     t = np.linspace(h, l - h, n_interior)
     diag = 2.0 / h**2 + vfunc(t)
@@ -28,6 +30,23 @@ def free_basis(z, l=np.pi):
         return l, 1.0, 1.0, 0.0
     w = np.sqrt(-z)
     return np.sinh(w * l) / w, np.cosh(w * l), np.cosh(w * l), w * np.sinh(w * l)
+
+
+def linear_basis(z, l=np.pi):
+    """(u1, u1', u2, u2') at t=l for V(t) = t, closed form.
+
+    -u'' + (t - z) u = 0 is Airy's equation in x = t - z; with x0 = -z and
+    the Wronskian W(Ai, Bi) = 1/pi the canonical pair is
+    u1 = pi [Ai(x0) Bi(x) - Bi(x0) Ai(x)], u2 = pi [Bi'(x0) Ai(x) - Ai'(x0) Bi(x)].
+    """
+    # imported here: bench/oracles.py loads this module, and scipy.special
+    # would add ~4 MB to the benchmark's peak RSS
+    from scipy.special import airy
+
+    ai0, aip0, bi0, bip0 = airy(-z)
+    ai, aip, bi, bip = airy(l - z)
+    return (np.pi * (ai0 * bi - bi0 * ai), np.pi * (ai0 * bip - bi0 * aip),
+            np.pi * (bip0 * ai - aip0 * bi), np.pi * (bip0 * aip - aip0 * bip))
 
 
 def free_eta(z, alpha=0.0, beta=1.0, l=np.pi):

@@ -186,6 +186,35 @@ def test_dirichlet_csv(tmp_path, capsys):
     assert float(rows[1]["mu"]) == pytest.approx(4.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"l": True}, "field l "),
+    ({"q_max": True}, "q_max"),
+    ({"k_max": False}, "k_max"),
+    ({"potential": {"kind": "constant", "c": True}}, "potential.c"),
+], ids=["l", "q_max", "k_max", "c"])
+def test_boolean_where_number_expected_rejected(tmp_path, capsys, override, field):
+    # JSON true/false are ints to Python; each must fail as a config error
+    cfg = write_config(tmp_path, {**FREE_CFG, **override})
+    assert main(["dirichlet", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("field, name", [
+    ({"grid_x": [0, L], "grid_y": [0, L], "values": [[True, True], [True, True]]},
+     "field.values"),
+    ({"grid_x": "abc", "grid_y": [0, L], "values": [[0, 0], [0, 0]]}, "field.grid_x"),
+    ({"grid_x": [0, L], "grid_y": [0, L], "values": [0, 0, 0]}, "field.values"),
+], ids=["bool_values", "string_grid", "flat_values_wrong_size"])
+def test_malformed_field_sample_rejected(tmp_path, capsys, field, name):
+    doc = {**FREE_CFG, "field": field}
+    del doc["theta"]
+    cfg = write_config(tmp_path, doc)
+    assert main(["harper", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
 def test_harper_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2"})
     assert main(["harper", "--config", cfg]) == 0

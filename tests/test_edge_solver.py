@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxlattice import (IntegrationOverflowError, PoleProximityError,
                          dirichlet_count_below, dirichlet_eigenvalues,
-                         integrate_basis, krein_matrix)
-from oracles import fd_dirichlet, free_basis
+                         integrate_basis, krein_matrix, make_potential)
+from fluxlattice.edge_solver import _count_below_many
+from oracles import fd_dirichlet, free_basis, linear_basis
 
 L = np.pi
 
@@ -52,6 +55,16 @@ def test_free_closed_forms_over_range(free_pot):
         assert pair.du1_l == pytest.approx(du1, rel=1e-9, abs=1e-12)
         assert pair.u2_l == pytest.approx(u2, rel=1e-9, abs=1e-12)
         assert pair.du2_l == pytest.approx(du2, rel=1e-9, abs=1e-12)
+
+
+def test_linear_rk4_against_airy(linear_pot):
+    # the sampled (RK4) path against an exact answer: V = t is represented
+    # exactly by two-node interpolation, so only the integration error shows
+    for z in np.linspace(-10.0, 120.0, 53):
+        pair = integrate_basis(linear_pot, float(z))
+        got = (pair.u1_l, pair.du1_l, pair.u2_l, pair.du2_l)
+        for g, ref in zip(got, linear_basis(float(z))):
+            assert abs(g - ref) <= 1e-8 * max(1.0, abs(ref)), (z, g, ref)
 
 
 @pytest.mark.parametrize("fixture", ["free_pot", "const5_pot", "step_pot",
@@ -109,7 +122,7 @@ def test_dirichlet_increasing_with_tolerances(mathieu_pot):
     assert all(t < 1e-8 for t in spec.tolerances)
 
 
-@pytest.mark.parametrize("fixture", ["free_pot", "step_pot", "mathieu_pot"])
+@pytest.mark.parametrize("fixture", ["free_pot", "step_pot", "mathieu_pot", "linear_pot"])
 def test_prufer_count_at_midpoints(fixture, request):
     p = request.getfixturevalue(fixture)
     spec = dirichlet_eigenvalues(p, 6)
@@ -117,6 +130,26 @@ def test_prufer_count_at_midpoints(fixture, request):
     for k in range(5):
         mid = 0.5 * (mus[k] + mus[k + 1])
         assert dirichlet_count_below(p, mid) == k + 1
+
+
+@settings(max_examples=60)
+@given(cuts=st.lists(st.floats(0.05, L - 0.05), min_size=0, max_size=4, unique=True),
+       values=st.lists(st.floats(-30.0, 30.0), min_size=5, max_size=5))
+def test_prufer_count_piecewise_vs_fd(cuts, values):
+    # up to five segments, so the count mixes phase-advance cells (z above V)
+    # and sign-change cells (z below V) along one edge
+    bp = [0.0, *sorted(cuts), L]
+    p = make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": bp, "values": values[:len(bp) - 1]}})
+    # V averaged over each finite-difference cell: sampled at the nodes, an
+    # off-grid jump J would shift the reference by O(J h), up to ~1e-2 here
+    h = L / 4001
+    offsets = ((np.arange(64) + 0.5) / 64 - 0.5) * h
+    fd = fd_dirichlet(lambda t: p.values_on(t[:, None] + offsets).mean(axis=1), L, 4000, 8)
+    probes = np.concatenate([[fd[0] - 1.0], 0.5 * (fd[:-1] + fd[1:])])
+    assert list(_count_below_many(p, probes)) == list(range(8))
+    spec = dirichlet_eigenvalues(p, 7)
+    assert np.max(np.abs(np.asarray(spec.eigenvalues) - fd)) < 1e-2
 
 
 def test_prufer_count_below_ground(free_pot):
