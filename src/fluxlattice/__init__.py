@@ -9,7 +9,9 @@ anisotropy beta and flux theta per plaquette has spectrum
 where eta is the entire discriminant of the associated Kronig-Penney operator
 and M(theta, beta) is the discrete magnetic Laplacian (Harper operator) on
 Z^2.  The package computes all ingredients and assembles band/gap structure,
-classification of the eigenvalues, and Hofstadter-butterfly sweep data.
+classification of the eigenvalues, and Hofstadter-butterfly sweep data.  The
+`validate` checks (Wronskian, sign alternation, Chambers independence, the
+Kronig-Penney trace, torus containment, flux periodicity) live in `validation`.
 """
 
 from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
@@ -18,17 +20,15 @@ from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
                         graph_spectrum, resolve_flux)
 from .discriminant import (BandWindow, CouplingParams, band_windows, eta,
                            eta_on_pole, invert_eta, invert_eta_many)
-from .edge_solver import (DirichletSpectrum, KreinMatrix, SolutionPair,
-                          dirichlet_count_below, dirichlet_eigenvalues,
-                          integrate_basis, krein_matrix)
+from .edge_solver import (DirichletSpectrum, SolutionPair, dirichlet_count_below,
+                          dirichlet_eigenvalues, integrate_basis)
 from .errors import (BracketingError, ConfigError, ConsistencyError, DomainError,
-                     IntegrationOverflowError, NumericalError, PoleProximityError,
-                     TorusSizeError)
+                     IntegrationOverflowError, NumericalError, TorusSizeError)
 from .harper import (HarperBands, RationalFlux, approximate_irrational,
                      best_convergent, bloch_matrix, chambers_defect,
                      chambers_polynomial, harper_spectrum, make_rational,
                      torus_oracle)
-from .kp_oracle import Monodromy, kp_monodromy, kp_spectrum, kp_trace_many
+from .kp_oracle import kp_trace_many
 from .potential import (FieldSample, Potential, evaluate_potential,
                         flux_from_field, make_potential)
 

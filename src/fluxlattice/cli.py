@@ -27,7 +27,7 @@ import numpy as np
 from . import validation
 from .assembler import (butterfly_sweep, farey_fluxes, gap_report, graph_spectrum,
                         resolve_flux)
-from .discriminant import CouplingParams
+from .discriminant import CouplingParams, check_coupling
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
 from .harper import RationalFlux, harper_spectrum, make_rational
@@ -91,6 +91,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"missing field: {name}")
         if not isinstance(doc[name], (int, float)) or isinstance(doc[name], bool):
             raise ConfigError(f"field {name} must be a number, got {doc[name]!r}")
+    check_coupling(doc["alpha"], doc["beta"])  # harper and dirichlet build no CouplingParams
     has_theta = "theta" in doc
     has_field = "field" in doc
     if has_theta and has_field:

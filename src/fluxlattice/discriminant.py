@@ -14,8 +14,9 @@ J_n on which eta is a strictly monotone homeomorphism onto
   * windows may touch at mu_k (free lattice): an edge is clamped to mu_k
     whenever eta(mu_k) has not numerically escaped the threshold.
 
-eta is always evaluated in its entire form, never through s(z), so there is
-no pole cancellation near mu_k.
+eta is always evaluated in its entire form, never through the
+Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
+is no pole cancellation near mu_k.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ EDGE_TOL_Z = 1e-10      # bisection tolerance for window edges, absolute in z
 INVERT_RESIDUAL = 1e-9  # relative residual target for invert_eta
 
 
+def check_coupling(alpha: float, beta: float) -> None:
+    """ConfigError naming the field unless alpha is finite and beta > 0 finite."""
+    if not np.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha!r}")
+    if not np.isfinite(beta) or beta <= 0:
+        raise ConfigError(
+            f"beta must be positive (spectrum depends on beta^2 only), got {beta!r}")
+
+
 @dataclass(frozen=True)
 class CouplingParams:
     """Vertex coupling strength alpha, anisotropy beta > 0, and the edge data."""
@@ -43,11 +53,7 @@ class CouplingParams:
     potential: Potential
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
-        if not np.isfinite(self.beta) or self.beta <= 0:
-            raise ConfigError(
-                f"beta must be positive (spectrum depends on beta^2 only), got {self.beta!r}")
+        check_coupling(self.alpha, self.beta)
 
     @property
     def threshold(self) -> float:
@@ -177,24 +183,22 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     d_anchor = (g_many(anchors + dz) - g_many(anchors - dz)) / (2.0 * dz)
     f_tol = 1e-8 * threshold
     slope_tol = 1e-4 * (1.0 + threshold)
-    s_l = np.sign(g_left)
-    d_l = d_anchor[seg]
-    do_left = (s_l * g_left - threshold > f_tol) | (s_l * d_l > slope_tol)
-    a_edge = np.array(left)
-    if np.any(do_left):
-        sub = np.nonzero(do_left)[0]
-        a_edge[sub] = _bisect_batch(
-            lambda zz: s_l[sub] * g_many(zz) - threshold,
-            left[sub], center[sub], np.ones(len(sub)))
-    s_r = np.sign(g_right)
-    d_r = d_anchor[seg + 1]
-    do_right = (s_r * g_right - threshold > f_tol) | (s_r * d_r < -slope_tol)
-    b_edge = np.array(right)
-    if np.any(do_right):
-        sub = np.nonzero(do_right)[0]
-        b_edge[sub] = _bisect_batch(
-            lambda zz: s_r[sub] * g_many(zz) - threshold,
-            center[sub], right[sub], -np.ones(len(sub)))
+    # Both edges of every window go into one bisection: [left, center] with
+    # s g - threshold > 0 at its lower end, [center, right] with it < 0.
+    s_l, s_r = np.sign(g_left), np.sign(g_right)
+    do_left = (s_l * g_left - threshold > f_tol) | (s_l * d_anchor[seg] > slope_tol)
+    do_right = ((s_r * g_right - threshold > f_tol)
+                | (s_r * d_anchor[seg + 1] < -slope_tol))
+    a_edge, b_edge = np.array(left), np.array(right)
+    n_left = int(np.count_nonzero(do_left))
+    if n_left or np.any(do_right):
+        s = np.concatenate([s_l[do_left], s_r[do_right]])
+        edges = _bisect_batch(
+            lambda zz: s * g_many(zz) - threshold,
+            np.concatenate([left[do_left], center[do_right]]),
+            np.concatenate([center[do_left], right[do_right]]),
+            np.concatenate([np.ones(n_left), -np.ones(len(s) - n_left)]))
+        a_edge[do_left], b_edge[do_right] = edges[:n_left], edges[n_left:]
     windows = []
     for j, i in enumerate(seg):
         a_f, b_f = float(a_edge[j]), float(b_edge[j])

@@ -1,4 +1,4 @@
-"""Edge Sturm-Liouville solver: basis solutions, Dirichlet spectrum, Krein matrix.
+"""Edge Sturm-Liouville solver: basis solutions and Dirichlet spectrum.
 
 For a spectral parameter z the two canonical solutions of -u'' + (V - z) u = 0
 on [0,l] are
@@ -6,8 +6,8 @@ on [0,l] are
     u1(0)=0, u1'(0)=1        u2(0)=1, u2'(0)=0,
 
 with Wronskian u1'*u2 - u1*u2' identically 1.  Everything downstream (the
-discriminant, the Krein matrix, the Kronig-Penney monodromy) is a combination
-of the four endpoint values (u1(l), u1'(l), u2(l), u2'(l)).
+discriminant eta, the Kronig-Penney trace) is a combination of the four
+endpoint values (u1(l), u1'(l), u2(l), u2'(l)).
 
 Propagation: one walk, `_propagate`, carries (u, u') from t=0 to t=l cell by
 cell and yields the state at the right end of each cell.  For zero / constant /
@@ -33,12 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketingError, ConsistencyError, IntegrationOverflowError, PoleProximityError
+from .errors import BracketingError, ConsistencyError, IntegrationOverflowError
 from .potential import Potential
 
-# Callers needing values near mu_k must use the entire discriminant, never s(z).
 DEFAULT_STEPS = 2048
-DEFAULT_MU_GUARD = 1e-8
 _RK4_PHASE_TOL = 1e-10
 
 
@@ -55,17 +53,6 @@ class SolutionPair:
     @property
     def wronskian_defect(self) -> float:
         return abs(self.du1_l * self.u2_l - self.u1_l * self.du2_l - 1.0)
-
-
-@dataclass(frozen=True)
-class KreinMatrix:
-    """The 2x2 Dirichlet-to-Neumann matrix s(z) of one edge; s12 == s21."""
-
-    z: float
-    s11: float
-    s12: float
-    s21: float
-    s22: float
 
 
 @dataclass(frozen=True)
@@ -274,37 +261,9 @@ def round_up_index(k: int) -> int:
     return k_round
 
 
-def spectrum_upto(p: Potential, k: int) -> DirichletSpectrum:
-    """Dirichlet spectrum covering index k, rounded up so repeated queries with
-    nearby k share one cached batched computation."""
-    return dirichlet_eigenvalues(p, round_up_index(k))
-
-
 @lru_cache(maxsize=64)
 def _mus_through(p: Potential, z: float) -> tuple[float, ...]:
     """mu_0..mu_n, n the Pruefer count below z, so mu_n >= z; cached so a
     request's window scan and its pole list share one count."""
     n = int(_count_below_many(p, np.asarray([z]))[0])
-    return spectrum_upto(p, n).eigenvalues[:n + 1]
-
-
-def krein_matrix(p: Potential, z: float) -> KreinMatrix:
-    """s(z) = (1/u1(l;z)) [[-u2(l;z), 1], [1, -u1'(l;z)]].
-
-    Raises PoleProximityError inside the guard band around a Dirichlet
-    eigenvalue; use the entire discriminant there instead.
-    """
-    pair = integrate_basis(p, z)
-    if abs(pair.u1_l) <= DEFAULT_MU_GUARD:
-        mu = _nearest_mu(p, z)
-        raise PoleProximityError(
-            f"z={z} within pole guard of Dirichlet eigenvalue mu={mu:.12g}", mu)
-    inv = 1.0 / pair.u1_l
-    return KreinMatrix(z=float(z), s11=-pair.u2_l * inv, s12=inv, s21=inv,
-                       s22=-pair.du1_l * inv)
-
-
-def _nearest_mu(p: Potential, z: float) -> float:
-    k_above = dirichlet_count_below(p, z)  # index of the first mu >= z
-    spec = spectrum_upto(p, max(k_above, 0))
-    return min(spec.eigenvalues, key=lambda m: abs(m - z))
+    return dirichlet_eigenvalues(p, round_up_index(n)).eigenvalues[:n + 1]

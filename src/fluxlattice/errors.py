@@ -20,14 +20,6 @@ class IntegrationOverflowError(NumericalError):
     spectrum for this edge length); rescale the scan range."""
 
 
-class PoleProximityError(NumericalError):
-    """Krein matrix requested too close to a Dirichlet eigenvalue."""
-
-    def __init__(self, message: str, nearest_mu: float):
-        super().__init__(message)
-        self.nearest_mu = nearest_mu
-
-
 class BracketingError(NumericalError):
     """Eigenvalue search failed to bracket a root; carries the search window."""
 

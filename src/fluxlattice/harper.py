@@ -27,6 +27,10 @@ independence with one batched LU kernel over stacks of E I - H(k): E I - H is
 cyclic tridiagonal, so below each pivot only two rows can be nonzero, and the
 kernel visits only those, with the pivot choices and arithmetic of the dense
 `_det_cld`.  It is exact for cyclic-tridiagonal input only.
+
+`torus_oracle` restricts M to an N x N torus and diagonalizes it through its N
+momentum blocks (N x N each, N^4 work instead of N^6 for the dense matrix),
+built without `_fiber`, so its eigenvalues check the bands independently.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import ConsistencyError, DomainError, TorusSizeError
 _LD = np.longdouble
 _CLD = np.clongdouble
 _PI_LD = np.arccos(_LD(-1.0))  # pi beyond float64 precision
-TORUS_DIM_GUARD = 4096         # refuse N^2 above this (N^2 x N^2 dense matrix)
+TORUS_DIM_GUARD = 4096         # refuse N^2 above this (N blocks of N x N)
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,6 @@ class RationalFlux:
     @property
     def theta(self) -> float:
         return self.p / self.q
-
-    @property
-    def is_integer(self) -> bool:
-        return self.q == 1
 
     def __str__(self):
         return f"{self.p}/{self.q}"
@@ -331,10 +331,14 @@ def _polish_edge(coeffs: np.ndarray, e: float, target) -> float:
 def torus_oracle(f: RationalFlux, beta: float, L: int) -> np.ndarray:
     """All N^2 eigenvalues of M restricted to an N x N torus, N = L q.
 
-    Built in the Landau gauge (horizontal hops free, vertical hops carry
+    Built in the Landau gauge (hops along m free, hops along n carry
     e^{-+ 2 pi i m theta}), unitarily equivalent to the paper gauge on the
-    infinite lattice and wrap-consistent whenever q | N.  Every eigenvalue
-    must land inside a band of harper_spectrum.
+    infinite lattice and wrap-consistent whenever q | N.  Nothing depends on
+    n, so plane waves e^{-i k n}, k = 2 pi j / N, split the torus into N
+    blocks: the N x N cyclic-tridiagonal matrices with unit hops along m and
+    diagonal 2 beta^2 cos(2 pi ((p m) mod q) / q + k).  They are built here,
+    not through `_fiber`, and diagonalized in one batched call.  Every
+    eigenvalue must land inside a band of harper_spectrum.
     """
     if L < 1:
         raise DomainError(f"torus repetition count must be >= 1, got {L}")
@@ -342,19 +346,14 @@ def torus_oracle(f: RationalFlux, beta: float, L: int) -> np.ndarray:
     if n * n > TORUS_DIM_GUARD:
         raise TorusSizeError(
             f"torus dimension N^2 = {n * n} exceeds the guard {TORUS_DIM_GUARD}")
-    dim = n * n
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = lambda m, nn: (m % n) * n + (nn % n)
-    beta2 = float(beta) ** 2
-    for m in range(n):
-        phase = np.exp(-2j * np.pi * ((f.p * m) % f.q) / f.q)
-        for nn in range(n):
-            i = idx(m, nn)
-            h[i, idx(m + 1, nn)] += 1.0
-            h[i, idx(m - 1, nn)] += 1.0
-            h[i, idx(m, nn + 1)] += beta2 * phase
-            h[i, idx(m, nn - 1)] += beta2 * phase.conjugate()
-    return np.sort(np.linalg.eigvalsh(h))
+    m = np.arange(n)
+    hop = np.roll(np.eye(n), 1, axis=1)
+    hop = hop + hop.T  # for N <= 2 the wrap and direct hops add up
+    angle = 2.0 * np.pi * ((f.p * m) % f.q) / f.q
+    k = 2.0 * np.pi * np.arange(n) / n
+    blocks = np.broadcast_to(hop, (n, n, n)).copy()
+    blocks[:, m, m] += 2.0 * float(beta) ** 2 * np.cos(angle[None, :] + k[:, None])
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
 def approximate_irrational(theta: float, q_max: int) -> list[RationalFlux]:

@@ -1,83 +1,23 @@
-"""Independent Kronig-Penney check: P = -d^2/dt^2 + W + (alpha_eff) sum_k delta(t - kl).
+"""Trace of the Kronig-Penney monodromy, the integer-flux side of the paper.
 
-One period of the transfer matrix, in (derivative, value) ordering and with the
-delta jump [[1, alpha_eff], [0, 1]] applied at the node, reads
-
-    M(z) = [[alpha_eff u1 + u1',  alpha_eff u2 + u2'],
-            [u1,                  u2              ]]     (values at t = l),
-
-with det M = 1 (symplectic) and trace M = eta(z) / (1 + beta^2) when
-alpha_eff = alpha / (1 + beta^2).  The spectrum of P is {z : |tr M(z)| <= 2}.
-The monodromy shares the ODE integrator with the main pipeline but assembles
-the spectrum through transfer matrices, so the trace identity and the
-integer-flux spectrum comparison are genuine cross-checks.
+One period of P = -d^2/dt^2 + W + alpha_eff sum_k delta(t - kl), in (derivative,
+value) ordering with the delta jump at the node, has the transfer matrix
+M(z) = [[alpha_eff u1 + u1', alpha_eff u2 + u2'], [u1, u2]] (values at t = l), so
+trace M = alpha_eff u1 + u1' + u2 = eta(z) / (1 + beta^2) when alpha_eff =
+alpha / (1 + beta^2): at integer flux the graph has the Kronig-Penney spectrum
+{z : |trace M(z)| <= 2}.  The trace reads eta's four endpoint values, so
+`validate`'s trace identity can only show rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .discriminant import _scan_windows
-from .edge_solver import _basis_many, integrate_basis
+from .edge_solver import _basis_many
 from .potential import Potential
 
 
-@dataclass(frozen=True)
-class Monodromy:
-    """One-period transfer matrix of the Kronig-Penney operator at z."""
-
-    z: float
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    @property
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-
-def kp_monodromy(p: Potential, alpha_eff: float, z: float) -> Monodromy:
-    """Jump matrix times the fundamental transfer over one period."""
-    pair = integrate_basis(p, z)
-    return Monodromy(
-        z=float(z),
-        m11=alpha_eff * pair.u1_l + pair.du1_l,
-        m12=alpha_eff * pair.u2_l + pair.du2_l,
-        m21=pair.u1_l,
-        m22=pair.u2_l,
-    )
-
-
 def kp_trace_many(p: Potential, alpha_eff: float, z: np.ndarray) -> np.ndarray:
+    """trace M(z) for a batch of z."""
     u1, du1, u2, _ = _basis_many(p, np.asarray(z, dtype=float))
     return alpha_eff * u1 + du1 + u2
-
-
-def kp_spectrum(p: Potential, alpha_eff: float, z_min: float, z_max: float) -> list[tuple[float, float]]:
-    """Maximal closed intervals of |tr M(z)| <= 2 inside [z_min, z_max].
-
-    The threshold is exactly 2: the (1 + beta^2) factor lives on the eta side
-    of the trace identity.  Maximal means touching windows merge (the free
-    line comes back as the single interval [max(0, z_min), z_max]); partial
-    intervals at the range boundary are clipped.
-    """
-    raw = _scan_windows(p, lambda zz: kp_trace_many(p, alpha_eff, zz), 2.0,
-                        z_min, z_max)
-    eps = 1e-12 * max(1.0, abs(z_min), abs(z_max))
-    merged: list[list[float]] = []
-    for w in raw:
-        if merged and w["a"] <= merged[-1][1] + eps:
-            merged[-1][1] = max(merged[-1][1], w["b"])
-        else:
-            merged.append([w["a"], w["b"]])
-    return [(a, b) for a, b in merged]

@@ -4,7 +4,11 @@ Each property returns a measured defect and its tolerance; all of them are
 restatements of structural facts (Wronskian normalization, discriminant sign
 alternation, Chambers momentum independence, the Kronig-Penney trace identity,
 torus containment in the Harper bands, flux 1-periodicity) evaluated on the
-user's configuration.
+user's configuration.  The torus is diagonalized from its momentum blocks,
+built apart from the Bloch fiber behind the Harper bands, so containment
+compares two constructions.  `kp_trace_identity` restates eta algebraically:
+both sides combine the same four endpoint values of one propagation, so its
+defect can only show rounding, never a wrong basis.
 """
 
 from __future__ import annotations

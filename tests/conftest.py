@@ -1,18 +1,13 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
-sys.path.insert(0, str(Path(__file__).parent))
+from fluxlattice import CouplingParams, make_potential
 
 # reproducible property tests without per-example time limits; each test sets
 # its own max_examples
 settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
-
-from fluxlattice import CouplingParams, make_potential
 
 L = np.pi
 

@@ -2,8 +2,9 @@
 
 Nothing here reuses the package's solution paths: the Dirichlet oracle is a
 finite-difference matrix eigenproblem, the Harper oracle a dense momentum-grid
-diagonalization, the free-edge discriminant a closed trigonometric form, and
-the linear-potential basis a closed Airy-function form.
+diagonalization, the torus the dense real-space matrix, the free and step
+edge bases closed trigonometric forms, and the linear-potential basis a closed
+Airy-function form.
 """
 
 import numpy as np
@@ -30,6 +31,25 @@ def free_basis(z, l=np.pi):
         return l, 1.0, 1.0, 0.0
     w = np.sqrt(-z)
     return np.sinh(w * l) / w, np.cosh(w * l), np.cosh(w * l), w * np.sinh(w * l)
+
+
+def step_basis(z, height=10.0, l=np.pi):
+    """(u1, u1', u2, u2') at t=l for V = 0 on [0, l/2), V = height on [l/2, l],
+    closed form: the product of the two segments' transfer matrices."""
+    def transfer(k2, d):
+        if k2 > 0:
+            w = np.sqrt(k2)
+            return np.array([[np.cos(w * d), np.sin(w * d) / w],
+                             [-w * np.sin(w * d), np.cos(w * d)]])
+        if k2 == 0:
+            return np.array([[1.0, d], [0.0, 1.0]])
+        w = np.sqrt(-k2)
+        return np.array([[np.cosh(w * d), np.sinh(w * d) / w],
+                         [w * np.sinh(w * d), np.cosh(w * d)]])
+
+    # columns: (u, u') of u2 (starts at (1, 0)) and of u1 (starts at (0, 1))
+    m = transfer(z - height, l / 2) @ transfer(z, l / 2)
+    return m[0, 1], m[1, 1], m[0, 0], m[1, 0]
 
 
 def linear_basis(z, l=np.pi):
@@ -72,6 +92,24 @@ def dense_kgrid_bands(p, q, beta, nk=200):
         for j, k2 in enumerate(ks):
             energies[i, j] = np.linalg.eigvalsh(dense_fiber(p, q, beta, k1, k2))
     return [(energies[:, :, b].min(), energies[:, :, b].max()) for b in range(q)]
+
+
+def landau_torus(p, q, beta, n):
+    """Torus eigenvalues from the real-space N^2 x N^2 Landau-gauge matrix:
+    hops along m free, hops along n carry e^{-+2 pi i m theta}; wrap-consistent
+    when q divides n."""
+    dim = n * n
+    h = np.zeros((dim, dim), dtype=complex)
+    idx = lambda m, nn: (m % n) * n + (nn % n)
+    for m in range(n):
+        phase = np.exp(-2j * np.pi * ((p * m) % q) / q)
+        for nn in range(n):
+            i = idx(m, nn)
+            h[i, idx(m + 1, nn)] += 1.0
+            h[i, idx(m - 1, nn)] += 1.0
+            h[i, idx(m, nn + 1)] += beta**2 * phase
+            h[i, idx(m, nn - 1)] += beta**2 * phase.conjugate()
+    return np.sort(np.linalg.eigvalsh(h))
 
 
 def symmetric_gauge_torus(p, q, beta, n):

@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fluxlattice import ConsistencyError, RationalFlux, assembler
+from fluxlattice import ConsistencyError, RationalFlux, assembler, validation
 from fluxlattice.cli import main
 
 L = np.pi
@@ -223,17 +224,53 @@ def test_harper_subcommand(tmp_path, capsys):
     assert doc["bands"][0][0] == pytest.approx(-2 * np.sqrt(2), abs=1e-9)
 
 
-def test_validate_free_defaults(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**FREE_CFG, "k_max": 6})
-    assert main(["validate", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") == 6
-
-
 def test_validate_rejects_corrupted_beta(tmp_path):
     cfg = write_config(tmp_path, {**FREE_CFG, "beta": -2.0})
     assert main(["validate", "--config", cfg]) == 2
+
+
+# the report line the benchmark's validate gate parses, in run_all's order
+VALIDATE_LINE = re.compile(r"^(PASS|FAIL) (\w+): defect=(\S+) tol=(\S+)$")
+VALIDATE_ORDER = ["wronskian", "sign_alternation", "chambers_independence",
+                  "kp_trace_identity", "torus_containment", "flux_periodicity"]
+
+
+def _validate_lines(tmp_path, capsys, expected_exit):
+    cfg = write_config(tmp_path, {**FREE_CFG, "k_max": 6})
+    assert main(["validate", "--config", cfg]) == expected_exit
+    matches = [VALIDATE_LINE.match(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(matches)
+    assert [m.group(2) for m in matches] == VALIDATE_ORDER
+    return [(m.group(1), float(m.group(3)), float(m.group(4))) for m in matches]
+
+
+def test_validate_free_defaults(tmp_path, capsys):
+    lines = _validate_lines(tmp_path, capsys, 0)
+    assert all(status == "PASS" and defect <= tol for status, defect, tol in lines)
+
+
+def test_validate_failed_property_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(validation, "check_torus_containment", lambda flux, beta:
+                        validation.PropertyResult("torus_containment", 1.0, 1e-9))
+    lines = _validate_lines(tmp_path, capsys, 1)
+    assert [status for status, _, _ in lines] == ["PASS"] * 4 + ["FAIL", "PASS"]
+    assert lines[4][1:] == (1.0, 1e-9)
+
+
+@pytest.mark.parametrize("beta", [-2.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["spectrum", "butterfly", "dirichlet",
+                                     "harper", "validate"])
+def test_invalid_beta_rejected_by_every_subcommand(tmp_path, capsys, command, beta):
+    # json writes NaN / Infinity, which Python's json reads back
+    cfg = write_config(tmp_path, {**FREE_CFG, "beta": beta})
+    assert main([command, "--config", cfg]) == 2
+    assert "beta must be positive" in capsys.readouterr().err
+
+
+def test_nonfinite_alpha_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**FREE_CFG, "alpha": float("nan")})
+    assert main(["harper", "--config", cfg]) == 2
+    assert "alpha must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fluxlattice import (CouplingParams, DomainError, band_windows,
                          dirichlet_eigenvalues, eta, eta_on_pole, invert_eta,
-                         invert_eta_many, krein_matrix)
+                         invert_eta_many)
 from fluxlattice.discriminant import INVERT_RESIDUAL, eta_many
-from oracles import free_eta
+from oracles import free_basis, free_eta, step_basis
 
 L = np.pi
 
@@ -165,16 +165,20 @@ def test_monotone_inside_windows(step_pot):
 @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (2.0, 1.5), (-3.0, 0.7)])
 @pytest.mark.parametrize("fixture", ["free_pot", "step_pot"])
 def test_eta_matches_krein_route(fixture, alpha, beta, request):
-    # Prop entire-extension check: away from the poles the s(z) combination
-    # alpha/s12 - (1+beta^2)(s11+s22)/s12 reproduces the entire form
+    # Prop entire-extension check: away from the poles the Dirichlet-to-Neumann
+    # combination alpha/s12 - (1+beta^2)(s11+s22)/s12, with
+    # s(z) = (1/u1) [[-u2, 1], [1, -u1']] from the closed-form basis,
+    # reproduces the entire form
     p = request.getfixturevalue(fixture)
+    basis = {"free_pot": free_basis, "step_pot": step_basis}[fixture]
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
     mus = np.asarray(dirichlet_eigenvalues(p, 12).eigenvalues)
     zs = [z for z in np.linspace(-3.0, 70.0, 150)
           if np.min(np.abs(mus - z)) > 0.1]
     for z in zs:
-        s = krein_matrix(p, float(z))
-        via_s = alpha / s.s12 - (1 + beta**2) * (s.s11 + s.s22) / s.s12
+        u1, du1, u2, _ = basis(float(z))
+        s11, s12, s22 = -u2 / u1, 1.0 / u1, -du1 / u1
+        via_s = alpha / s12 - (1 + beta**2) * (s11 + s22) / s12
         assert abs(eta(c, float(z)) - via_s) < 1e-8
 
 

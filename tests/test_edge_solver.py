@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (IntegrationOverflowError, PoleProximityError,
-                         dirichlet_count_below, dirichlet_eigenvalues,
-                         integrate_basis, krein_matrix, make_potential)
+from fluxlattice import (IntegrationOverflowError, dirichlet_count_below,
+                         dirichlet_eigenvalues, integrate_basis, make_potential)
 from fluxlattice.edge_solver import _count_below_many
 from oracles import fd_dirichlet, free_basis, linear_basis
 
@@ -155,30 +154,3 @@ def test_prufer_count_piecewise_vs_fd(cuts, values):
 def test_prufer_count_below_ground(free_pot):
     assert dirichlet_count_below(free_pot, 0.5) == 0
     assert dirichlet_count_below(free_pot, -3.0) == 0
-
-
-def test_krein_quarter(free_pot):
-    s = krein_matrix(free_pot, 0.25)
-    assert s.s11 == pytest.approx(0.0, abs=1e-12)
-    assert s.s12 == pytest.approx(0.5, rel=1e-9)
-    assert s.s22 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_krein_hyperbolic(free_pot):
-    s = krein_matrix(free_pot, -1.0)
-    coth = np.cosh(np.pi) / np.sinh(np.pi)
-    assert s.s11 == pytest.approx(-coth, rel=1e-9)
-    assert s.s12 == pytest.approx(1.0 / np.sinh(np.pi), rel=1e-9)
-    assert s.s22 == pytest.approx(-coth, rel=1e-9)
-
-
-def test_krein_pole_guard(free_pot):
-    with pytest.raises(PoleProximityError) as exc:
-        krein_matrix(free_pot, 1.0)
-    assert exc.value.nearest_mu == pytest.approx(1.0, abs=1e-8)
-
-
-def test_krein_symmetric_bit_equal(step_pot):
-    for z in (-2.0, 0.3, 2.7, 12.1):
-        s = krein_matrix(step_pot, z)
-        assert s.s12 == s.s21

@@ -11,7 +11,8 @@ from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          harper_spectrum, make_rational, torus_oracle)
 from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld,
                                 _det_cyclic_many, _fiber, _polyval_ld)
-from oracles import dense_kgrid_bands, symmetric_gauge_torus
+from fluxlattice.validation import check_torus_containment
+from oracles import dense_kgrid_bands, landau_torus, symmetric_gauge_torus
 
 SQ3 = np.sqrt(3.0)
 THIRD_FLUX_BANDS = [(-1.0 - SQ3, -2.0), (1.0 - SQ3, SQ3 - 1.0), (2.0, 1.0 + SQ3)]
@@ -254,6 +255,30 @@ def test_torus_matches_symmetric_gauge():
         landau = torus_oracle(RationalFlux(p, q), 1.0, reps)
         sym = symmetric_gauge_torus(p, q, 1.0, n)
         assert np.max(np.abs(landau - sym)) < 1e-10
+
+
+@pytest.mark.parametrize("p,q,beta,reps", [
+    (0, 1, 1.0, 1),    # N = 1: both hop pairs land on the diagonal
+    (0, 1, 0.7, 3),
+    (1, 2, 1.0, 1),    # N = 2: wrap and direct hop add up
+    (1, 2, 1.3, 3),
+    (2, 5, 1.0, 1),    # odd N
+    (1, 3, 2.0, 3),    # odd N, L > 1
+    (7, 3, 0.6, 2),    # p >= q
+    (-2, 5, 1.5, 2),   # p < 0
+])
+def test_torus_blocks_match_real_space(p, q, beta, reps):
+    blocks = torus_oracle(RationalFlux(p, q), beta, reps)
+    dense = landau_torus(p, q, beta, reps * q)
+    assert np.max(np.abs(blocks - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("p,q,beta", [(13, 34, 1.0), (1, 31, 2.0)])
+def test_check_torus_containment_large_q(p, q, beta):
+    # q > 12: the torus side is q itself (1/31 raises at beta = 1, a known
+    # band-pairing failure, hence beta = 2 there)
+    r = check_torus_containment(RationalFlux(p, q), beta)
+    assert r.passed, r
 
 
 def test_torus_size_guard():

@@ -1,8 +1,10 @@
+"""The Kronig-Penney side of the paper: the monodromy trace, and the integer-flux
+corollary that the graph spectrum at theta = 0 is {z : |trace M(z)| <= 2}."""
+
 import numpy as np
 import pytest
 
-from fluxlattice import (CouplingParams, graph_spectrum, kp_monodromy,
-                         kp_spectrum, RationalFlux)
+from fluxlattice import CouplingParams, RationalFlux, band_windows, graph_spectrum
 from fluxlattice.discriminant import eta_many
 from fluxlattice.kp_oracle import kp_trace_many
 from oracles import merged_intervals
@@ -20,32 +22,22 @@ KP_ALPHA2_BANDS = [
 ]
 
 
+def _integer_flux_bands(p, alpha_eff, beta, z_min, z_max):
+    # alpha_eff = alpha / (1 + beta^2): the graph at theta = 0 has the
+    # Kronig-Penney spectrum of that delta strength, for every beta
+    c = CouplingParams(alpha=alpha_eff * (1.0 + beta**2), beta=beta, potential=p)
+    s = graph_spectrum(p, c, RationalFlux(0, 1), z_min=z_min, z_max=z_max)
+    return merged_intervals([(iv.z_lo, iv.z_hi) for iv in s.continuous], eps=1e-9)
+
+
 def test_monodromy_free_z1(free_pot):
-    m = kp_monodromy(free_pot, 0.0, 1.0)
-    assert np.allclose(m.as_array(), [[-1.0, 0.0], [0.0, -1.0]], atol=1e-9)
-    assert m.trace == pytest.approx(-2.0, rel=1e-9)
+    # M(1) = -I on the free edge: u1(pi) = 0, u1'(pi) = u2(pi) = -1
+    assert kp_trace_many(free_pot, 0.0, [1.0])[0] == pytest.approx(-2.0, rel=1e-9)
 
 
 def test_monodromy_jump_z0(free_pot):
-    m = kp_monodromy(free_pot, 1.0, 0.0)
-    assert np.allclose(m.as_array(), [[1.0 + np.pi, 1.0], [np.pi, 1.0]], rtol=1e-12)
-    assert m.det == pytest.approx(1.0, abs=1e-9)
-
-
-def test_monodromy_symplectic_random(free_pot, step_pot, mathieu_pot):
-    # z sampled from each potential's scan region; far below it the entries
-    # grow past the point where an absolute 1e-9 on det is representable
-    rng = np.random.default_rng(19)
-    pots = [free_pot, step_pot, mathieu_pot]
-    for _ in range(50):
-        p = pots[int(rng.integers(0, 3))]
-        alpha_eff = float(rng.uniform(-3.0, 3.0))
-        floor = min(0.0, p.infimum()) - abs(alpha_eff) / p.l - 1.0
-        z = float(rng.uniform(floor, 60.0))
-        m = kp_monodromy(p, alpha_eff, z)
-        # the det difference cannot resolve below rounding of its products
-        tol = max(1e-9, 16 * np.finfo(float).eps * abs(m.m11 * m.m22))
-        assert abs(m.det - 1.0) < tol
+    # M(0) = [[1 + pi, 1], [pi, 1]] for alpha_eff = 1
+    assert kp_trace_many(free_pot, 1.0, [0.0])[0] == pytest.approx(2.0 + np.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (2.0, 1.5), (-3.0, 0.7)])
@@ -61,32 +53,34 @@ def test_trace_identity(fixture, alpha, beta, request):
 
 
 def test_kp_free_line(free_pot):
-    bands = kp_spectrum(free_pot, 0.0, -1.0, 30.0)
+    bands = _integer_flux_bands(free_pot, 0.0, 1.0, -1.0, 30.0)
     assert len(bands) == 1
     assert bands[0][0] == pytest.approx(0.0, abs=1e-9)
     assert bands[0][1] == 30.0
 
 
 def test_kp_alpha2_classical_bands(free_pot):
-    bands = kp_spectrum(free_pot, 2.0, -4.0, 26.0)
-    assert len(bands) == len(KP_ALPHA2_BANDS)
-    for (lo, hi), (elo, ehi) in zip(bands, KP_ALPHA2_BANDS):
-        assert lo == pytest.approx(elo, abs=1e-9)
-        assert hi == pytest.approx(ehi, abs=1e-9)
+    for beta in (1.0, 1.5):
+        bands = _integer_flux_bands(free_pot, 2.0, beta, -4.0, 26.0)
+        assert len(bands) == len(KP_ALPHA2_BANDS)
+        for (lo, hi), (elo, ehi) in zip(bands, KP_ALPHA2_BANDS):
+            assert lo == pytest.approx(elo, abs=1e-9)
+            assert hi == pytest.approx(ehi, abs=1e-9)
 
 
 def test_kp_empty_inside_gap(free_pot):
-    assert kp_spectrum(free_pot, 2.0, 1.2, 1.8) == []
+    assert _integer_flux_bands(free_pot, 2.0, 1.0, 1.2, 1.8) == []
 
 
 def test_kp_matches_integer_flux_spectrum(step_pot):
-    # Corollary at integer theta: Sigma equals the Kronig-Penney spectrum
+    # Corollary at integer theta: Sigma is the union of the eta windows,
+    # |eta| <= 2 (1 + beta^2), which is |tr M| <= 2
     alpha, beta = 2.0, 1.5
     c = CouplingParams(alpha=alpha, beta=beta, potential=step_pot)
-    s = graph_spectrum(step_pot, c, RationalFlux(0, 1), z_min=-2.0, z_max=60.0)
-    sigma = merged_intervals([(iv.z_lo, iv.z_hi) for iv in s.continuous], eps=1e-9)
-    kp = kp_spectrum(step_pot, alpha / (1.0 + beta**2), -2.0, 60.0)
-    assert len(sigma) == len(kp)
-    for (a, b), (ka, kb) in zip(sigma, kp):
-        assert a == pytest.approx(ka, abs=1e-8)
-        assert b == pytest.approx(kb, abs=1e-8)
+    sigma = _integer_flux_bands(step_pot, alpha / (1.0 + beta**2), beta, -2.0, 60.0)
+    windows = merged_intervals([(w.a, w.b) for w in band_windows(c, -2.0, 60.0)],
+                               eps=1e-9)
+    assert len(sigma) == len(windows)
+    for (a, b), (wa, wb) in zip(sigma, windows):
+        assert a == pytest.approx(wa, abs=1e-8)
+        assert b == pytest.approx(wb, abs=1e-8)
