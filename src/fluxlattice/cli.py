@@ -275,16 +275,13 @@ def cmd_harper(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, out: str | None) -> int:
     z_max = _require_z_max(cfg)
     results = validation.run_all(_coupling(cfg), cfg.theta, cfg.z_min, z_max,
                                  q_max=cfg.q_max, k_max=cfg.k_max)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        print(f"{status} {r.name}: defect={r.defect:.3e} tol={r.tolerance:.1e}")
-    return 0 if ok else 1
+    _emit("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
+                  f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), out)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +323,7 @@ def main(argv=None) -> int:
             return cmd_dirichlet(cfg, out)
         if args.command == "harper":
             return cmd_harper(cfg, out)
-        return cmd_validate(cfg)
+        return cmd_validate(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,19 @@ J_n on which eta is a strictly monotone homeomorphism onto
     Dirichlet eigenvalues sandwich exactly one window, and one more window
     lies below mu_0 (eta -> +inf as z -> -inf);
   * eta has no real root outside a window, so the root of eta inside each
-    inter-eigenvalue segment is a certified interior point to bisect against;
+    inter-eigenvalue segment is a certified interior point, and it brackets
+    each window edge together with the segment's eigenvalue;
   * windows may touch at mu_k (free lattice): an edge is clamped to mu_k
     whenever eta(mu_k) has not numerically escaped the threshold.
 
 eta is always evaluated in its entire form, never through the
 Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
 is no pole cancellation near mu_k.
+
+Every root here (window centres, window edges, inversions) comes from one
+bracketed solver, `_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973)
+253), superlinear without eta', with bisection as the safeguard, ending each
+root with a sign change inside a bracket at most EDGE_TOL_Z wide.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .edge_solver import (_basis_many, _mus_through, dirichlet_eigenvalues,
 from .errors import ConfigError, DomainError, NumericalError
 from .potential import Potential
 
-EDGE_TOL_Z = 1e-10      # bisection tolerance for window edges, absolute in z
-INVERT_RESIDUAL = 1e-9  # relative residual target for invert_eta
+EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
+INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) of an inversion
 
 
 def check_coupling(alpha: float, beta: float) -> None:
@@ -109,26 +115,97 @@ def _nus_upto(p: Potential, k_max: int) -> tuple[float, ...]:
     return tuple(float(v) for v in du1 + u2)
 
 
-def _bisect_batch(g, lo, hi, sign_lo):
-    """Vectorized bisection for g(z) = 0.
+def _solve_batch(g, lo, hi, sign_lo):
+    """Vectorized bracketed root finder for g(z) = 0, one bracket per lane.
 
-    Brackets require lo < hi with sign(g(lo)) = sign_lo != 0 and exactly one
-    sign change inside; g maps a full-size z array to values.  Stops at
-    brackets of width EDGE_TOL_Z or after 70 halvings.
+    Brackets require lo < hi with sign(g(lo)) = sign_lo != 0 and one sign
+    change inside; g(z, lanes) maps points z of the lanes `lanes` (an index
+    array) to values.  Each step is an Anderson-Bjorck regula falsi step; a
+    lane bisects when its bracket has not halved in three steps or an endpoint
+    value contradicts the bracket's signs.  When a lane's next point x lies
+    within EDGE_TOL_Z/2 of its last one, g is also taken at x -+ EDGE_TOL_Z/2
+    in the same call: a sign change among the three ends the lane at the one
+    of smallest |g|, three equal signs narrow the bracket past them.  A lane
+    whose bracket is at most EDGE_TOL_Z wide ends at its endpoint of smaller
+    |g|.  Every root thus comes with a sign change inside a bracket at most
+    EDGE_TOL_Z wide.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    sgn = np.sign(sign_lo)
-    for _ in range(70):
-        live = (hi - lo) > EDGE_TOL_Z
-        if not np.any(live):
+    half = 0.5 * EDGE_TOL_Z
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    n = a.size
+    s = np.where(np.asarray(sign_lo, dtype=float) > 0, 1.0, -1.0) * np.ones(n)
+    lane = np.arange(n)
+    both = np.concatenate((lane, lane))
+    f = s[both] * g(np.concatenate((a, b)), both)  # oriented: > 0 at a, < 0 at b
+    fa = np.where(f[:n] > 0, f[:n], np.nan)  # NaN: contradicts the bracket
+    fb = np.where(f[n:] < 0, f[n:], np.nan)
+    x = np.empty(n)
+    side = np.zeros(n, dtype=int)  # end the last step replaced: -1 a, +1 b
+    stall = np.zeros(n, dtype=int)
+    ref = b - a                    # width when the bracket last halved
+    done = np.zeros(n, dtype=bool)
+    for _ in range(300):
+        narrow = ~done & (b - a <= EDGE_TOL_Z)
+        if np.any(narrow):
+            ga = np.where(np.isnan(fa), np.inf, np.abs(fa))
+            gb = np.where(np.isnan(fb), np.inf, np.abs(fb))
+            end = np.where(gb < ga, b, np.where(ga < np.inf, a, 0.5 * (a + b)))
+            x[lane[narrow]] = end[narrow]
+            done |= narrow
+        if np.any(done):
+            lane, s, a, b, fa, fb, side, stall, ref = (
+                v[~done] for v in (lane, s, a, b, fa, fb, side, stall, ref))
+        if not lane.size:
             break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        same = (sgn * gm > 0) & live
-        lo = np.where(same, mid, lo)
-        hi = np.where(same | ~live, hi, mid)
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        # a secant step that rounds onto its last point is ready, not stuck
+        ready = (side != 0) & (c >= a) & (c <= b) & (
+            np.abs(c - np.where(side > 0, b, a)) <= half)
+        bis = ~ready & (~((c > a) & (c < b)) | (stall >= 3))  # NaN secant: bisect
+        c = np.where(bis, 0.5 * (a + b), c)
+        r = np.flatnonzero(ready)
+        if r.size:
+            c_lo, c_hi = np.maximum(c[r] - half, a[r]), np.minimum(c[r] + half, b[r])
+            at = np.concatenate((np.arange(lane.size), r, r))
+            f = s[at] * g(np.concatenate((c, c_lo, c_hi)), lane[at])
+            f_lo, f_hi = f[lane.size:lane.size + r.size], f[lane.size + r.size:]
+        else:
+            f = s * g(c, lane)
+        fc = f[:lane.size]
+        # Anderson-Bjorck: when c replaces the same end as the last step did,
+        # the kept end's value is scaled by m = 1 - f(c)/f(replaced end), or
+        # by 1/2 when that is not positive
+        up = fc > 0  # c replaces a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fc / np.where(up, fa, fb)
+        repeat = (side == np.where(up, -1, 1)) & ~bis
+        m = np.where(repeat, np.where(m > 0, m, 0.5), 1.0)
+        a, fa = np.where(up, c, a), np.where(up, fc, m * fa)
+        b, fb = np.where(up, b, c), np.where(up, m * fb, fc)
+        side = np.where(up, -1, 1)
+        done = fc == 0.0
+        x[lane[done]] = c[done]
+        if r.size:
+            above = (f_lo > 0) & (fc[r] > 0) & (f_hi > 0)  # root above all three
+            below = (f_lo < 0) & (fc[r] < 0) & (f_hi < 0)
+            sure = ~(above | below)
+            p3 = np.stack((c[r], c_lo, c_hi))
+            f3 = np.abs(np.stack((fc[r], f_lo, f_hi)))
+            best = p3[np.argmin(f3, axis=0), np.arange(r.size)]  # ties keep c
+            x[lane[r[sure]]] = best[sure]
+            done[r[sure]] = True
+            a[r[above]], fa[r[above]] = c_hi[above], f_hi[above]
+            b[r[below]], fb[r[below]] = c_lo[below], f_lo[below]
+            side[r] = 0
+        width = b - a
+        halved = width <= 0.5 * ref
+        ref = np.where(halved, width, ref)
+        stall = np.where(halved, 0, stall + 1)
+    else:  # iteration cap: the lanes left end at their brackets' midpoints
+        x[lane[~done]] = 0.5 * (a + b)[~done]
+    return x
 
 
 def _scan_windows(p: Potential, g_many, threshold: float,
@@ -170,7 +247,7 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     g_left, g_right = g_anchor[seg], g_anchor[seg + 1]
 
     # interior anchor: the unique root of g inside each segment
-    center = _bisect_batch(g_many, left, right, g_left)
+    center = _solve_batch(lambda zz, _: g_many(zz), left, right, g_left)
 
     # Edges solve sign(g_anchor) * g = threshold between center and anchor.
     # When |g(mu_k)| sits on the threshold itself the slope of g at mu_k
@@ -178,12 +255,12 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     # where root finding would be sqrt(eps)-conditioned) versus a transversal
     # return (the window ended at an interior crossing even though g came
     # back to the threshold exactly at mu_k); interior crossings are always
-    # transversal (no extrema on the threshold), so their bisection is clean.
+    # transversal (no extrema on the threshold), so their root finding is clean.
     dz = 1e-6 * np.maximum(1.0, np.abs(anchors))
     d_anchor = (g_many(anchors + dz) - g_many(anchors - dz)) / (2.0 * dz)
     f_tol = 1e-8 * threshold
     slope_tol = 1e-4 * (1.0 + threshold)
-    # Both edges of every window go into one bisection: [left, center] with
+    # Both edges of every window go into one solve: [left, center] with
     # s g - threshold > 0 at its lower end, [center, right] with it < 0.
     s_l, s_r = np.sign(g_left), np.sign(g_right)
     do_left = (s_l * g_left - threshold > f_tol) | (s_l * d_anchor[seg] > slope_tol)
@@ -193,8 +270,8 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     n_left = int(np.count_nonzero(do_left))
     if n_left or np.any(do_right):
         s = np.concatenate([s_l[do_left], s_r[do_right]])
-        edges = _bisect_batch(
-            lambda zz: s * g_many(zz) - threshold,
+        edges = _solve_batch(
+            lambda zz, lanes: s[lanes] * g_many(zz) - threshold,
             np.concatenate([left[do_left], center[do_right]]),
             np.concatenate([center[do_left], right[do_right]]),
             np.concatenate([np.ones(n_left), -np.ones(len(s) - n_left)]))
@@ -237,8 +314,9 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
 
     w is one BandWindow for all targets, or a sequence holding one window per
     target, so a whole request inverts in one call; the windows must share one
-    coupling.  Newton steps only the targets whose residual is still above
-    INVERT_RESIDUAL, so no answer depends on the other targets of its batch.
+    coupling.  Each target is solved on its own bracket [a_full, b_full] and
+    only unfinished targets are evaluated, so on a piecewise-constant edge no
+    answer depends on the other targets of its batch.
     """
     ys = np.asarray(ys, dtype=float)
     ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
@@ -264,21 +342,8 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     if np.any(interior):
         yv, lo, hi = ys[interior], a[interior], b[interior]
         sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
-        zi = _bisect_batch(lambda zz: eta_many(c, zz) - yv, lo, hi, sign_lo)
-        # safeguarded Newton polish, derivative by central difference
-        todo = np.arange(zi.size)
-        for _ in range(4):
-            res = eta_many(c, zi[todo]) - yv[todo]
-            high = np.abs(res) > INVERT_RESIDUAL * (1.0 + np.abs(yv[todo]))
-            todo, res = todo[high], res[high]
-            if not todo.size:
-                break
-            zt = zi[todo]
-            dz = 1e-6 * np.maximum(1.0, np.abs(zt))
-            deriv = (eta_many(c, zt + dz) - eta_many(c, zt - dz)) / (2.0 * dz)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(deriv != 0.0, res / deriv, 0.0)
-            zi[todo] = np.clip(zt - step, lo[todo], hi[todo])
+        zi = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
+                          lo, hi, sign_lo)
         z[interior] = zi
     return z
 

@@ -23,7 +23,8 @@ classical RK4 step on the linearly interpolated V; n is at least 2048 (a step
 of at most l/2048) and grows like (|z| - inf V)^(5/8) so the accumulated phase
 error stays below ~1e-10 across the scan range.  The basis and the Pruefer count
 are both loops over this walk.  All propagation is vectorized over a batch of z
-values, which is what makes the bisection sweeps downstream affordable.
+values, so the bracketed root finder downstream advances every root in one
+call per step.
 """
 
 from __future__ import annotations

@@ -113,6 +113,21 @@ def _fiber(p: int, q: int, beta, k1, k2, dtype=np.complex128) -> np.ndarray:
     return h
 
 
+def _fiber_row_ld(p: int, q: int, beta, k1, k2s: np.ndarray) -> np.ndarray:
+    """np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in k2s]) with
+    array operations: the same long-double arithmetic, and every entry summed
+    from zero in `_fiber`'s order, so the stack is equal bit for bit."""
+    j = np.arange(q)
+    h = np.zeros((len(k2s), q, q), dtype=_CLD)
+    angle = 2.0 * _PI_LD * ((p % q) * j % q).astype(_LD) / _LD(q)
+    e = np.exp(1j * _LD(k1))
+    k2s = np.asarray(k2s, dtype=_LD)
+    h[:, j, j] += _LD(2.0) * _LD(beta) ** 2 * np.cos(angle + k2s[:, None])
+    h[:, j, (j + 1) % q] += e  # for q <= 2 these land on the diagonal entries or
+    h[:, (j + 1) % q, j] += e.conjugate()  # on each other, in _fiber's order
+    return h
+
+
 def bloch_matrix(f: RationalFlux, beta: float, k1: float, k2: float) -> np.ndarray:
     """The q x q Hermitian Bloch fiber H(k1, k2); for q = 1 the single entry is
     2 cos(k1) + 2 beta^2 cos(k2), for q = 2 wrap and direct hop add to 2 cos(k1)."""
@@ -270,8 +285,7 @@ def chambers_defect(f: RationalFlux, beta: float) -> float:
     a = np.empty((n_k, n_e, q, q), dtype=_CLD)  # one buffer for every k1 row
     worst = 0.0
     for k1 in kgrid:
-        h = np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in kgrid])
-        np.subtract(shifted, h[:, None], out=a)
+        np.subtract(shifted, _fiber_row_ld(p, q, beta, k1, kgrid)[:, None], out=a)
         det = np.real(_det_cyclic_many(a.reshape(-1, q, q)))
         val = (det.reshape(n_k, n_e) + 2 * np.cos(q * k1)
                + (level * np.cos(q * kgrid))[:, None])

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import _assemble, _scan, _Scan, resolve_flux
+from .assembler import SpectralSet, _assemble, _scan, _Scan, resolve_flux
 from .discriminant import CouplingParams, eta_many, eta_on_pole
 from .edge_solver import _basis_many
-from .harper import RationalFlux, chambers_defect, harper_spectrum, torus_oracle
+from .harper import HarperBands, RationalFlux, chambers_defect, torus_oracle
 from .kp_oracle import kp_trace_many
 
 SIGN_ALTERNATION_SLACK = 1e-6  # equality is attained (free V, midpoint-even V)
@@ -72,19 +72,20 @@ def check_kp_identity(c: CouplingParams, z_min: float, z_max: float) -> Property
     return PropertyResult("kp_trace_identity", defect, 1e-8)
 
 
-def check_torus_containment(flux: RationalFlux, beta: float) -> PropertyResult:
+def check_torus_containment(bands: HarperBands) -> PropertyResult:
+    flux = bands.flux
     reps = max(1, 12 // flux.q)  # torus side: the largest multiple of q up to 12, or q
-    bands = harper_spectrum(flux, beta)
-    evals = torus_oracle(flux, beta, reps)
+    evals = torus_oracle(flux, bands.beta, reps)
     lo, hi = np.asarray(bands.bands).T
     e = evals[:, None]
     dist = np.maximum(np.maximum(lo - e, e - hi), 0.0).min(axis=1)
     return PropertyResult("torus_containment", float(np.max(dist)), 1e-9)
 
 
-def check_flux_periodicity(scan: _Scan, flux: RationalFlux) -> PropertyResult:
-    shifted = RationalFlux(flux.p + flux.q, flux.q)
-    sets = [_assemble(scan, f, f.theta, None) for f in (flux, shifted)]
+def check_flux_periodicity(scan: _Scan, spec: SpectralSet) -> PropertyResult:
+    """spec is the spectrum at flux p/q assembled from scan; (p+q)/q must match it."""
+    shifted = RationalFlux(spec.flux.p + spec.flux.q, spec.flux.q)
+    sets = [spec, _assemble(scan, shifted, shifted.theta, None)]
     ends = [np.asarray([(iv.z_lo, iv.z_hi) for iv in s.continuous]) for s in sets]
     if ends[0].shape != ends[1].shape:
         return PropertyResult("flux_periodicity", np.inf, 1e-9)
@@ -96,11 +97,12 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
             q_max: int = 50, k_max: int = 10) -> list[PropertyResult]:
     flux, _ = resolve_flux(theta, q_max)
     scan = _scan(c, z_min, z_max)
-    return [
+    results = [
         check_wronskian(c, scan.z_min, z_max),
         check_sign_alternation(c, k_max),
         check_chambers(flux, c.beta),
         check_kp_identity(c, scan.z_min, z_max),
-        check_torus_containment(flux, c.beta),
-        check_flux_periodicity(scan, flux),
     ]
+    spec = _assemble(scan, flux, flux.theta, None)  # its Harper bands serve the torus too
+    return results + [check_torus_containment(spec.harper),
+                      check_flux_periodicity(scan, spec)]

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from fluxlattice import ConsistencyError, RationalFlux, assembler, validation
+from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler,
+                         harper_spectrum, make_potential, validation)
 from fluxlattice.cli import main
 
 L = np.pi
@@ -250,11 +251,38 @@ def test_validate_free_defaults(tmp_path, capsys):
 
 
 def test_validate_failed_property_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(validation, "check_torus_containment", lambda flux, beta:
+    monkeypatch.setattr(validation, "check_torus_containment", lambda bands:
                         validation.PropertyResult("torus_containment", 1.0, 1e-9))
     lines = _validate_lines(tmp_path, capsys, 1)
     assert [status for status, _, _ in lines] == ["PASS"] * 4 + ["FAIL", "PASS"]
     assert lines[4][1:] == (1.0, 1e-9)
+
+
+def test_validate_out_writes_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**FREE_CFG, "k_max": 6})
+    out = tmp_path / "report.txt"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = [VALIDATE_LINE.match(line) for line in out.read_text().splitlines()]
+    assert all(lines) and [m.group(2) for m in lines] == VALIDATE_ORDER
+
+
+def test_validate_computes_harper_bands_once_per_flux(monkeypatch):
+    # run_all needs the bands at flux and at flux + 1 (flux_periodicity); the
+    # torus check reuses the first
+    seen = []
+
+    def counted(f, beta):
+        seen.append(str(f))
+        return harper_spectrum(f, beta)
+
+    monkeypatch.setattr(assembler, "harper_spectrum", counted)
+    monkeypatch.setattr(validation, "harper_spectrum", counted, raising=False)
+    p = make_potential({"l": L, "potential": {"kind": "zero"}})
+    c = CouplingParams(alpha=0.0, beta=1.0, potential=p)
+    results = validation.run_all(c, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
+    assert all(r.passed for r in results)
+    assert seen == ["2/5", "7/5"]
 
 
 @pytest.mark.parametrize("beta", [-2.0, 0.0, float("nan"), float("inf")])

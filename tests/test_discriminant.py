@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (CouplingParams, DomainError, band_windows,
+from fluxlattice import (CouplingParams, DomainError, band_windows, discriminant,
                          dirichlet_eigenvalues, eta, eta_on_pole, invert_eta,
                          invert_eta_many)
-from fluxlattice.discriminant import INVERT_RESIDUAL, eta_many
-from oracles import free_basis, free_eta, step_basis
+from fluxlattice.discriminant import EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many
+from oracles import free_basis, free_eta, linear_basis, step_basis
 
 L = np.pi
 
@@ -150,6 +150,94 @@ def test_batched_inversion_across_windows(step_pot, picks):
     other = _step_windows(step_pot, 2.0)[0]
     with pytest.raises(DomainError, match="coupling"):
         invert_eta_many(batch + [other], np.append(ys, 0.0))
+
+
+def _oracle_eta(kind, alpha, beta):
+    """eta from the closed-form basis of the free, step or linear edge."""
+    basis = {"free": free_basis, "step": step_basis, "linear": linear_basis}[kind]
+
+    def eta_at(zs):
+        u1, du1, u2, _ = np.array([basis(float(z)) for z in np.ravel(zs)]).T
+        return (1.0 + beta**2) * (du1 + u2) + alpha * u1
+    return eta_at
+
+
+def _sign_change_near(f, z, tol):
+    return f(np.array([z - tol]))[0] * f(np.array([z + tol]))[0] <= 0.0
+
+
+@settings(max_examples=25)
+@given(kind=st.sampled_from(["free", "step"]), alpha=st.floats(-5.0, 5.0),
+       beta=st.floats(0.5, 2.0),
+       picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=12))
+def test_solver_certificates_against_closed_forms(free_pot, step_pot, kind, alpha,
+                                                  beta, picks):
+    # window edges, inversions and bare brackets: each root has a sign change
+    # of the closed-form function within EDGE_TOL_Z, each inversion meets
+    # INVERT_RESIDUAL in the closed-form eta
+    p = free_pot if kind == "free" else step_pot
+    c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+    oracle = _oracle_eta(kind, alpha, beta)
+    ws = band_windows(c, None, 30.0)
+    mus = set(dirichlet_eigenvalues(p, 15).eigenvalues)
+    for w in ws:
+        for edge in (w.a_full, w.b_full):
+            if edge not in mus:  # an edge clamped to mu_k is no root
+                assert _sign_change_near(lambda z: np.abs(oracle(z)) - c.threshold,
+                                         edge, EDGE_TOL_Z)
+    batch = [ws[i % len(ws)] for i, _, _, _ in picks]
+    ys = np.asarray([f * c.threshold for _, _, _, f in picks])
+    zs = invert_eta_many(batch, ys)
+    assert np.all(np.abs(oracle(zs) - ys) <= INVERT_RESIDUAL * (1.0 + np.abs(ys)))
+    for z, y in zip(zs, ys):
+        if abs(y) < c.threshold:  # +-threshold maps to an edge, maybe a touching one
+            assert _sign_change_near(lambda zz: oracle(zz) - y, z, EDGE_TOL_Z)
+    # bare brackets inside the windows, targets between their end values
+    lo = np.array([w.a_full + u * (w.b_full - w.a_full) * 0.999
+                   for w, (_, u, _, _) in zip(batch, picks)])
+    hi = np.array([l + (w.b_full - l) * max(v, 1e-3)
+                   for l, w, (_, _, v, _) in zip(lo, batch, picks)])
+    e_lo, e_hi = oracle(lo), oracle(hi)
+    t = np.array([0.5 + 0.49 * t for _, _, _, t in picks])
+    targets = e_lo + t * (e_hi - e_lo)
+    roots = _solve_batch(lambda zz, lanes: oracle(zz) - targets[lanes], lo, hi,
+                         e_lo - targets)
+    for z, y in zip(roots, targets):
+        assert _sign_change_near(lambda zz: oracle(zz) - y, z, EDGE_TOL_Z)
+
+
+def test_linear_window_edges_against_airy(linear_pot):
+    from scipy.optimize import brentq
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=linear_pot)
+    oracle = _oracle_eta("linear", 1.0, 1.0)
+    mus = set(dirichlet_eigenvalues(linear_pot, 7).eigenvalues)
+    edges = [e for w in band_windows(c, None, 12.0) for e in (w.a_full, w.b_full)
+             if e not in mus]
+    assert len(edges) >= 6
+    for e in edges:
+        f = lambda z: abs(oracle(np.array([z]))[0]) - c.threshold
+        root = brentq(f, e - 1e-6, e + 1e-6, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        assert abs(e - root) <= 1e-9
+
+
+def test_eta_call_budget_step_edge(step_pot, monkeypatch):
+    # one window scan at z_max 40 and one inversion of targets across all of
+    # its windows; bisection to EDGE_TOL_Z alone needs about 37 calls a stage
+    calls = []
+
+    def counted(c, z):
+        calls.append(np.size(z))
+        return eta_many(c, z)
+
+    monkeypatch.setattr(discriminant, "eta_many", counted)
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    ws = band_windows(c, None, 40.0)
+    n_scan = len(calls)
+    ys = np.tile(np.linspace(-0.95, 0.95, 9) * c.threshold, len(ws))
+    invert_eta_many([w for w in ws for _ in range(9)], ys)
+    assert n_scan <= 40 and len(calls) - n_scan <= 15, (n_scan, len(calls) - n_scan)
 
 
 def test_monotone_inside_windows(step_pot):

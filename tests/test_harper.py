@@ -10,7 +10,7 @@ from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
 from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld,
-                                _det_cyclic_many, _fiber, _polyval_ld)
+                                _det_cyclic_many, _fiber, _fiber_row_ld, _polyval_ld)
 from fluxlattice.validation import check_torus_containment
 from oracles import dense_kgrid_bands, landau_torus, symmetric_gauge_torus
 
@@ -130,6 +130,21 @@ def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
 def test_chambers_defect_matches_dense_loop(p, q):
     f = RationalFlux(p, q)
     assert chambers_defect(f, 1.0) == _dense_chambers_defect(f, 1.0)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 40), st.integers(-120, 120), st.floats(0.3, 2.5),
+       st.sampled_from([0, 3, 7]), st.booleans())
+def test_fiber_row_matches_fiber(q, p, beta, k1_index, negate):
+    # the k-grid chambers_defect uses; q <= 2 (hops add), p < 0 and p >= q
+    # all occur, and -k1 covers negative momenta and a -0.0 at index 0
+    kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), 10, endpoint=False).astype(_LD)
+    k1 = -kgrid[k1_index] if negate else kgrid[k1_index]
+    row = _fiber_row_ld(p, q, beta, k1, kgrid)
+    loop = np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in kgrid])
+    assert np.array_equal(row, loop)
+    for part in (np.real, np.imag):  # the signs of zeros too: bit for bit
+        assert np.array_equal(np.signbit(part(row)), np.signbit(part(loop)))
 
 
 def test_chambers_fit_shared_across_flux_period():
@@ -277,7 +292,7 @@ def test_torus_blocks_match_real_space(p, q, beta, reps):
 def test_check_torus_containment_large_q(p, q, beta):
     # q > 12: the torus side is q itself (1/31 raises at beta = 1, a known
     # band-pairing failure, hence beta = 2 there)
-    r = check_torus_containment(RationalFlux(p, q), beta)
+    r = check_torus_containment(harper_spectrum(RationalFlux(p, q), beta))
     assert r.passed, r
 
 
