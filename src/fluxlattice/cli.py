@@ -132,12 +132,15 @@ def parse_config(doc: dict) -> RunConfig:
     fmt = doc.get("format")
     if fmt is not None and fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):  # open() takes ints as descriptors
+        raise ConfigError(f"field out must be a path string, got {out!r}")
     return RunConfig(potential=potential, alpha=float(doc["alpha"]),
                      beta=float(doc["beta"]), theta=theta, theta_repr=theta_repr,
                      q_max=q_max,
                      z_min=None if z_min is None else float(z_min),
                      z_max=None if z_max is None else float(z_max),
-                     k_max=k_max, fmt=fmt, out=doc.get("out"))
+                     k_max=k_max, fmt=fmt, out=out)
 
 
 def load_config(path: str) -> RunConfig:

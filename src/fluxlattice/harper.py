@@ -22,11 +22,14 @@ are the eigenvalues of H at the extremal momenta (0,0) and (pi/q, pi/q).
 
 The Chambers pipeline runs in extended precision (numpy longdouble): in plain
 float64 the roundoff of an 8x8 determinant already exceeds the 1e-9
-k-independence budget at beta = 2.  `chambers_defect` measures that
-independence with one batched LU kernel over stacks of E I - H(k): E I - H is
-cyclic tridiagonal, so below each pivot only two rows can be nonzero, and the
-kernel visits only those, with the pivot choices and arithmetic of the dense
-`_det_cld`.  It is exact for cyclic-tridiagonal input only.
+k-independence budget at beta = 2.  E I - H is cyclic tridiagonal, so its
+determinants come from one kernel, `_det_cyclic`, that reads the bands of H
+(diagonal, e^{i k1} and its conjugate) and keeps only the three rows partial
+pivoting can touch at each step, with the pivot choices and arithmetic of the
+dense `_det_cld`: memory O(1) per matrix, results equal bit for bit.
+`chambers_defect` hands it every matrix of its k-grid in one call, and the fit
+of P its q+1 node determinants in one call.  H depends on p mod q only, so the
+fit of P and the Harper bands are cached per (p mod q, q, beta).
 
 `torus_oracle` restricts M to an N x N torus and diagonalizes it through its N
 momentum blocks (N x N each, N^4 work instead of N^6 for the dense matrix),
@@ -113,19 +116,24 @@ def _fiber(p: int, q: int, beta, k1, k2, dtype=np.complex128) -> np.ndarray:
     return h
 
 
-def _fiber_row_ld(p: int, q: int, beta, k1, k2s: np.ndarray) -> np.ndarray:
-    """np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in k2s]) with
-    array operations: the same long-double arithmetic, and every entry summed
-    from zero in `_fiber`'s order, so the stack is equal bit for bit."""
+def _fiber_bands(p: int, q: int, beta, k1, k2):
+    """The bands of _fiber(p, q, beta, k1, k2, dtype=_CLD), broadcast over
+    arrays of momenta k1 and k2: (diag, upper, lower) with diag[..., j] =
+    H[j, j], upper = H[j, j+1] and lower = H[j+1, j], indices mod q.  Each is
+    summed from zero in `_fiber`'s order, so it equals that entry bit for bit:
+    for q = 1 both hops land on the diagonal, for q = 2 wrap and direct hop add
+    up in upper and in lower."""
     j = np.arange(q)
-    h = np.zeros((len(k2s), q, q), dtype=_CLD)
     angle = 2.0 * _PI_LD * ((p % q) * j % q).astype(_LD) / _LD(q)
-    e = np.exp(1j * _LD(k1))
-    k2s = np.asarray(k2s, dtype=_LD)
-    h[:, j, j] += _LD(2.0) * _LD(beta) ** 2 * np.cos(angle + k2s[:, None])
-    h[:, j, (j + 1) % q] += e  # for q <= 2 these land on the diagonal entries or
-    h[:, (j + 1) % q, j] += e.conjugate()  # on each other, in _fiber's order
-    return h
+    k2 = np.asarray(k2, dtype=_LD)[..., None]
+    diag = _CLD(0.0) + _LD(2.0) * _LD(beta) ** 2 * np.cos(angle + k2)
+    e = np.exp(1j * np.asarray(k1, dtype=_LD))
+    upper, lower = _CLD(0.0) + e, _CLD(0.0) + e.conjugate()
+    if q == 1:
+        diag = diag + e[..., None] + e.conjugate()[..., None]
+    elif q == 2:
+        upper, lower = upper + e.conjugate(), lower + e
+    return diag, upper, lower
 
 
 def bloch_matrix(f: RationalFlux, beta: float, k1: float, k2: float) -> np.ndarray:
@@ -152,39 +160,77 @@ def _det_cld(a: np.ndarray) -> np.clongdouble:
     return det * a[n - 1, n - 1]
 
 
-def _det_cyclic_many(a: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (m, q, q) of complex longdouble cyclic-tridiagonal
-    matrices; like LAPACK's getrf, the elimination overwrites a.
+def _det_cyclic(energy, diag, upper, lower) -> np.ndarray:
+    """det(E I - H) in complex longdouble for cyclic-tridiagonal H given by
+    the bands of `_fiber_bands`; energy, diag[..., j], upper and lower
+    broadcast together, and so does the result.
 
-    The LU of `_det_cld`, batched: pivoting keeps column col nonzero only in
-    rows col, col+1 and q-1 (the wrap row gathers all fill-in), so the pivot
-    search and the update touch those rows alone.  Pivots, row swaps and the
-    arithmetic on nonzeros are those of `_det_cld`, so each determinant equals
-    its result bit for bit; other sparsity patterns give wrong answers.  A zero
-    pivot gives det = 0 without dividing by it.
+    The LU of `_det_cld` on band data: pivoting keeps column c nonzero only in
+    rows c, c+1 and q-1 (the wrap row gathers all fill-in), and those rows are
+    zero outside columns {c, c+1, c+2, q-2, q-1}.  So the kernel holds just
+    that window of every matrix, O(1) entries each, and loads row c+2 from the
+    bands when it enters.  Pivots, row swaps and the arithmetic on nonzeros
+    are those of `_det_cld`, so each determinant equals its result bit for
+    bit.  A zero pivot gives det = 0 without dividing by it.
     """
-    m, n = a.shape[0], a.shape[1]
-    stack = np.arange(m)
+    energy = np.asarray(energy, dtype=_LD)
+    q = diag.shape[-1]
+    shape = np.broadcast_shapes(energy.shape, diag.shape[:-1], np.shape(upper),
+                                np.shape(lower))
+    m = math.prod(shape)
+    up = np.broadcast_to(-upper, shape).reshape(m)
+    lo = np.broadcast_to(-lower, shape).reshape(m)
+
+    def row(r):  # row r of E I - H as {column: entries}, before elimination
+        d = np.broadcast_to(energy - diag[..., r], shape).reshape(m)
+        if q == 1:
+            return {0: d}
+        if q == 2:
+            return {r: d, 1 - r: lo if r else up}
+        return {(r - 1) % q: lo, r: d, (r + 1) % q: up}
+
+    def window(c):
+        return sorted({c, c + 1, c + 2, q - 2, q - 1} & set(range(c, q)))
+
     det = np.ones(m, dtype=_CLD)
+    if q == 1:
+        return (det * row(0)[0]).reshape(shape)
+    rows, cols = sorted({0, 1, q - 1}), window(0)
+    a = np.zeros((m, len(rows), len(cols)), dtype=_CLD)
+    for i, r in enumerate(rows):
+        for col, val in row(r).items():
+            a[:, i, cols.index(col)] = val
+    stack = np.arange(m)
     singular = np.zeros(m, dtype=bool)
-    for col in range(n - 1):
-        rows = np.array(sorted({col, col + 1, n - 1}))  # ascending: ties as in _det_cld
-        piv = rows[np.argmax(np.abs(a[:, rows, col]), axis=1)]
-        top = a[stack, piv, col:]
-        a[stack, piv, col:] = a[:, col, col:]
-        a[:, col, col:] = top
-        det = np.where(piv != col, -det, det)
-        d = a[:, col, col]
+    for c in range(q - 1):
+        piv = np.argmax(np.abs(a[:, :, 0]), axis=1)  # rows ascend: ties as in _det_cld
+        top = a[stack, piv]
+        a[stack, piv] = a[:, 0]
+        a[:, 0] = top
+        det = np.where(piv != 0, -det, det)
+        d = a[:, 0, 0]
         zero = d == 0
         singular |= zero
         d = np.where(zero, _CLD(1.0), d)  # a zero pivot's column is zero: no update
         det = det * d
-        below = rows[1:]
-        factors = a[:, below, col] / d[:, None]
-        a[:, below, col + 1:] -= factors[:, :, None] * a[:, None, col, col + 1:]
-    det = det * a[:, n - 1, n - 1]
+        factors = a[:, 1:, 0] / d[:, None]
+        a[:, 1:, 1:] -= factors[:, :, None] * a[:, None, 0, 1:]
+        if c == q - 2:
+            break
+        # slide the window: rows c+1 and q-1 stay, row c+2 enters (unless it is q-1)
+        nxt, ncols = sorted({c + 1, c + 2, q - 1}), window(c + 1)
+        b = np.zeros((m, len(nxt), len(ncols)), dtype=_CLD)
+        kept = [k for k, col in enumerate(ncols) if col in cols]
+        src = [cols.index(ncols[k]) for k in kept]
+        for new, old in ((0, 1), (-1, 2)):
+            b[:, new, kept] = a[:, old, src]
+        if c + 2 < q - 1:
+            for col, val in row(c + 2).items():
+                b[:, 1, ncols.index(col)] = val
+        a, cols = b, ncols
+    det = det * a[:, -1, -1]
     det[singular] = 0
-    return det
+    return det.reshape(shape)
 
 
 def _polyval_ld(coeffs_desc: np.ndarray, x):
@@ -199,12 +245,10 @@ def _chambers_ld(p: int, q: int, beta: float) -> np.ndarray:
     """Descending longdouble coefficients of P(E) = det(E I - H(ref)) at the
     reference momentum (pi/2q, pi/2q), where both cosine terms vanish."""
     ref = _PI_LD / (2 * q)
-    href = _fiber(p, q, beta, ref, ref, dtype=_CLD)
     bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
     jj = np.arange(q + 1)
     nodes = bound * np.cos(_PI_LD * (2 * jj.astype(_LD) + 1) / (2 * (q + 1)))
-    eye = np.eye(q, dtype=_CLD)
-    vals = np.array([np.real(_det_cld(node * eye - href)) for node in nodes], dtype=_LD)
+    vals = np.real(_det_cyclic(nodes, *_fiber_bands(p, q, beta, ref, ref)))
     # Vandermonde solve, descending powers
     vander = np.vander(nodes, q + 1).astype(_LD)
     coeffs = _gauss_solve_ld(vander, vals)
@@ -258,8 +302,9 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
     """The degree-q Chambers polynomial P(E), momentum independent.
 
     Coefficients are fit from det(E I - H) at q+1 Chebyshev-spaced energies at
-    the reference momentum (pi/2q, pi/2q) and verified against a spot k-grid;
-    the fit is cached per (p mod q, q, beta), since H depends on p mod q only.
+    the reference momentum (pi/2q, pi/2q), all q+1 determinants from one
+    `_det_cyclic` call, and verified against a spot k-grid; the fit is cached
+    per (p mod q, q, beta), since H depends on p mod q only.
     """
     coeffs_desc = _chambers_ld(f.p % f.q, f.q, float(beta))
     return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])
@@ -269,9 +314,9 @@ def chambers_defect(f: RationalFlux, beta: float) -> float:
     """Max |det(E I - H(k)) + 2 cos(q k1) + 2 beta^{2q} cos(q k2) - P(E)| over a
     k-grid at in-band test energies; the measured momentum-independence defect.
 
-    The determinants come from `_det_cyclic_many`, one stack of n_k * n_e
-    matrices per k1; E I - H(k) is cyclic tridiagonal, which that kernel
-    requires, so they equal per-matrix `_det_cld` results exactly.
+    All n_k^2 * n_e determinants come from one `_det_cyclic` call on the band
+    data of the fibers, so no q x q matrix is built; they equal per-matrix
+    `_det_cld` results exactly.
     """
     p, q = f.p, f.q
     n_k, n_e = 10, 5  # k-grid points per axis, test energies
@@ -281,16 +326,10 @@ def chambers_defect(f: RationalFlux, beta: float) -> float:
     energies = (np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * beta_ld**2)).astype(_LD)
     poly = _polyval_ld(coeffs, energies)
     kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
-    shifted = energies[:, None, None] * np.eye(q, dtype=_CLD)
-    a = np.empty((n_k, n_e, q, q), dtype=_CLD)  # one buffer for every k1 row
-    worst = 0.0
-    for k1 in kgrid:
-        np.subtract(shifted, _fiber_row_ld(p, q, beta, k1, kgrid)[:, None], out=a)
-        det = np.real(_det_cyclic_many(a.reshape(-1, q, q)))
-        val = (det.reshape(n_k, n_e) + 2 * np.cos(q * k1)
-               + (level * np.cos(q * kgrid))[:, None])
-        worst = max(worst, float(np.max(np.abs((val - poly).astype(float)))))
-    return worst
+    k1, k2 = kgrid[:, None, None], kgrid[None, :, None]  # axes (k1, k2, energy)
+    det = np.real(_det_cyclic(energies, *_fiber_bands(p, q, beta, k1, k2)))
+    val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
+    return float(np.max(np.abs((val - poly).astype(float))))
 
 
 def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
@@ -300,9 +339,18 @@ def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
     H(pi/q, pi/q) (roots of P = -L); sorted and paired they bound the q bands.
     Each edge is polished by bisection on the longdouble P when a sign change
     survives in a tight bracket (touching bands have double roots and keep the
-    eigenvalue value).  Touching bands stay separate intervals.
+    eigenvalue value).  Touching bands stay separate intervals.  H depends on
+    p mod q only, so the bands are cached per (p mod q, q, beta) and returned
+    with the flux asked for; a pairing failure names that flux.
     """
-    p, q = f.p, f.q
+    bands = _harper_bands(f.p % f.q, f.q, float(beta))
+    if any(lo > hi for lo, hi in bands):
+        raise ConsistencyError(f"band pairing failed for theta={f}, beta={beta}")
+    return HarperBands(flux=f, beta=float(beta), bands=bands)
+
+
+@lru_cache(maxsize=256)
+def _harper_bands(p: int, q: int, beta: float) -> tuple[tuple[float, float], ...]:
     e_plus = np.linalg.eigvalsh(_fiber(p, q, beta, 0.0, 0.0))
     e_minus = np.linalg.eigvalsh(_fiber(p, q, beta, np.pi / q, np.pi / q))
     beta_ld = _LD(beta)
@@ -310,15 +358,12 @@ def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
     roots = [(float(e), _LD(1.0)) for e in e_plus] + [(float(e), _LD(-1.0)) for e in e_minus]
     roots.sort(key=lambda t: t[0])
     if float(level) < 1e12:  # beyond that the polynomial scale swamps the edge scale
-        coeffs = _chambers_ld(p % q, q, float(beta))
+        coeffs = _chambers_ld(p, q, beta)
         roots = [(_polish_edge(coeffs, e, s * level), s) for e, s in roots]
     edges = [e for e, _ in roots]
     bands = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(q))
-    bound = 2.0 * (1.0 + float(beta) ** 2)
-    bands = tuple((max(lo, -bound), min(hi, bound)) for lo, hi in bands)
-    if any(lo > hi for lo, hi in bands):
-        raise ConsistencyError(f"band pairing failed for theta={f}, beta={beta}")
-    return HarperBands(flux=f, beta=float(beta), bands=bands)
+    bound = 2.0 * (1.0 + beta ** 2)
+    return tuple((max(lo, -bound), min(hi, bound)) for lo, hi in bands)
 
 
 def _polish_edge(coeffs: np.ndarray, e: float, target) -> float:

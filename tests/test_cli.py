@@ -8,6 +8,7 @@ import pytest
 from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler,
                          harper_spectrum, make_potential, validation)
 from fluxlattice.cli import main
+from fluxlattice.harper import _harper_bands
 
 L = np.pi
 
@@ -217,6 +218,16 @@ def test_malformed_field_sample_rejected(tmp_path, capsys, field, name):
     assert err.startswith("config error:") and name in err
 
 
+@pytest.mark.parametrize("out", [True, 7, ["x"]], ids=["bool", "int", "list"])
+def test_non_string_out_rejected(tmp_path, capsys, out):
+    # open() would take true or 7 as a file descriptor, and fail on a list
+    cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2", "out": out})
+    assert main(["harper", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "field out" in captured.err
+
+
 def test_harper_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2"})
     assert main(["harper", "--config", cfg]) == 0
@@ -283,6 +294,14 @@ def test_validate_computes_harper_bands_once_per_flux(monkeypatch):
     results = validation.run_all(c, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
     assert all(r.passed for r in results)
     assert seen == ["2/5", "7/5"]
+
+
+def test_validate_computes_each_residue_once(free_coupling):
+    # 7/5 shares 2/5's fiber, so flux_periodicity reads the cached bands
+    _harper_bands.cache_clear()
+    validation.run_all(free_coupling, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
+    info = _harper_bands.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("beta", [-2.0, 0.0, float("nan"), float("inf")])

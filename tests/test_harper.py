@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          TorusSizeError, approximate_irrational, best_convergent,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
-from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld,
-                                _det_cyclic_many, _fiber, _fiber_row_ld, _polyval_ld)
+from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld, _det_cyclic,
+                                _fiber, _fiber_bands, _gauss_solve_ld, _harper_bands,
+                                _polyval_ld)
 from fluxlattice.validation import check_torus_containment
 from oracles import dense_kgrid_bands, landau_torus, symmetric_gauge_torus
 
@@ -77,34 +79,60 @@ def test_chambers_independence(beta):
                 assert chambers_defect(RationalFlux(p, q), beta) < 1e-9
 
 
-@settings(max_examples=40)
-@given(q=st.integers(1, 40), p=st.integers(-60, 60),
-       mats=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 2 * np.pi),
-                               st.floats(0.0, 2 * np.pi), st.floats(-25.0, 25.0)),
-                     min_size=1, max_size=6))
-def test_cyclic_det_kernel_matches_dense_lu(q, p, mats):
-    eye = np.eye(q, dtype=_CLD)
-    stack = np.stack([_LD(e) * eye - _fiber(p, q, beta, _LD(k1), _LD(k2), dtype=_CLD)
-                      for beta, k1, k2, e in mats])
-    dense = np.array([_det_cld(a) for a in stack], dtype=_CLD)
-    assert np.array_equal(_det_cyclic_many(stack), dense)  # overwrites stack
+def _dense_band_matrix(e, diag, upper, lower):
+    """E I - H from the bands `_det_cyclic` reads, built entry by entry."""
+    q = len(diag)
+    a = np.zeros((q, q), dtype=_CLD)
+    if q == 2:  # wrap and direct hop share each off-diagonal entry
+        a[0, 1], a[1, 0] = -upper, -lower
+    elif q > 2:
+        for j in range(q):
+            a[j, (j + 1) % q], a[(j + 1) % q, j] = -upper, -lower
+    a[np.arange(q), np.arange(q)] = _LD(e) - diag
+    return a
+
+
+# small integers make exact cancellations, hence zero pivots at any column
+_ENTRY = st.one_of(
+    st.sampled_from([0, 1, -1, 1j]),
+    st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80)
+@given(q=st.one_of(st.integers(1, 4), st.integers(1, 50)), data=st.data())
+def test_cyclic_det_kernel_matches_dense_lu(q, data):
+    # random complex band data, not only Hermitian fibers; small q is drawn
+    # often: hops add up (q <= 2) or fill the whole matrix (q = 3)
+    m = data.draw(st.integers(1, 6))
+    energy = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]),
+                                         min_size=m, max_size=m)), dtype=_LD)
+    diag = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=q, max_size=q),
+                                       min_size=m, max_size=m)), dtype=_CLD)
+    hop = st.one_of(st.just(0), _ENTRY)  # zero hops: pivots vanish anywhere
+    upper, lower = (np.array(data.draw(st.lists(hop, min_size=m, max_size=m)),
+                             dtype=_CLD) for _ in range(2))
+    dense = [_det_cld(_dense_band_matrix(*band))
+             for band in zip(energy, diag, upper, lower)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero pivot must not be divided by
+        dets = _det_cyclic(energy, diag, upper, lower)
+    assert np.array_equal(dets, dense)
 
 
 def test_cyclic_det_kernel_zero_pivot():
-    regular = _LD(0.3) * np.eye(4, dtype=_CLD) - _fiber(1, 4, 1.0, _LD(0.2), _LD(0.7),
-                                                         dtype=_CLD)
-    first = np.zeros((4, 4), dtype=_CLD)  # column 0 vanishes: zero pivot at once
-    first[1, 2] = first[2, 1] = first[2, 3] = first[3, 2] = first[3, 3] = 1
-    later = np.zeros((4, 4), dtype=_CLD)  # column 1 vanishes after eliminating column 0
-    later[0, 0] = later[0, 1] = later[1, 0] = later[1, 1] = 1
-    later[1, 2] = later[2, 2] = later[2, 3] = later[3, 2] = later[3, 3] = 2
-    stack = np.stack([regular, first, later])
-    dense = [_det_cld(a) for a in stack]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        dets = _det_cyclic_many(stack)
-    assert dets[1] == 0 and dets[2] == 0 and dets[0] != 0
-    assert np.array_equal(dets, dense)
+    cases = [  # energy, diag, upper, lower, singular
+        (0.0, [0, 1, 2, 3], 0, 0, True),          # column 0 vanishes at once
+        (0.0, [1, 2, 0, 3, 4, 5], 0, 0, True),    # a later diagonal pivot is zero
+        (0.0, [-1, -1, 5], -1, -1, True),         # column 1 vanishes after elimination
+        (2.0, [1, 1, 7, 1j], 1 + 1j, 0, False),   # regular, non-Hermitian
+    ]
+    for energy, diag, upper, lower, singular in cases:
+        band = (_LD(energy), np.array(diag, dtype=_CLD), _CLD(upper), _CLD(lower))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det = _det_cyclic(*band)
+        assert det == _det_cld(_dense_band_matrix(*band))
+        assert (det == 0) == singular
 
 
 def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
@@ -126,25 +154,61 @@ def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
     return worst
 
 
-@pytest.mark.parametrize("p,q", [(5, 13), (8, 21)])
+@pytest.mark.parametrize("p,q", [(5, 13), (8, 21), (0, 1), (1, 2), (2, 3), (13, 34),
+                                 (1, 50)])
 def test_chambers_defect_matches_dense_loop(p, q):
     f = RationalFlux(p, q)
-    assert chambers_defect(f, 1.0) == _dense_chambers_defect(f, 1.0)
+    for beta in (0.5, 1.0, 2.0):
+        assert chambers_defect(f, beta) == _dense_chambers_defect(f, beta)
+
+
+@pytest.mark.parametrize("p,q,beta", [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (5, 13, 1.0),
+                                      (13, 34, 0.5), (1, 50, 2.0)])
+def test_chambers_fit_matches_dense_fit(p, q, beta):
+    # the fit of P with one dense _det_cld per node, then the same solve
+    ref = _PI_LD / (2 * q)
+    href = _fiber(p, q, beta, ref, ref, dtype=_CLD)
+    bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
+    jj = np.arange(q + 1)
+    nodes = bound * np.cos(_PI_LD * (2 * jj.astype(_LD) + 1) / (2 * (q + 1)))
+    eye = np.eye(q, dtype=_CLD)
+    vals = np.array([np.real(_det_cld(node * eye - href)) for node in nodes], dtype=_LD)
+    dense = _gauss_solve_ld(np.vander(nodes, q + 1).astype(_LD), vals)
+    assert np.array_equal(_chambers_ld(p, q, beta), dense)
+
+
+def test_chambers_defect_peak_memory():
+    # one kernel call over all 500 matrices of q = 50; a dense (500, q, q)
+    # stack alone would take 40 MB
+    _chambers_ld.cache_clear()
+    tracemalloc.start()
+    try:
+        chambers_defect(RationalFlux(1, 50), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 40), st.integers(-120, 120), st.floats(0.3, 2.5),
        st.sampled_from([0, 3, 7]), st.booleans())
 def test_fiber_row_matches_fiber(q, p, beta, k1_index, negate):
-    # the k-grid chambers_defect uses; q <= 2 (hops add), p < 0 and p >= q
-    # all occur, and -k1 covers negative momenta and a -0.0 at index 0
+    # the bands of the k-grid row chambers_defect uses; q <= 2 (hops add), p < 0
+    # and p >= q all occur, and -k1 covers negative momenta and a -0.0 at index 0
     kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), 10, endpoint=False).astype(_LD)
     k1 = -kgrid[k1_index] if negate else kgrid[k1_index]
-    row = _fiber_row_ld(p, q, beta, k1, kgrid)
+    diag, upper, lower = _fiber_bands(p, q, beta, k1, kgrid)
     loop = np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in kgrid])
-    assert np.array_equal(row, loop)
-    for part in (np.real, np.imag):  # the signs of zeros too: bit for bit
-        assert np.array_equal(np.signbit(part(row)), np.signbit(part(loop)))
+    j, nxt = np.arange(q), (np.arange(q) + 1) % q
+    pairs = [(diag, loop[:, j, j])]
+    if q > 1:
+        pairs += [(np.broadcast_to(upper, (10, q)), loop[:, j, nxt]),
+                  (np.broadcast_to(lower, (10, q)), loop[:, nxt, j])]
+    for band, entries in pairs:
+        assert np.array_equal(band, entries)
+        for part in (np.real, np.imag):  # the signs of zeros too: bit for bit
+            assert np.array_equal(np.signbit(part(band)), np.signbit(part(entries)))
 
 
 def test_chambers_fit_shared_across_flux_period():
@@ -218,8 +282,26 @@ def test_band_count_at_most_q():
 def test_flux_periodicity_bands():
     for (p, q) in [(0, 1), (1, 2), (1, 3), (2, 5), (3, 7)]:
         a = harper_spectrum(RationalFlux(p, q), 1.3).edges
+        _harper_bands.cache_clear()  # compute p + q afresh, not from p's entry
         b = harper_spectrum(RationalFlux(p + q, q), 1.3).edges
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_harper_cache_returns_requested_flux():
+    base = harper_spectrum(RationalFlux(2, 5), 1.3)
+    before = _harper_bands.cache_info()
+    shifted = harper_spectrum(RationalFlux(7, 5), 1.3)
+    after = _harper_bands.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert shifted.flux == RationalFlux(7, 5) and shifted.bands == base.bands
+
+
+def test_harper_cached_failure_names_requested_flux():
+    # 1/31 at beta = 1 is a known band-pairing failure; 32/31 shares its entry
+    with pytest.raises(ConsistencyError, match=r"theta=1/31,"):
+        harper_spectrum(RationalFlux(1, 31), 1.0)
+    with pytest.raises(ConsistencyError, match=r"theta=32/31,"):
+        harper_spectrum(RationalFlux(32, 31), 1.0)
 
 
 def test_flux_reflection():
