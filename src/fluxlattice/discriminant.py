@@ -126,9 +126,10 @@ def _solve_batch(g, lo, hi, sign_lo):
     within EDGE_TOL_Z/2 of its last one, g is also taken at x -+ EDGE_TOL_Z/2
     in the same call: a sign change among the three ends the lane at the one
     of smallest |g|, three equal signs narrow the bracket past them.  A lane
-    whose bracket is at most EDGE_TOL_Z wide ends at its endpoint of smaller
-    |g|.  Every root thus comes with a sign change inside a bracket at most
-    EDGE_TOL_Z wide.
+    whose bracket is at most EDGE_TOL_Z wide, or whose two ends are adjacent
+    doubles (|z| >= 2^19, where one ulp exceeds EDGE_TOL_Z), ends at its
+    endpoint of smaller |g|.  Every root thus comes with a sign change inside
+    a bracket at most max(EDGE_TOL_Z, one ulp) wide.
     """
     half = 0.5 * EDGE_TOL_Z
     a = np.array(lo, dtype=float)
@@ -146,7 +147,7 @@ def _solve_batch(g, lo, hi, sign_lo):
     ref = b - a                    # width when the bracket last halved
     done = np.zeros(n, dtype=bool)
     for _ in range(300):
-        narrow = ~done & (b - a <= EDGE_TOL_Z)
+        narrow = ~done & ((b - a <= EDGE_TOL_Z) | (np.nextafter(a, b) >= b))
         if np.any(narrow):
             ga = np.where(np.isnan(fa), np.inf, np.abs(fa))
             gb = np.where(np.isnan(fb), np.inf, np.abs(fb))
@@ -208,35 +209,38 @@ def _solve_batch(g, lo, hi, sign_lo):
     return x
 
 
-def _scan_windows(p: Potential, g_many, threshold: float,
-                  z_min: float | None, z_max: float) -> list[dict]:
-    """Maximal closed windows of |g| <= threshold intersecting [z_min, z_max].
+def band_windows(c: CouplingParams, z_min: float | None,
+                 z_max: float) -> list[BandWindow]:
+    """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
 
-    g must share the discriminant's structure: sign alternation on the
-    Dirichlet eigenvalues of p, no root outside a window, +inf limit below
-    the spectrum.  Full edges are always resolved; clipping to the scan range
-    is recorded per window; z_min None clips nothing from below.
+    Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
+    windows share the eigenvalue as an endpoint and are kept distinct.
+    Full edges are always resolved; partial windows at the range boundary
+    come back clipped and flagged.  z_min None scans from below the lowest
+    window (eta > 2(1+beta^2) below its a_full, where the spectrum starts), so
+    none is clipped there.
     """
     if not np.isfinite(z_max) or (
             z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
-    mus = np.asarray(_mus_through(p, z_max))  # the last one is >= z_max
+    threshold = c.threshold
+    mus = np.asarray(_mus_through(c.potential, z_max))  # the last one is >= z_max
 
-    # left anchor below the lowest window: walk down until g > threshold
+    # left anchor below the lowest window: walk down until eta > threshold
     start = (float(mus[0]) if z_min is None else min(z_min, float(mus[0]))) - 1.0
     step = 1.0
     for _ in range(80):
-        if g_many(np.asarray([start]))[0] > threshold:
+        if eta_many(c, np.asarray([start]))[0] > threshold:
             break
         start -= step
         step *= 2.0
     else:
-        raise NumericalError("could not find g > threshold below the lowest window")
+        raise NumericalError("could not find eta > threshold below the lowest window")
     if z_min is None:
         z_min = start  # the lowest window lies above its anchor
 
     anchors = np.concatenate([[start], mus])
-    g_anchor = g_many(anchors)
+    eta_anchor = eta_many(c, anchors)
 
     # segments whose window could intersect [z_min, z_max]
     seg = np.array([i for i in range(len(anchors) - 1)
@@ -244,34 +248,34 @@ def _scan_windows(p: Potential, g_many, threshold: float,
     if seg.size == 0:
         return []
     left, right = anchors[seg], anchors[seg + 1]
-    g_left, g_right = g_anchor[seg], g_anchor[seg + 1]
+    eta_left, eta_right = eta_anchor[seg], eta_anchor[seg + 1]
 
-    # interior anchor: the unique root of g inside each segment
-    center = _solve_batch(lambda zz, _: g_many(zz), left, right, g_left)
+    # interior anchor: the unique root of eta inside each segment
+    center = _solve_batch(lambda zz, _: eta_many(c, zz), left, right, eta_left)
 
-    # Edges solve sign(g_anchor) * g = threshold between center and anchor.
-    # When |g(mu_k)| sits on the threshold itself the slope of g at mu_k
+    # Edges solve sign(eta_anchor) * eta = threshold between center and anchor.
+    # When |eta(mu_k)| sits on the threshold itself the slope of eta at mu_k
     # separates two geometries: an extremum (touching window, edge = mu_k,
     # where root finding would be sqrt(eps)-conditioned) versus a transversal
-    # return (the window ended at an interior crossing even though g came
+    # return (the window ended at an interior crossing even though eta came
     # back to the threshold exactly at mu_k); interior crossings are always
     # transversal (no extrema on the threshold), so their root finding is clean.
     dz = 1e-6 * np.maximum(1.0, np.abs(anchors))
-    d_anchor = (g_many(anchors + dz) - g_many(anchors - dz)) / (2.0 * dz)
+    d_anchor = (eta_many(c, anchors + dz) - eta_many(c, anchors - dz)) / (2.0 * dz)
     f_tol = 1e-8 * threshold
     slope_tol = 1e-4 * (1.0 + threshold)
     # Both edges of every window go into one solve: [left, center] with
-    # s g - threshold > 0 at its lower end, [center, right] with it < 0.
-    s_l, s_r = np.sign(g_left), np.sign(g_right)
-    do_left = (s_l * g_left - threshold > f_tol) | (s_l * d_anchor[seg] > slope_tol)
-    do_right = ((s_r * g_right - threshold > f_tol)
+    # s eta - threshold > 0 at its lower end, [center, right] with it < 0.
+    s_l, s_r = np.sign(eta_left), np.sign(eta_right)
+    do_left = (s_l * eta_left - threshold > f_tol) | (s_l * d_anchor[seg] > slope_tol)
+    do_right = ((s_r * eta_right - threshold > f_tol)
                 | (s_r * d_anchor[seg + 1] < -slope_tol))
     a_edge, b_edge = np.array(left), np.array(right)
     n_left = int(np.count_nonzero(do_left))
     if n_left or np.any(do_right):
         s = np.concatenate([s_l[do_left], s_r[do_right]])
         edges = _solve_batch(
-            lambda zz, lanes: s[lanes] * g_many(zz) - threshold,
+            lambda zz, lanes: s[lanes] * eta_many(c, zz) - threshold,
             np.concatenate([left[do_left], center[do_right]]),
             np.concatenate([center[do_left], right[do_right]]),
             np.concatenate([np.ones(n_left), -np.ones(len(s) - n_left)]))
@@ -281,32 +285,11 @@ def _scan_windows(p: Potential, g_many, threshold: float,
         a_f, b_f = float(a_edge[j]), float(b_edge[j])
         if b_f < z_min or a_f > z_max:
             continue
-        windows.append({
-            "index": int(i),
-            "a_full": a_f,
-            "b_full": b_f,
-            "a": max(a_f, z_min),
-            "b": min(b_f, z_max),
-            "increasing": bool(g_left[j] < 0),
-            "truncated_lo": a_f < z_min,
-            "truncated_hi": b_f > z_max,
-        })
+        windows.append(BandWindow(
+            index=int(i), a=max(a_f, z_min), b=min(b_f, z_max), a_full=a_f,
+            b_full=b_f, increasing=bool(eta_left[j] < 0), truncated_lo=a_f < z_min,
+            truncated_hi=b_f > z_max, coupling=c))
     return windows
-
-
-def band_windows(c: CouplingParams, z_min: float | None,
-                 z_max: float) -> list[BandWindow]:
-    """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
-
-    Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
-    windows share the eigenvalue as an endpoint and are kept distinct.
-    Partial windows at the range boundary come back clipped and flagged.
-    z_min None scans from below the lowest window (eta > 2(1+beta^2) below
-    its a_full, where the spectrum starts), so none is clipped there.
-    """
-    raw = _scan_windows(c.potential, lambda zz: eta_many(c, zz), c.threshold,
-                        z_min, z_max)
-    return [BandWindow(coupling=c, **w) for w in raw]
 
 
 def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:

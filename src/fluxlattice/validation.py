@@ -8,7 +8,11 @@ user's configuration.  The torus is diagonalized from its momentum blocks,
 built apart from the Bloch fiber behind the Harper bands, so containment
 compares two constructions.  `kp_trace_identity` restates eta algebraically:
 both sides combine the same four endpoint values of one propagation, so its
-defect can only show rounding, never a wrong basis.
+defect can only show rounding, never a wrong basis.  `flux_periodicity` is 0 by
+construction: (p+q)/q is assembled from the same scan and, since the fiber
+uses (p j) mod q and the Harper bands are cached per p mod q, from the same
+bands as p/q, so it inverts the same targets.  `chambers_independence` is the
+one check of the Chambers momentum independence.
 """
 
 from __future__ import annotations

@@ -4,16 +4,21 @@ Nothing here reuses the package's solution paths: the Dirichlet oracle is a
 finite-difference matrix eigenproblem, the Harper oracle a dense momentum-grid
 diagonalization, the torus the dense real-space matrix, the free and step
 edge bases closed trigonometric forms, and the linear-potential basis a closed
-Airy-function form.
+Airy-function form.  The Chambers determinants have an exact reference: a
+dense longdouble fiber and its determinant by dense LU with partial pivoting,
+the arithmetic the package's band kernel must reproduce bit for bit.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 def fd_dirichlet(vfunc, l, n_interior, k_count):
     """Finite-difference Dirichlet eigenvalues on [0, l], V sampled at the
     nodes: second order for smooth V, first order at a jump between nodes."""
+    # imported here: bench/oracles.py loads this module, and scipy.linalg
+    # would add about 28 MB and 0.35 s to every benchmark process
+    from scipy.linalg import eigh_tridiagonal
+
     h = l / (n_interior + 1)
     t = np.linspace(h, l - h, n_interior)
     diag = 2.0 / h**2 + vfunc(t)
@@ -83,6 +88,42 @@ def dense_fiber(p, q, beta, k1, k2):
         h[j, (j + 1) % q] += e
         h[(j + 1) % q, j] += e.conjugate()
     return h
+
+
+def dense_fiber_ld(p, q, beta, k1, k2):
+    """The Bloch fiber in complex longdouble, each entry summed in the order
+    of the package's float64 fiber (diagonal first, then each hop), so that
+    for q <= 2 the hops that land on one entry add up the same way."""
+    ld = np.longdouble
+    two_pi = 2.0 * np.arccos(ld(-1.0))
+    h = np.zeros((q, q), dtype=np.clongdouble)
+    diag_amp = ld(2.0) * ld(beta) ** 2
+    e = np.exp(1j * ld(k1))
+    for j in range(q):
+        h[j, j] += diag_amp * np.cos(two_pi * ld((p * j) % q) / ld(q) + ld(k2))
+        h[j, (j + 1) % q] += e
+        h[(j + 1) % q, j] += e.conjugate()
+    return h
+
+
+def dense_det_ld(a):
+    """Determinant by dense LU with partial pivoting (first row of largest
+    modulus) in complex longdouble; 0 at the first zero pivot."""
+    a = np.array(a, dtype=np.clongdouble)
+    n = a.shape[0]
+    det = np.clongdouble(1.0)
+    for col in range(n - 1):
+        piv = int(np.argmax(np.abs(a[col:, col]))) + col
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            det = -det
+        d = a[col, col]
+        if d == 0:
+            return np.clongdouble(0.0)
+        det = det * d
+        a[col + 1:, col + 1:] -= np.outer(a[col + 1:, col] / d, a[col, col + 1:])
+    return det * a[n - 1, n - 1]
+
 
 def dense_kgrid_bands(p, q, beta, nk=200):
     """Per-band (min, max) over an nk x nk momentum grid."""

@@ -289,3 +289,39 @@ def test_eta_against_closed_form(free_pot):
     for z in np.linspace(-4.0, 50.0, 93):
         assert eta(c, float(z)) == pytest.approx(
             free_eta(float(z), alpha=1.7, beta=1.1), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [700, 725, 1000, 3000])
+def test_solver_ends_at_adjacent_doubles(n):
+    # from |z| = 2^19 on one ulp of z exceeds EDGE_TOL_Z: a lane must end
+    # when its bracket ends are adjacent doubles, not at the iteration cap
+    calls = []
+
+    def f(z):
+        return np.sin(np.pi * np.sqrt(z))
+
+    def g(z, lanes):
+        calls.append(np.size(z))
+        return f(z)
+
+    lo, hi = float(n * n - n), float(n * n + n)  # the root n^2 alone inside
+    x = _solve_batch(g, [lo], [hi], np.sign(f(np.array([lo]))))[0]
+    near = f(np.array([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]))
+    assert len(calls) <= 12, len(calls)
+    assert near[1] == 0.0 or near[0] * near[1] < 0.0 or near[1] * near[2] < 0.0
+    assert abs(x - n * n) <= 4.0 * np.spacing(float(n * n))
+
+
+def test_eta_call_budget_above_ulp_tolerance(step_pot, monkeypatch):
+    # a window scan beyond 2^19, where no bracket narrows to EDGE_TOL_Z: each
+    # lane must end at adjacent doubles, not at the 300-step cap
+    calls = []
+
+    def counted(c, z):
+        calls.append(np.size(z))
+        return eta_many(c, z)
+
+    monkeypatch.setattr(discriminant, "eta_many", counted)
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    assert len(band_windows(c, 1e6, 1e6 + 3000.0)) == 3
+    assert len(calls) <= 20, len(calls)

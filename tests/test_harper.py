@@ -10,11 +10,13 @@ from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          TorusSizeError, approximate_irrational, best_convergent,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
-from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cld, _det_cyclic,
-                                _fiber, _fiber_bands, _gauss_solve_ld, _harper_bands,
+from fluxlattice import harper
+from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cyclic,
+                                _fiber_bands, _gauss_solve_ld, _harper_bands,
                                 _polyval_ld)
-from fluxlattice.validation import check_torus_containment
-from oracles import dense_kgrid_bands, landau_torus, symmetric_gauge_torus
+from fluxlattice.validation import check_chambers, check_torus_containment
+from oracles import (dense_det_ld, dense_fiber_ld, dense_kgrid_bands, landau_torus,
+                     symmetric_gauge_torus)
 
 SQ3 = np.sqrt(3.0)
 THIRD_FLUX_BANDS = [(-1.0 - SQ3, -2.0), (1.0 - SQ3, SQ3 - 1.0), (2.0, 1.0 + SQ3)]
@@ -79,6 +81,29 @@ def test_chambers_independence(beta):
                 assert chambers_defect(RationalFlux(p, q), beta) < 1e-9
 
 
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (3, 8)])
+def test_chambers_defect_sees_planted_fiber_error(p, q, monkeypatch):
+    # 1e-6 cos(k1) added to one diagonal entry makes det(E I - H(k)) depend
+    # on momentum beyond the Chambers terms; validate's check must fail
+    f = RationalFlux(p, q)
+    clean = check_chambers(f, 1.0)
+    bands = harper._fiber_bands
+
+    def planted(p, q, beta, k1, k2):
+        diag, upper, lower = bands(p, q, beta, k1, k2)
+        error = _LD(1e-6) * np.cos(np.asarray(k1, dtype=_LD))[..., None]
+        return diag + np.where(np.arange(q) == 0, error, 0), upper, lower
+
+    monkeypatch.setattr(harper, "_fiber_bands", planted)
+    _chambers_ld.cache_clear()  # fit P from the planted fiber too
+    try:
+        planted_check = check_chambers(f, 1.0)
+    finally:
+        _chambers_ld.cache_clear()
+    assert clean.passed and clean.defect < 1e-14
+    assert not planted_check.passed and planted_check.defect > 1e-5
+
+
 def _dense_band_matrix(e, diag, upper, lower):
     """E I - H from the bands `_det_cyclic` reads, built entry by entry."""
     q = len(diag)
@@ -111,7 +136,7 @@ def test_cyclic_det_kernel_matches_dense_lu(q, data):
     hop = st.one_of(st.just(0), _ENTRY)  # zero hops: pivots vanish anywhere
     upper, lower = (np.array(data.draw(st.lists(hop, min_size=m, max_size=m)),
                              dtype=_CLD) for _ in range(2))
-    dense = [_det_cld(_dense_band_matrix(*band))
+    dense = [dense_det_ld(_dense_band_matrix(*band))
              for band in zip(energy, diag, upper, lower)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero pivot must not be divided by
@@ -131,12 +156,12 @@ def test_cyclic_det_kernel_zero_pivot():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             det = _det_cyclic(*band)
-        assert det == _det_cld(_dense_band_matrix(*band))
+        assert det == dense_det_ld(_dense_band_matrix(*band))
         assert (det == 0) == singular
 
 
 def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
-    """chambers_defect with one dense _det_cld per momentum and energy."""
+    """chambers_defect with one dense LU per momentum and energy."""
     p, q = f.p, f.q
     coeffs = _chambers_ld(p % q, q, beta)
     level = _LD(2.0) * _LD(beta) ** (2 * q)
@@ -146,9 +171,9 @@ def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
     worst = 0.0
     for k1 in kgrid:
         for k2 in kgrid:
-            h = _fiber(p, q, beta, k1, k2, dtype=_CLD)
+            h = dense_fiber_ld(p, q, beta, k1, k2)
             for e in energies:
-                det = np.real(_det_cld(_LD(e) * eye - h))
+                det = np.real(dense_det_ld(_LD(e) * eye - h))
                 val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
                 worst = max(worst, abs(float(val - _polyval_ld(coeffs, _LD(e)))))
     return worst
@@ -165,14 +190,14 @@ def test_chambers_defect_matches_dense_loop(p, q):
 @pytest.mark.parametrize("p,q,beta", [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (5, 13, 1.0),
                                       (13, 34, 0.5), (1, 50, 2.0)])
 def test_chambers_fit_matches_dense_fit(p, q, beta):
-    # the fit of P with one dense _det_cld per node, then the same solve
+    # the fit of P with one dense LU per node, then the same solve
     ref = _PI_LD / (2 * q)
-    href = _fiber(p, q, beta, ref, ref, dtype=_CLD)
+    href = dense_fiber_ld(p, q, beta, ref, ref)
     bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
     jj = np.arange(q + 1)
     nodes = bound * np.cos(_PI_LD * (2 * jj.astype(_LD) + 1) / (2 * (q + 1)))
     eye = np.eye(q, dtype=_CLD)
-    vals = np.array([np.real(_det_cld(node * eye - href)) for node in nodes], dtype=_LD)
+    vals = np.array([np.real(dense_det_ld(node * eye - href)) for node in nodes], dtype=_LD)
     dense = _gauss_solve_ld(np.vander(nodes, q + 1).astype(_LD), vals)
     assert np.array_equal(_chambers_ld(p, q, beta), dense)
 
@@ -199,7 +224,7 @@ def test_fiber_row_matches_fiber(q, p, beta, k1_index, negate):
     kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), 10, endpoint=False).astype(_LD)
     k1 = -kgrid[k1_index] if negate else kgrid[k1_index]
     diag, upper, lower = _fiber_bands(p, q, beta, k1, kgrid)
-    loop = np.stack([_fiber(p, q, beta, k1, k2, dtype=_CLD) for k2 in kgrid])
+    loop = np.stack([dense_fiber_ld(p, q, beta, k1, k2) for k2 in kgrid])
     j, nxt = np.arange(q), (np.arange(q) + 1) % q
     pairs = [(diag, loop[:, j, j])]
     if q > 1:
