@@ -8,11 +8,13 @@ user's configuration.  The torus is diagonalized from its momentum blocks,
 built apart from the Bloch fiber behind the Harper bands, so containment
 compares two constructions.  `kp_trace_identity` restates eta algebraically:
 both sides combine the same four endpoint values of one propagation, so its
-defect can only show rounding, never a wrong basis.  `flux_periodicity` is 0 by
-construction: (p+q)/q is assembled from the same scan and, since the fiber
-uses (p j) mod q and the Harper bands are cached per p mod q, from the same
-bands as p/q, so it inverts the same targets.  `chambers_independence` is the
-one check of the Chambers momentum independence.
+defect can only show rounding, never a wrong basis.  `flux_periodicity`
+compares the Harper bands at p/q and (p+q)/q: the assembly reads the flux
+only through them, so equal bands mean equal spectra, and no spectrum is
+assembled here.  Since the fiber uses (p j) mod q and the bands are cached
+per p mod q, its defect is 0 by construction.  `chambers_independence` is the
+one check of the Chambers momentum independence, a relative defect (see
+`harper.chambers_defect`).
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import SpectralSet, _assemble, _scan, _Scan, resolve_flux
+from .assembler import _scan, resolve_flux
 from .discriminant import CouplingParams, eta_many, eta_on_pole
 from .edge_solver import _basis_many
-from .harper import HarperBands, RationalFlux, chambers_defect, torus_oracle
+from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
+                     torus_oracle)
 from .kp_oracle import kp_trace_many
 
 SIGN_ALTERNATION_SLACK = 1e-6  # equality is attained (free V, midpoint-even V)
@@ -65,7 +68,7 @@ def check_sign_alternation(c: CouplingParams, k_max: int = 10) -> PropertyResult
 
 def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
     return PropertyResult("chambers_independence",
-                          chambers_defect(flux, beta), 1e-9)
+                          chambers_defect(flux, beta), 1e-12)
 
 
 def check_kp_identity(c: CouplingParams, z_min: float, z_max: float) -> PropertyResult:
@@ -86,14 +89,13 @@ def check_torus_containment(bands: HarperBands) -> PropertyResult:
     return PropertyResult("torus_containment", float(np.max(dist)), 1e-9)
 
 
-def check_flux_periodicity(scan: _Scan, spec: SpectralSet) -> PropertyResult:
-    """spec is the spectrum at flux p/q assembled from scan; (p+q)/q must match it."""
-    shifted = RationalFlux(spec.flux.p + spec.flux.q, spec.flux.q)
-    sets = [spec, _assemble(scan, shifted, shifted.theta, None)]
-    ends = [np.asarray([(iv.z_lo, iv.z_hi) for iv in s.continuous]) for s in sets]
-    if ends[0].shape != ends[1].shape:
-        return PropertyResult("flux_periodicity", np.inf, 1e-9)
-    defect = float(np.max(np.abs(ends[0] - ends[1]))) if ends[0].size else 0.0
+def check_flux_periodicity(bands: HarperBands) -> PropertyResult:
+    """The Harper bands at (p+q)/q must equal those at p/q; the assembly reads
+    the flux only through them, so equal bands give equal spectra."""
+    flux = bands.flux
+    a = bands.edges
+    b = harper_spectrum(RationalFlux(flux.p + flux.q, flux.q), bands.beta).edges
+    defect = float(np.max(np.abs(a - b))) if a.shape == b.shape else np.inf
     return PropertyResult("flux_periodicity", defect, 1e-9)
 
 
@@ -107,6 +109,5 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
         check_chambers(flux, c.beta),
         check_kp_identity(c, scan.z_min, z_max),
     ]
-    spec = _assemble(scan, flux, flux.theta, None)  # its Harper bands serve the torus too
-    return results + [check_torus_containment(spec.harper),
-                      check_flux_periodicity(scan, spec)]
+    bands = harper_spectrum(flux, c.beta)
+    return results + [check_torus_containment(bands), check_flux_periodicity(bands)]

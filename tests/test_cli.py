@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler,
-                         harper_spectrum, make_potential, validation)
+                         discriminant, harper_spectrum, make_potential, validation)
 from fluxlattice.cli import main
 from fluxlattice.harper import _harper_bands
 
@@ -302,6 +303,38 @@ def test_validate_computes_each_residue_once(free_coupling):
     validation.run_all(free_coupling, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
     info = _harper_bands.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_validate_assembles_no_spectrum(step_pot, monkeypatch):
+    # the checks read Harper bands, never an assembled spectrum, so neither
+    # the assembly nor an eta inversion may run; validate-fib's 8/21 config
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate assembled a spectrum")
+
+    for module in (assembler, discriminant, validation):
+        for name in ("_assemble", "invert_eta_many"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    results = validation.run_all(c, RationalFlux(8, 21), None, 40.0)
+    assert [r.name for r in results] == VALIDATE_ORDER
+    assert all(r.passed for r in results), results
+
+
+def test_flux_periodicity_sees_shifted_band_edge(monkeypatch):
+    # the assembled form of this check is test_flux_periodicity_spectral_sets
+    def shifted(f, beta):
+        bands = harper_spectrum(f, beta)
+        if f.p >= f.q:  # the shifted flux (p+q)/q
+            (lo, hi), *rest = bands.bands
+            bands = dataclasses.replace(bands, bands=((lo, hi + 1e-6), *rest))
+        return bands
+
+    bands = harper_spectrum(RationalFlux(2, 5), 1.0)
+    assert validation.check_flux_periodicity(bands).defect == 0.0
+    monkeypatch.setattr(validation, "harper_spectrum", shifted)
+    r = validation.check_flux_periodicity(bands)
+    assert not r.passed and r.defect == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("beta", [-2.0, 0.0, float("nan"), float("inf")])

@@ -1,6 +1,8 @@
+import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
                          harper_spectrum, make_rational, torus_oracle)
 from fluxlattice import harper
 from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cyclic,
-                                _fiber_bands, _gauss_solve_ld, _harper_bands,
-                                _polyval_ld)
+                                _det_transfer, _fiber_bands, _gauss_solve_ld,
+                                _harper_bands)
 from fluxlattice.validation import check_chambers, check_torus_containment
 from oracles import (dense_det_ld, dense_fiber_ld, dense_kgrid_bands, landau_torus,
                      symmetric_gauge_torus)
@@ -81,12 +83,16 @@ def test_chambers_independence(beta):
                 assert chambers_defect(RationalFlux(p, q), beta) < 1e-9
 
 
-@pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (3, 8)])
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (3, 8), (8, 21), (13, 34)])
 def test_chambers_defect_sees_planted_fiber_error(p, q, monkeypatch):
     # 1e-6 cos(k1) added to one diagonal entry makes det(E I - H(k)) depend
-    # on momentum beyond the Chambers terms; validate's check must fail
+    # on momentum beyond the Chambers terms; validate's check must fail.  The
+    # entry's cofactor is of the size of the relation's terms over |E - H_00|,
+    # so the relative defect reads about 1e-6: 1.05e-6 to 1.15e-5 here, at
+    # least 5e5 times the tolerance, against clean defects below 4e-17
     f = RationalFlux(p, q)
-    clean = check_chambers(f, 1.0)
+    betas = (0.5, 1.0, 2.0)
+    clean = [check_chambers(f, beta) for beta in betas]
     bands = harper._fiber_bands
 
     def planted(p, q, beta, k1, k2):
@@ -94,14 +100,23 @@ def test_chambers_defect_sees_planted_fiber_error(p, q, monkeypatch):
         error = _LD(1e-6) * np.cos(np.asarray(k1, dtype=_LD))[..., None]
         return diag + np.where(np.arange(q) == 0, error, 0), upper, lower
 
-    monkeypatch.setattr(harper, "_fiber_bands", planted)
-    _chambers_ld.cache_clear()  # fit P from the planted fiber too
-    try:
-        planted_check = check_chambers(f, 1.0)
-    finally:
-        _chambers_ld.cache_clear()
-    assert clean.passed and clean.defect < 1e-14
-    assert not planted_check.passed and planted_check.defect > 1e-5
+    monkeypatch.setattr(harper, "_fiber_bands", planted)  # P(E) is planted too
+    for beta, clean_check in zip(betas, clean):
+        planted_check = check_chambers(f, beta)
+        assert clean_check.passed and clean_check.defect < 1e-14
+        assert not planted_check.passed and planted_check.defect > 5e-7
+
+
+FAREY_26 = [(p, q) for q in range(1, 27) for p in range(q + 1) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 2.0])
+def test_chambers_passes_default_range(beta):
+    # every Farey flux with q <= 26: the relation's terms reach 2 beta^{2q}
+    # = 9e15 at q = 26, beta = 2, where an absolute 1e-9 could not be met
+    failing = [(p, q, r.defect) for p, q in FAREY_26
+               if not (r := check_chambers(RationalFlux(p, q), beta)).passed]
+    assert failing == []
 
 
 def _dense_band_matrix(e, diag, upper, lower):
@@ -160,31 +175,102 @@ def test_cyclic_det_kernel_zero_pivot():
         assert (det == 0) == singular
 
 
+def _permanent(energy, diag, upper, lower):
+    """The permanent of |E I - H| for the bands `_det_transfer` reads: the
+    sum of the moduli of the terms of det(E I - H), in float64."""
+    a = np.abs((energy - diag).astype(complex))
+    u, l = abs(complex(upper)), abs(complex(lower))
+    q = len(a)
+    if q <= 2:
+        return a[0] if q == 1 else a[0] * a[1] + u * l
+    m = np.eye(2)
+    for aj in a:
+        m = np.array([[aj, u * l], [1.0, 0.0]]) @ m
+    return np.trace(m) + u**q + l**q
+
+
+@settings(max_examples=80)
+@given(q=st.one_of(st.integers(1, 4), st.integers(1, 50)), data=st.data())
+def test_transfer_det_kernel_matches_dense_lu(q, data):
+    # random complex band data, non-Hermitian hops, q <= 2 folded.  Each of the
+    # q steps of the transfer product rounds its entries within 2 ulps of the
+    # product of their moduli, so the trace is off by a few q ulps of the
+    # permanent of |E I - H|; the dense LU is off by about as much (up to
+    # 1.9 q ulps of it together, measured on 3000 random cases)
+    m = data.draw(st.integers(1, 6))
+    energy = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]),
+                                         min_size=m, max_size=m)), dtype=_LD)
+    diag = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=q, max_size=q),
+                                       min_size=m, max_size=m)), dtype=_CLD)
+    hop = st.one_of(st.just(0), _ENTRY)
+    upper, lower = (np.array(data.draw(st.lists(hop, min_size=m, max_size=m)),
+                             dtype=_CLD) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = _det_transfer(energy, diag, upper, lower)
+    eps = float(np.finfo(_LD).eps)
+    for det, band in zip(dets, zip(energy, diag, upper, lower)):
+        dense = dense_det_ld(_dense_band_matrix(*band))
+        assert abs(complex(det - dense)) <= 4 * q * eps * _permanent(*band)
+
+
+def _mp_chambers_p(p, q, beta, e):
+    """det(E I - H) at the exact reference momentum (pi/2q, pi/2q), where both
+    cosine terms vanish, by mpmath's LU at the working precision."""
+    ref = mp.pi / (2 * q)
+    a = mp.matrix(q, q)
+    for j in range(q):
+        a[j, j] = mp.mpf(e) - 2 * mp.mpf(beta) ** 2 * mp.cos(2 * mp.pi * ((p * j) % q) / q + ref)
+        a[j, (j + 1) % q], a[(j + 1) % q, j] = -mp.expj(ref), -mp.expj(-ref)
+    return mp.re(mp.det(a))
+
+
+def test_chambers_p_against_mpmath():
+    # P(E) at 13/34 to 40 digits.  Its terms reach 9e12 (beta = 1) and 6e20
+    # (beta = 2); the transfer trace is within 1.5e-17 of the largest, a few
+    # q ulps of longdouble
+    p, q = 13, 34
+    ref = _PI_LD / (2 * q)
+    for beta in (1.0, 2.0):
+        energies = (np.linspace(-0.8, 0.8, 5) * float(2 + 2 * _LD(beta) ** 2)).astype(_LD)
+        poly = np.real(_det_transfer(energies, *_fiber_bands(p, q, beta, ref, ref)))
+        with mp.workdps(40):
+            for e, got in zip(energies, poly):
+                exact = _mp_chambers_p(p, q, beta, float(e))
+                hi = float(got)  # the longdouble value exactly, as two doubles
+                value = mp.mpf(hi) + mp.mpf(float(got - _LD(hi)))
+                scale = 2 + 2 * mp.mpf(beta) ** (2 * q) + abs(exact)
+                assert abs(value - exact) / scale < 1e-16
+
+
 def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
-    """chambers_defect with one dense LU per momentum and energy."""
+    """chambers_defect with one dense LU per momentum and energy, P(E) too."""
     p, q = f.p, f.q
-    coeffs = _chambers_ld(p % q, q, beta)
     level = _LD(2.0) * _LD(beta) ** (2 * q)
     energies = np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * _LD(beta) ** 2)
     kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
     eye = np.eye(q, dtype=_CLD)
+    href = dense_fiber_ld(p, q, beta, _PI_LD / (2 * q), _PI_LD / (2 * q))
+    poly = [np.real(dense_det_ld(_LD(e) * eye - href)) for e in energies]
     worst = 0.0
     for k1 in kgrid:
         for k2 in kgrid:
             h = dense_fiber_ld(p, q, beta, k1, k2)
-            for e in energies:
+            for e, pe in zip(energies, poly):
                 det = np.real(dense_det_ld(_LD(e) * eye - h))
                 val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
-                worst = max(worst, abs(float(val - _polyval_ld(coeffs, _LD(e)))))
+                worst = max(worst, float(abs(val - pe) / (2 + level + abs(pe))))
     return worst
 
 
 @pytest.mark.parametrize("p,q", [(5, 13), (8, 21), (0, 1), (1, 2), (2, 3), (13, 34),
                                  (1, 50)])
 def test_chambers_defect_matches_dense_loop(p, q):
+    # both defects are rounding, each below 6.1e-17 here; they differ by at
+    # most 4.8e-18, so 1e-16 holds with margin and is 1e4 below the tolerance
     f = RationalFlux(p, q)
     for beta in (0.5, 1.0, 2.0):
-        assert chambers_defect(f, beta) == _dense_chambers_defect(f, beta)
+        assert abs(chambers_defect(f, beta) - _dense_chambers_defect(f, beta)) < 1e-16
 
 
 @pytest.mark.parametrize("p,q,beta", [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (5, 13, 1.0),
