@@ -4,12 +4,12 @@ The spectrum splits as Sigma_0 (the Dirichlet eigenvalues mu_k, infinitely
 degenerate point spectrum) union Sigma = eta^{-1}(spec M(theta, beta)).  Per
 band window J_n and Harper band [e-, e+] the continuous part receives the
 monotone pullback [eta^{-1}(y1), eta^{-1}(y2)] with the endpoint order set by
-the window orientation.  Eigenvalues are classified against the Harper bands
-through eta(mu_k): strictly outside every band -> Isolated, on an edge within
-tolerance -> BandEdge, strictly inside -> Embedded.
+the window orientation.  Each mu_k is BandEdge when theta is an integer and
+|eta(mu_k)| sits on the threshold 2(1+beta^2), and Isolated otherwise
+(`classify_eigenvalue`); no Harper band is read for it.
 
-The scan range, band windows and eta(mu_k) do not depend on the flux, so a
-request computes them once (`_scan`) and reuses them for every flux.
+The scan range, band windows and the mu_k in range do not depend on the flux,
+so a request computes them once (`_scan`) and reuses them for every flux.
 """
 
 from __future__ import annotations
@@ -20,19 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import (BandWindow, CouplingParams, band_windows, eta_many,
-                           eta_on_pole, invert_eta_many)
+from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
+                           eta_many, eta_on_pole, invert_eta_many)
 from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
 from .potential import Potential
 
-EDGE_CLASSIFY_TOL = 1e-9
-
 
 class Classification(enum.Enum):
     ISOLATED = "Isolated"
-    EMBEDDED = "Embedded"
     BAND_EDGE = "BandEdge"
 
 
@@ -65,7 +62,6 @@ class SpectralSet:
     z_max: float
     coupling: CouplingParams = field(repr=False)
     flux: RationalFlux = RationalFlux(0, 1)
-    theta_input: float = 0.0
     convergent_used: str | None = None  # "p/q" when a decimal theta was resolved
     harper: HarperBands | None = field(default=None, repr=False)
     windows: tuple[BandWindow, ...] = field(default=(), repr=False)
@@ -103,33 +99,32 @@ def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
 
 
 def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int) -> Classification:
-    """Locate eta(mu_k) relative to the Harper bands of M(theta, beta)."""
-    y = eta_on_pole(c, k)
-    bands = harper_spectrum(f, c.beta)
-    return _classify_value(y, bands, EDGE_CLASSIFY_TOL)
+    """BandEdge iff theta is an integer and |eta(mu_k)| is on 2(1+beta^2).
 
-
-def _classify_value(y: float, bands: HarperBands, tol: float) -> Classification:
-    for lo, hi in bands.bands:
-        if abs(y - lo) <= tol or abs(y - hi) <= tol:
-            return Classification.BAND_EDGE
-        if lo < y < hi:
-            return Classification.EMBEDDED
+    Two facts make the Harper bands unnecessary: the Wronskian gives
+    eta(mu_k) = (1+beta^2)(nu + 1/nu) with nu = u1'(l; mu_k), so |eta(mu_k)|
+    >= 2(1+beta^2) (Magnus-Winkler, Hill's Equation, 1966); and ||M(theta)||
+    < 2(1+beta^2) unless theta is an integer, where spec M is the one band
+    [-2(1+beta^2), 2(1+beta^2)].  "On" means within THRESHOLD_RTOL (1e-8,
+    relative), the tolerance that clamps window edges to mu_k.
+    """
+    if f.q == 1 and not escapes_threshold(c, eta_on_pole(c, k)):
+        return Classification.BAND_EDGE
     return Classification.ISOLATED
 
 
 @dataclass(frozen=True)
 class _Scan:
     """The flux-independent part of a request over [z_min, z_max]: y_bounds
-    is eta's range on each window as clipped, poles holds (k, mu_k, eta(mu_k))
-    for mu_k in range."""
+    is eta's range on each window as clipped, poles holds (k, mu_k) for mu_k in
+    range."""
 
     coupling: CouplingParams
     z_min: float
     z_max: float
     windows: tuple[BandWindow, ...]
     y_bounds: tuple[tuple[float, float], ...]
-    poles: tuple[tuple[int, float, float], ...]
+    poles: tuple[tuple[int, float], ...]
 
 
 def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
@@ -146,14 +141,13 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
              else [-c.threshold, c.threshold])
         y_bounds.append((float(np.min(v)), float(np.max(v))))
     mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
-    poles = tuple((k, mu, eta_on_pole(c, k)) for k, mu in enumerate(mus)
-                  if z_min <= mu <= z_max)
+    poles = tuple((k, mu) for k, mu in enumerate(mus) if z_min <= mu <= z_max)
     return _Scan(coupling=c, z_min=float(z_min), z_max=float(z_max),
                  windows=tuple(windows), y_bounds=tuple(y_bounds), poles=poles)
 
 
-def _assemble(scan: _Scan, flux: RationalFlux, theta_input: float,
-              convergent_used: str | None) -> SpectralSet:
+def _assemble(scan: _Scan, flux: RationalFlux, convergent_used: str | None
+              ) -> SpectralSet:
     harper = harper_spectrum(flux, scan.coupling.beta)
     threshold = scan.coupling.threshold
     # collect every (window, band) pair, invert all endpoints that clipping
@@ -190,11 +184,11 @@ def _assemble(scan: _Scan, flux: RationalFlux, theta_input: float,
     intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
     return SpectralSet(
         point_spectrum=tuple(
-            PointEigenvalue(k, mu, _classify_value(y, harper, EDGE_CLASSIFY_TOL))
-            for k, mu, y in scan.poles),
+            PointEigenvalue(k, mu, classify_eigenvalue(scan.coupling, flux, k))
+            for k, mu in scan.poles),
         continuous=tuple(intervals),
         z_min=scan.z_min, z_max=scan.z_max,
-        coupling=scan.coupling, flux=flux, theta_input=theta_input,
+        coupling=scan.coupling, flux=flux,
         convergent_used=convergent_used,
         harper=harper,
         windows=scan.windows,
@@ -213,8 +207,7 @@ def graph_spectrum(p: Potential, c: CouplingParams, theta,
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     flux, convergent_used = resolve_flux(theta, q_max)
-    theta_input = flux.theta if isinstance(theta, RationalFlux) else float(theta)
-    return _assemble(_scan(c, z_min, z_max), flux, theta_input, convergent_used)
+    return _assemble(_scan(c, z_min, z_max), flux, convergent_used)
 
 
 def gap_report(s: SpectralSet) -> GapReport:
@@ -273,7 +266,7 @@ def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
     diagnostics: list[str] = []
     for flux in farey_fluxes(q_max):
         try:
-            s = _assemble(scan, flux, flux.theta, None)
+            s = _assemble(scan, flux, None)
         except NumericalError as exc:
             diagnostics.append(f"theta={flux}: {exc}")
             continue

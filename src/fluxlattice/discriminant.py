@@ -13,7 +13,7 @@ J_n on which eta is a strictly monotone homeomorphism onto
     inter-eigenvalue segment is a certified interior point, and it brackets
     each window edge together with the segment's eigenvalue;
   * windows may touch at mu_k (free lattice): an edge is clamped to mu_k
-    whenever eta(mu_k) has not numerically escaped the threshold.
+    whenever `escapes_threshold` is false at eta(mu_k).
 
 eta is always evaluated in its entire form, never through the
 Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
@@ -39,6 +39,7 @@ from .potential import Potential
 
 EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
 INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) of an inversion
+THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it
 
 
 def check_coupling(alpha: float, beta: float) -> None:
@@ -105,6 +106,12 @@ def eta_on_pole(c: CouplingParams, k: int) -> float:
     """eta(mu_k) = (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the alpha term drops
     since u1(l;mu_k) = 0, so the value is coupling-independent."""
     return (1.0 + c.beta**2) * _nus_upto(c.potential, round_up_index(k))[k]
+
+
+def escapes_threshold(c: CouplingParams, y):
+    """Elementwise |y| - 2(1+beta^2) > THRESHOLD_RTOL * 2(1+beta^2): y lies off
+    the threshold by more than rounding."""
+    return np.abs(y) - c.threshold > THRESHOLD_RTOL * c.threshold
 
 
 @lru_cache(maxsize=512)
@@ -262,14 +269,12 @@ def band_windows(c: CouplingParams, z_min: float | None,
     # transversal (no extrema on the threshold), so their root finding is clean.
     dz = 1e-6 * np.maximum(1.0, np.abs(anchors))
     d_anchor = (eta_many(c, anchors + dz) - eta_many(c, anchors - dz)) / (2.0 * dz)
-    f_tol = 1e-8 * threshold
     slope_tol = 1e-4 * (1.0 + threshold)
     # Both edges of every window go into one solve: [left, center] with
     # s eta - threshold > 0 at its lower end, [center, right] with it < 0.
     s_l, s_r = np.sign(eta_left), np.sign(eta_right)
-    do_left = (s_l * eta_left - threshold > f_tol) | (s_l * d_anchor[seg] > slope_tol)
-    do_right = ((s_r * eta_right - threshold > f_tol)
-                | (s_r * d_anchor[seg + 1] < -slope_tol))
+    do_left = escapes_threshold(c, eta_left) | (s_l * d_anchor[seg] > slope_tol)
+    do_right = escapes_threshold(c, eta_right) | (s_r * d_anchor[seg + 1] < -slope_tol)
     a_edge, b_edge = np.array(left), np.array(right)
     n_left = int(np.count_nonzero(do_left))
     if n_left or np.any(do_right):

@@ -103,9 +103,6 @@ class HarperBands:
     def max_abs_edge(self) -> float:
         return float(np.max(np.abs(self.edges)))
 
-    def contains(self, e: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= e <= hi + tol for lo, hi in self.bands)
-
 
 def _fiber(p: int, q: int, beta, k1, k2) -> np.ndarray:
     h = np.zeros((q, q), dtype=complex)
@@ -294,9 +291,10 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
     Coefficients are fit from det(E I - H) at q+1 Chebyshev-spaced energies at
     the reference momentum (pi/2q, pi/2q), all q+1 determinants from one
     `_det_cyclic` call; the fit is cached per (p mod q, q, beta), since H
-    depends on p mod q only.  It serves the band-edge polish of
-    `harper_spectrum`; `chambers_defect` takes P(E) from a transfer trace
-    instead, so the fit's own accuracy is checked by the tests, not there.
+    depends on p mod q only.  `_harper_bands` reads the cached fit
+    `_chambers_ld` directly for its band-edge polish, and `chambers_defect`
+    takes P(E) from a transfer trace, so nothing in the package calls this
+    wrapper; the tests check the fit through it.
     """
     coeffs_desc = _chambers_ld(f.p % f.q, f.q, float(beta))
     return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])

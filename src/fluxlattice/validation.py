@@ -10,8 +10,8 @@ compares two constructions.  `kp_trace_identity` restates eta algebraically:
 both sides combine the same four endpoint values of one propagation, so its
 defect can only show rounding, never a wrong basis.  `flux_periodicity`
 compares the Harper bands at p/q and (p+q)/q: the assembly reads the flux
-only through them, so equal bands mean equal spectra, and no spectrum is
-assembled here.  Since the fiber uses (p j) mod q and the bands are cached
+only through them and q, so equal bands mean equal spectra, and no spectrum
+is assembled here.  Since the fiber uses (p j) mod q and the bands are cached
 per p mod q, its defect is 0 by construction.  `chambers_independence` is the
 one check of the Chambers momentum independence, a relative defect (see
 `harper.chambers_defect`).
@@ -91,7 +91,7 @@ def check_torus_containment(bands: HarperBands) -> PropertyResult:
 
 def check_flux_periodicity(bands: HarperBands) -> PropertyResult:
     """The Harper bands at (p+q)/q must equal those at p/q; the assembly reads
-    the flux only through them, so equal bands give equal spectra."""
+    the flux only through them and q, so equal bands give equal spectra."""
     flux = bands.flux
     a = bands.edges
     b = harper_spectrum(RationalFlux(flux.p + flux.q, flux.q), bands.beta).edges

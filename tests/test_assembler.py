@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (Classification, ConfigError, CouplingParams, RationalFlux,
+from fluxlattice import (Classification, ConfigError, ConsistencyError,
+                         CouplingParams, RationalFlux, assembler, bloch_matrix,
                          butterfly_sweep, classify_eigenvalue,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
-                         graph_spectrum, resolve_flux)
-from fluxlattice.discriminant import eta_many
+                         graph_spectrum, harper, make_potential, resolve_flux)
+from fluxlattice.discriminant import (THRESHOLD_RTOL, band_windows, eta_many,
+                                      eta_on_pole)
 from oracles import merged_intervals
 
 L = np.pi
@@ -23,8 +25,7 @@ def test_free_integer_flux_full_line(free_pot, free_coupling):
     assert [pt.mu for pt in s.point_spectrum] == pytest.approx([1.0, 4.0, 9.0],
                                                                abs=1e-10)
     for pt in s.point_spectrum:
-        assert pt.classification in (Classification.BAND_EDGE,
-                                     Classification.EMBEDDED)
+        assert pt.classification is Classification.BAND_EDGE
     assert gap_report(s).gaps == () or all(g.hi <= 0.0 for g in gap_report(s).gaps)
 
 
@@ -92,6 +93,83 @@ def test_classify_convex_potential_isolated(linear_pot):
     for k in range(6):
         assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
             Classification.ISOLATED
+
+
+@st.composite
+def mirror_steps(draw):
+    """A piecewise-constant edge symmetric about l/2, so |u1'(l; mu_k)| = 1."""
+    cuts = sorted(draw(st.lists(st.floats(0.1, L / 2 - 0.1), min_size=1,
+                                max_size=3, unique=True)))
+    if any(b - a < 0.05 for a, b in zip(cuts, cuts[1:])):
+        cuts = cuts[:1]
+    vals = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(cuts) + 1,
+                         max_size=len(cuts) + 1))
+    return make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant",
+        "breakpoints": [0.0, *cuts, *(L - x for x in reversed(cuts)), L],
+        "values": vals + vals[-2::-1]}})
+
+
+@settings(max_examples=30)
+@given(pot=mirror_steps(), alpha=st.floats(-3.0, 3.0),
+       beta=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+       q=st.integers(2, 50), p_seed=st.integers(1, 49))
+def test_classify_mirror_symmetric_edges(pot, alpha, beta, q, p_seed):
+    # |eta(mu_k)| = 2(1+beta^2) on a mirror-symmetric edge: mu_k sits on the
+    # edge of the one Harper band at integer flux, and outside every band,
+    # whose edges stay below the threshold, at any other flux
+    c = CouplingParams(alpha=alpha, beta=beta, potential=pot)
+    p = next(p for p in range(p_seed % q, p_seed % q + q) if np.gcd(p, q) == 1)
+    one_31 = CouplingParams(alpha=alpha, beta=1.0, potential=pot)
+    f = RationalFlux(p, q)
+    norm = max(np.max(np.abs(np.linalg.eigvalsh(bloch_matrix(f, beta, k, k))))
+               for k in (0.0, np.pi / q))
+    for k in range(6):
+        y = abs(eta_on_pole(c, k))
+        assert abs(y - c.threshold) <= THRESHOLD_RTOL * c.threshold
+        for theta in (RationalFlux(0, 1), RationalFlux(1, 1)):
+            assert classify_eigenvalue(c, theta, k) is Classification.BAND_EDGE
+        assert norm < y
+        assert classify_eigenvalue(c, f, k) is Classification.ISOLATED
+        assert classify_eigenvalue(one_31, RationalFlux(1, 31), k) is \
+            Classification.ISOLATED
+
+
+def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
+    # at 1/31, beta = 1 harper_spectrum raises (band pairing), so the
+    # classification must not need it, while the assembly still does
+    c = CouplingParams(alpha=0.5, beta=1.0, potential=free_coupling.potential)
+    with pytest.raises(ConsistencyError):
+        graph_spectrum(c.potential, c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("harper_spectrum called")
+    monkeypatch.setattr(assembler, "harper_spectrum", refuse)
+    monkeypatch.setattr(harper, "harper_spectrum", refuse)
+    for k in range(4):
+        assert classify_eigenvalue(c, RationalFlux(1, 31), k) is \
+            Classification.ISOLATED
+        assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
+            Classification.BAND_EDGE
+
+
+@pytest.mark.parametrize("alpha,ends", [(1.0, 1), (0.0, 2)])
+def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
+    # BandEdge says eta(mu_k) is on the threshold, not that the windows on
+    # both sides of mu_k meet there: with alpha != 0 (Kronig-Penney) eta
+    # crosses the threshold at mu_k, so one window ends at mu_k and a gap
+    # opens on the other side; with alpha = 0 eta touches it and both end there
+    c = CouplingParams(alpha=alpha, beta=1.0, potential=free_pot)
+    windows = band_windows(c, None, 30.0)
+    mus = [mu for mu in dirichlet_eigenvalues(free_pot, 6).eigenvalues if mu < 30.0]
+    assert len(mus) == 5
+    for k, mu in enumerate(mus):
+        assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
+            Classification.BAND_EDGE
+        edges = [e for w in windows for e in (w.a_full, w.b_full)]
+        assert edges.count(mu) == ends
+        if ends == 1:
+            assert min(abs(e - mu) for e in edges if e != mu) > 0.1
 
 
 def test_every_mu_interval_meets_sigma(step_pot):

@@ -38,7 +38,7 @@ def test_spectrum_free_case(tmp_path, capsys):
     assert doc["gaps"] == []
     assert len(doc["point_spectrum"]) == 3
     for pt in doc["point_spectrum"]:
-        assert pt["classification"] in ("BandEdge", "Embedded")
+        assert pt["classification"] == "BandEdge"
     assert doc["metadata"] == {"convergent_used": None}
     assert doc["parameters"]["theta_resolved"] == "0/1"
 
