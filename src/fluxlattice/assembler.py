@@ -9,7 +9,8 @@ the window orientation.  Each mu_k is BandEdge when theta is an integer and
 (`classify_eigenvalue`); no Harper band is read for it.
 
 The scan range, band windows and the mu_k in range do not depend on the flux,
-so a request computes them once (`_scan`) and reuses them for every flux.
+so a request computes them once (`_scan`) and reuses them for every flux;
+at integer flux eta(mu_k) comes from the scan's own Dirichlet solve.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
-                           eta_many, eta_on_pole, invert_eta_many)
+                           eta_many, eta_on_pole, eta_on_poles, invert_eta_many)
 from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
@@ -98,7 +99,8 @@ def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
     return flux, (None if exact else str(flux))
 
 
-def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int) -> Classification:
+def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int,
+                        eta_mu: float | None = None) -> Classification:
     """BandEdge iff theta is an integer and |eta(mu_k)| is on 2(1+beta^2).
 
     Two facts make the Harper bands unnecessary: the Wronskian gives
@@ -106,9 +108,11 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int) -> Classific
     >= 2(1+beta^2) (Magnus-Winkler, Hill's Equation, 1966); and ||M(theta)||
     < 2(1+beta^2) unless theta is an integer, where spec M is the one band
     [-2(1+beta^2), 2(1+beta^2)].  "On" means within THRESHOLD_RTOL (1e-8,
-    relative), the tolerance that clamps window edges to mu_k.
+    relative), the tolerance that clamps window edges to mu_k.  eta_mu, when
+    given, is eta(mu_k) from a Dirichlet solve the caller already holds.
     """
-    if f.q == 1 and not escapes_threshold(c, eta_on_pole(c, k)):
+    if f.q == 1 and not escapes_threshold(
+            c, eta_on_pole(c, k) if eta_mu is None else eta_mu):
         return Classification.BAND_EDGE
     return Classification.ISOLATED
 
@@ -117,7 +121,8 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int) -> Classific
 class _Scan:
     """The flux-independent part of a request over [z_min, z_max]: y_bounds
     is eta's range on each window as clipped, poles holds (k, mu_k) for mu_k in
-    range."""
+    range, and mu_0..mu_{k_through} (mu_{k_through} >= z_max) came from one
+    Dirichlet solve."""
 
     coupling: CouplingParams
     z_min: float
@@ -125,6 +130,13 @@ class _Scan:
     windows: tuple[BandWindow, ...]
     y_bounds: tuple[tuple[float, float], ...]
     poles: tuple[tuple[int, float], ...]
+    k_through: int
+
+
+def below_spectrum(z_max: float) -> ConfigError:
+    """The error for a default range whose z_max lies below the spectrum."""
+    return ConfigError(f"z_max = {z_max} lies below the lowest band window, "
+                       "so there is no spectrum up to it; give z_min")
 
 
 def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
@@ -132,8 +144,7 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
     windows = band_windows(c, z_min, z_max)
     if z_min is None:
         if not windows:
-            raise ConfigError(f"z_max = {z_max} lies below the lowest band window, "
-                              "so there is no spectrum up to it; give z_min")
+            raise below_spectrum(z_max)
         z_min = windows[0].a_full
     y_bounds = []
     for w in windows:
@@ -143,7 +154,8 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
     mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
     poles = tuple((k, mu) for k, mu in enumerate(mus) if z_min <= mu <= z_max)
     return _Scan(coupling=c, z_min=float(z_min), z_max=float(z_max),
-                 windows=tuple(windows), y_bounds=tuple(y_bounds), poles=poles)
+                 windows=tuple(windows), y_bounds=tuple(y_bounds), poles=poles,
+                 k_through=len(mus) - 1)
 
 
 def _assemble(scan: _Scan, flux: RationalFlux, convergent_used: str | None
@@ -182,9 +194,12 @@ def _assemble(scan: _Scan, flux: RationalFlux, convergent_used: str | None
             z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
             truncated=bool(clipped)))
     intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
+    # eta(mu_k) matters at integer flux only; read it from the scan's solve
+    etas = eta_on_poles(scan.coupling, scan.k_through) if flux.q == 1 else None
     return SpectralSet(
         point_spectrum=tuple(
-            PointEigenvalue(k, mu, classify_eigenvalue(scan.coupling, flux, k))
+            PointEigenvalue(k, mu, classify_eigenvalue(
+                scan.coupling, flux, k, None if etas is None else etas[k]))
             for k, mu in scan.poles),
         continuous=tuple(intervals),
         z_min=scan.z_min, z_max=scan.z_max,

@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 --stamp is given.
 spectrum JSON: parameters (with the scan range z_min..z_max; z_min defaults to
 the lower edge of the lowest band window), point_spectrum, continuous, gaps,
-metadata {convergent_used[, generated_at]}.  butterfly exits 0 when some
-fluxes fail, since the other rows still hold; stderr names each failure and
-ends with "butterfly: K of N fluxes failed".
+metadata {convergent_used[, generated_at]}.  validate samples [z_min, z_max]
+with the same default z_min, and exits 2 when z_max lies below it.  butterfly
+exits 0 when some fluxes fail, since the other rows still hold; stderr names
+each failure and ends with "butterfly: K of N fluxes failed".
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import numpy as np
 
 from .edge_solver import (_basis_many, _mus_through, dirichlet_eigenvalues,
                           round_up_index)
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, ConsistencyError, DomainError, NumericalError
 from .potential import Potential
 
 EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
@@ -102,10 +102,17 @@ def eta(c: CouplingParams, z: float) -> float:
     return float(eta_many(c, np.asarray([float(z)]))[0])
 
 
+def eta_on_poles(c: CouplingParams, k_max: int) -> np.ndarray:
+    """eta(mu_0..mu_{k_max}) from the one Dirichlet solve that reaches k_max:
+    (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the alpha term drops since
+    u1(l;mu_k) = 0, so the values are coupling-independent."""
+    nus = _nus_upto(c.potential, round_up_index(k_max))[:k_max + 1]
+    return (1.0 + c.beta**2) * np.asarray(nus)
+
+
 def eta_on_pole(c: CouplingParams, k: int) -> float:
-    """eta(mu_k) = (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the alpha term drops
-    since u1(l;mu_k) = 0, so the value is coupling-independent."""
-    return (1.0 + c.beta**2) * _nus_upto(c.potential, round_up_index(k))[k]
+    """eta(mu_k), read from the solve that `eta_on_poles(c, k)` makes."""
+    return float(eta_on_poles(c, k)[k])
 
 
 def escapes_threshold(c: CouplingParams, y):
@@ -216,6 +223,37 @@ def _solve_batch(g, lo, hi, sign_lo):
     return x
 
 
+def check_range(z_min: float | None, z_max: float) -> None:
+    """ConfigError unless z_max is finite and z_min is None or finite below it."""
+    if not np.isfinite(z_max) or (
+            z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
+        raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
+
+
+def _anchor_below(c: CouplingParams, z: float) -> float:
+    """A point below the lowest window: walk down from z - 1 in doubling steps
+    until eta > 2(1+beta^2).  z must not lie above mu_0."""
+    start, step = z - 1.0, 1.0
+    for _ in range(80):
+        if eta_many(c, np.asarray([start]))[0] > c.threshold:
+            return start
+        start -= step
+        step *= 2.0
+    raise NumericalError("could not find eta > threshold below the lowest window")
+
+
+def lowest_window_edge(c: CouplingParams, mu_0: float) -> float:
+    """a_full of window 0, where the spectrum starts, from one edge solve.
+
+    On [anchor, mu_0] eta - 2(1+beta^2) changes sign exactly once: it is
+    positive below window 0, and eta <= -2(1+beta^2) from the window's upper
+    edge up to mu_0 (sign alternation), so no window centre is needed.
+    """
+    lo = _anchor_below(c, mu_0)
+    return float(_solve_batch(lambda zz, _: eta_many(c, zz) - c.threshold,
+                              [lo], [mu_0], [1.0])[0])
+
+
 def band_windows(c: CouplingParams, z_min: float | None,
                  z_max: float) -> list[BandWindow]:
     """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
@@ -227,22 +265,11 @@ def band_windows(c: CouplingParams, z_min: float | None,
     window (eta > 2(1+beta^2) below its a_full, where the spectrum starts), so
     none is clipped there.
     """
-    if not np.isfinite(z_max) or (
-            z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
-        raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
+    check_range(z_min, z_max)
     threshold = c.threshold
     mus = np.asarray(_mus_through(c.potential, z_max))  # the last one is >= z_max
-
-    # left anchor below the lowest window: walk down until eta > threshold
-    start = (float(mus[0]) if z_min is None else min(z_min, float(mus[0]))) - 1.0
-    step = 1.0
-    for _ in range(80):
-        if eta_many(c, np.asarray([start]))[0] > threshold:
-            break
-        start -= step
-        step *= 2.0
-    else:
-        raise NumericalError("could not find eta > threshold below the lowest window")
+    start = _anchor_below(c, float(mus[0]) if z_min is None
+                          else min(z_min, float(mus[0])))
     if z_min is None:
         z_min = start  # the lowest window lies above its anchor
 
@@ -304,7 +331,10 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     target, so a whole request inverts in one call; the windows must share one
     coupling.  Each target is solved on its own bracket [a_full, b_full] and
     only unfinished targets are evaluated, so on a piecewise-constant edge no
-    answer depends on the other targets of its batch.
+    answer depends on the other targets of its batch.  eta is then taken once
+    more at every solved target, in one call: a relative residual
+    |eta - y| / (1 + |y|) above INVERT_RESIDUAL raises ConsistencyError (a
+    window narrower than the root finder can resolve, say).
     """
     ys = np.asarray(ys, dtype=float)
     ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
@@ -332,6 +362,13 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
         sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
         zi = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
                           lo, hi, sign_lo)
+        res = np.abs(eta_many(c, zi) - yv) / (1.0 + np.abs(yv))
+        if not np.all(res <= INVERT_RESIDUAL):
+            i = int(np.argmax(res))  # a NaN counts as the largest
+            index = np.array([x.index for x in ws])[interior][i]
+            raise ConsistencyError(
+                f"eta inversion on window {index} missed target {float(yv[i])!r}: "
+                f"relative residual {res[i]:.3e} > {INVERT_RESIDUAL:.0e}")
         z[interior] = zi
     return z
 

@@ -15,6 +15,13 @@ is assembled here.  Since the fiber uses (p j) mod q and the bands are cached
 per p mod q, its defect is 0 by construction.  `chambers_independence` is the
 one check of the Chambers momentum independence, a relative defect (see
 `harper.chambers_defect`).
+
+A run computes only what the checks read.  mu_0..mu_k and eta at each of them
+come from one Dirichlet solve (`eta_on_poles`), which sign alternation reads
+at once.  Without a given z_min the Wronskian and Kronig-Penney samples start
+at the floor of the spectrum, the lower edge of band window 0, taken by one
+edge solve on [anchor, mu_0] (`discriminant.lowest_window_edge`); no band
+window is scanned and no spectrum is assembled.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import _scan, resolve_flux
-from .discriminant import CouplingParams, eta_many, eta_on_pole
-from .edge_solver import _basis_many
+from .assembler import below_spectrum, resolve_flux
+from .discriminant import (CouplingParams, check_range, eta_many, eta_on_poles,
+                           lowest_window_edge)
+from .edge_solver import _basis_many, dirichlet_eigenvalues, round_up_index
 from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
                      torus_oracle)
 from .kp_oracle import kp_trace_many
@@ -59,11 +67,9 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyRe
 
 
 def check_sign_alternation(c: CouplingParams, k_max: int = 10) -> PropertyResult:
-    worst = -np.inf
-    for k in range(k_max + 1):
-        worst = max(worst, (-1) ** k * eta_on_pole(c, k) + c.threshold)
-    return PropertyResult("sign_alternation", float(max(worst, 0.0)),
-                          SIGN_ALTERNATION_SLACK)
+    signs = (-1.0) ** np.arange(k_max + 1)
+    worst = float(np.max(signs * eta_on_poles(c, k_max) + c.threshold))
+    return PropertyResult("sign_alternation", max(worst, 0.0), SIGN_ALTERNATION_SLACK)
 
 
 def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
@@ -101,13 +107,26 @@ def check_flux_periodicity(bands: HarperBands) -> PropertyResult:
 
 def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
             q_max: int = 50, k_max: int = 10) -> list[PropertyResult]:
+    """The six checks, in the order `validate` prints them.
+
+    The Wronskian and Kronig-Penney samples span [z_min, z_max]; z_min None
+    starts them at the floor of the spectrum, window 0's a_full, taken by one
+    edge solve below mu_0 (ConfigError when z_max lies below it).  mu_0 and
+    every eta(mu_k) come from one Dirichlet solve, reaching
+    round_up_index(k_max); no band window is scanned.
+    """
     flux, _ = resolve_flux(theta, q_max)
-    scan = _scan(c, z_min, z_max)
+    check_range(z_min, z_max)
+    if z_min is None:
+        mu_0 = dirichlet_eigenvalues(c.potential, round_up_index(k_max)).eigenvalues[0]
+        z_min = lowest_window_edge(c, mu_0)
+        if z_max < z_min:
+            raise below_spectrum(z_max)
     results = [
-        check_wronskian(c, scan.z_min, z_max),
+        check_wronskian(c, z_min, z_max),
         check_sign_alternation(c, k_max),
         check_chambers(flux, c.beta),
-        check_kp_identity(c, scan.z_min, z_max),
+        check_kp_identity(c, z_min, z_max),
     ]
     bands = harper_spectrum(flux, c.beta)
     return results + [check_torus_containment(bands), check_flux_periodicity(bands)]

@@ -172,6 +172,20 @@ def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
             assert min(abs(e - mu) for e in edges if e != mu) > 0.1
 
 
+@pytest.mark.parametrize("theta", [RationalFlux(0, 1), RationalFlux(1, 3)])
+def test_integer_flux_classifies_from_the_scan_solve(step_pot, theta):
+    # eta(mu_k) at every pole comes from the solve that found the poles, so
+    # integer flux costs no Dirichlet solve beyond it
+    from fluxlattice.discriminant import _nus_upto
+    from fluxlattice.edge_solver import _mus_through
+    for cached in (dirichlet_eigenvalues, _mus_through, _nus_upto):
+        cached.cache_clear()
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    s = graph_spectrum(step_pot, c, theta, None, 200.0)
+    assert len(s.point_spectrum) == 13
+    assert dirichlet_eigenvalues.cache_info().misses == 1
+
+
 def test_every_mu_interval_meets_sigma(step_pot):
     # Theorem (B): [mu_k, mu_k+1] always intersects the continuous part
     c = CouplingParams(alpha=1.0, beta=1.5, potential=step_pot)

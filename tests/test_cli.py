@@ -242,6 +242,22 @@ def test_validate_rejects_corrupted_beta(tmp_path):
     assert main(["validate", "--config", cfg]) == 2
 
 
+def test_validate_z_max_below_spectrum_exits_2(tmp_path, capsys):
+    doc = {k: v for k, v in FREE_CFG.items() if k != "z_min"}
+    cfg = write_config(tmp_path, {**doc, "alpha": 1.0, "z_max": -50.0})
+    assert main(["validate", "--config", cfg]) == 2
+    assert "lies below the lowest band window" in capsys.readouterr().err
+
+
+def test_spectrum_unresolvable_window_exits_3(tmp_path, capsys):
+    # window 0 at alpha = -200 is narrower than one ulp: no inversion there
+    # meets its residual, which is reported instead of a wrong interval
+    doc = {k: v for k, v in FREE_CFG.items() if k != "z_min"}
+    cfg = write_config(tmp_path, {**doc, "alpha": -200.0, "theta": "1/3"})
+    assert main(["spectrum", "--config", cfg]) == 3
+    assert "eta inversion on window 0 missed target" in capsys.readouterr().err
+
+
 # the report line the benchmark's validate gate parses, in run_all's order
 VALIDATE_LINE = re.compile(r"^(PASS|FAIL) (\w+): defect=(\S+) tol=(\S+)$")
 VALIDATE_ORDER = ["wronskian", "sign_alternation", "chambers_independence",
@@ -306,19 +322,21 @@ def test_validate_computes_each_residue_once(free_coupling):
 
 
 def test_validate_assembles_no_spectrum(step_pot, monkeypatch):
-    # the checks read Harper bands, never an assembled spectrum, so neither
-    # the assembly nor an eta inversion may run; validate-fib's 8/21 config
+    # the checks read Harper bands, never an assembled spectrum, and the
+    # default floor is one edge solve, so neither the assembly, an eta
+    # inversion nor a window scan may run; validate-fib's 8/21 config
     def refuse(*args, **kwargs):
-        raise AssertionError("validate assembled a spectrum")
+        raise AssertionError("validate assembled a spectrum or scanned windows")
 
     for module in (assembler, discriminant, validation):
-        for name in ("_assemble", "invert_eta_many"):
+        for name in ("_assemble", "invert_eta_many", "band_windows", "_scan"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    results = validation.run_all(c, RationalFlux(8, 21), None, 40.0)
-    assert [r.name for r in results] == VALIDATE_ORDER
-    assert all(r.passed for r in results), results
+    for z_min in (None, -5.0):
+        results = validation.run_all(c, RationalFlux(8, 21), z_min, 40.0)
+        assert [r.name for r in results] == VALIDATE_ORDER
+        assert all(r.passed for r in results), results
 
 
 def test_flux_periodicity_sees_shifted_band_edge(monkeypatch):

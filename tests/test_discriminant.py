@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (CouplingParams, DomainError, band_windows, discriminant,
-                         dirichlet_eigenvalues, eta, eta_on_pole, invert_eta,
-                         invert_eta_many)
+from fluxlattice import (ConsistencyError, CouplingParams, DomainError, band_windows,
+                         discriminant, dirichlet_eigenvalues, eta, eta_on_pole,
+                         invert_eta, invert_eta_many)
 from fluxlattice.discriminant import EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many
 from oracles import free_basis, free_eta, linear_basis, step_basis
 
@@ -150,6 +150,17 @@ def test_batched_inversion_across_windows(step_pot, picks):
     other = _step_windows(step_pot, 2.0)[0]
     with pytest.raises(DomainError, match="coupling"):
         invert_eta_many(batch + [other], np.append(ys, 0.0))
+
+
+def test_inversion_raises_on_missed_residual(free_pot):
+    # window 0 at alpha = -200 is narrower than one ulp at z = -2500, so no z
+    # in it reaches an interior target; the inversion must say so
+    c = CouplingParams(alpha=-200.0, beta=1.0, potential=free_pot)
+    w = band_windows(c, None, 10.0)[0]
+    assert w.index == 0 and w.b_full - w.a_full <= np.spacing(2500.0)
+    with pytest.raises(ConsistencyError,
+                       match=r"window 0 missed target -3\.9: relative residual 7\.959e-01"):
+        invert_eta_many(w, np.linspace(-3.9, 3.9, 12))
 
 
 def _oracle_eta(kind, alpha, beta):
