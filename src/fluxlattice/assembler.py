@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
-                           eta_many, eta_on_pole, eta_on_poles, invert_eta_many)
+                           eta_many, invert_eta_many, poles_and_etas)
 from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
@@ -99,8 +99,8 @@ def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
     return flux, (None if exact else str(flux))
 
 
-def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int,
-                        eta_mu: float | None = None) -> Classification:
+def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
+                        eta_mu: float | None) -> Classification:
     """BandEdge iff theta is an integer and |eta(mu_k)| is on 2(1+beta^2).
 
     Two facts make the Harper bands unnecessary: the Wronskian gives
@@ -108,11 +108,11 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux, k: int,
     >= 2(1+beta^2) (Magnus-Winkler, Hill's Equation, 1966); and ||M(theta)||
     < 2(1+beta^2) unless theta is an integer, where spec M is the one band
     [-2(1+beta^2), 2(1+beta^2)].  "On" means within THRESHOLD_RTOL (1e-8,
-    relative), the tolerance that clamps window edges to mu_k.  eta_mu, when
-    given, is eta(mu_k) from a Dirichlet solve the caller already holds.
+    relative), the tolerance that clamps window edges to mu_k.  eta_mu is
+    eta(mu_k) (`eta_on_pole`); it is read only at integer theta, so None may
+    stand for it at any other flux.
     """
-    if f.q == 1 and not escapes_threshold(
-            c, eta_on_pole(c, k) if eta_mu is None else eta_mu):
+    if f.q == 1 and not escapes_threshold(c, eta_mu):
         return Classification.BAND_EDGE
     return Classification.ISOLATED
 
@@ -195,11 +195,11 @@ def _assemble(scan: _Scan, flux: RationalFlux, convergent_used: str | None
             truncated=bool(clipped)))
     intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
     # eta(mu_k) matters at integer flux only; read it from the scan's solve
-    etas = eta_on_poles(scan.coupling, scan.k_through) if flux.q == 1 else None
+    etas = (poles_and_etas(scan.coupling, scan.k_through)[1] if flux.q == 1
+            else [None] * (scan.k_through + 1))
     return SpectralSet(
         point_spectrum=tuple(
-            PointEigenvalue(k, mu, classify_eigenvalue(
-                scan.coupling, flux, k, None if etas is None else etas[k]))
+            PointEigenvalue(k, mu, classify_eigenvalue(scan.coupling, flux, etas[k]))
             for k, mu in scan.poles),
         continuous=tuple(intervals),
         z_min=scan.z_min, z_max=scan.z_max,

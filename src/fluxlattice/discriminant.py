@@ -102,17 +102,19 @@ def eta(c: CouplingParams, z: float) -> float:
     return float(eta_many(c, np.asarray([float(z)]))[0])
 
 
-def eta_on_poles(c: CouplingParams, k_max: int) -> np.ndarray:
-    """eta(mu_0..mu_{k_max}) from the one Dirichlet solve that reaches k_max:
-    (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the alpha term drops since
-    u1(l;mu_k) = 0, so the values are coupling-independent."""
-    nus = _nus_upto(c.potential, round_up_index(k_max))[:k_max + 1]
-    return (1.0 + c.beta**2) * np.asarray(nus)
+def poles_and_etas(c: CouplingParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu_0..mu_{k_max} and eta at each, from the one cached Dirichlet solve
+    that reaches k_max.  eta(mu_k) = (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the
+    alpha term drops since u1(l;mu_k) = 0, so the values are alpha-independent."""
+    k_round = round_up_index(k_max)
+    mus = dirichlet_eigenvalues(c.potential, k_round).eigenvalues[:k_max + 1]
+    nus = _nus_upto(c.potential, k_round)[:k_max + 1]
+    return np.asarray(mus), (1.0 + c.beta**2) * np.asarray(nus)
 
 
 def eta_on_pole(c: CouplingParams, k: int) -> float:
-    """eta(mu_k), read from the solve that `eta_on_poles(c, k)` makes."""
-    return float(eta_on_poles(c, k)[k])
+    """eta(mu_k), read from the solve that `poles_and_etas(c, k)` makes."""
+    return float(poles_and_etas(c, k)[1][k])
 
 
 def escapes_threshold(c: CouplingParams, y):
@@ -223,7 +225,7 @@ def _solve_batch(g, lo, hi, sign_lo):
     return x
 
 
-def check_range(z_min: float | None, z_max: float) -> None:
+def require_range(z_min: float | None, z_max: float) -> None:
     """ConfigError unless z_max is finite and z_min is None or finite below it."""
     if not np.isfinite(z_max) or (
             z_min is not None and not (np.isfinite(z_min) and z_min < z_max)):
@@ -265,7 +267,7 @@ def band_windows(c: CouplingParams, z_min: float | None,
     window (eta > 2(1+beta^2) below its a_full, where the spectrum starts), so
     none is clipped there.
     """
-    check_range(z_min, z_max)
+    require_range(z_min, z_max)
     threshold = c.threshold
     mus = np.asarray(_mus_through(c.potential, z_max))  # the last one is >= z_max
     start = _anchor_below(c, float(mus[0]) if z_min is None
@@ -331,10 +333,13 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     target, so a whole request inverts in one call; the windows must share one
     coupling.  Each target is solved on its own bracket [a_full, b_full] and
     only unfinished targets are evaluated, so on a piecewise-constant edge no
-    answer depends on the other targets of its batch.  eta is then taken once
-    more at every solved target, in one call: a relative residual
-    |eta - y| / (1 + |y|) above INVERT_RESIDUAL raises ConsistencyError (a
-    window narrower than the root finder can resolve, say).
+    answer depends on the other targets of its batch.  Each z is certified to
+    EDGE_TOL_Z or one ulp, not by its residual: on a steep window |eta - y| at
+    the nearest double, |eta'| ulp / 2 plus eta's own rounding, can exceed
+    INVERT_RESIDUAL.
+    A window with no double strictly between a_full and b_full (free edge,
+    alpha = -200) sends every interior target to an edge; that raises
+    ConsistencyError naming the window, the target and its residual.
     """
     ys = np.asarray(ys, dtype=float)
     ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
@@ -362,13 +367,15 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
         sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
         zi = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
                           lo, hi, sign_lo)
-        res = np.abs(eta_many(c, zi) - yv) / (1.0 + np.abs(yv))
-        if not np.all(res <= INVERT_RESIDUAL):
-            i = int(np.argmax(res))  # a NaN counts as the largest
-            index = np.array([x.index for x in ws])[interior][i]
+        flat = np.flatnonzero(np.nextafter(lo, hi) >= hi)  # no double inside
+        if flat.size:
+            res = np.abs(eta_many(c, zi[flat]) - yv[flat]) / (1.0 + np.abs(yv[flat]))
+            i = flat[int(np.argmax(res))]
+            w_i = ws[int(np.flatnonzero(interior)[i])]
             raise ConsistencyError(
-                f"eta inversion on window {index} missed target {float(yv[i])!r}: "
-                f"relative residual {res[i]:.3e} > {INVERT_RESIDUAL:.0e}")
+                f"eta inversion on window {w_i.index} missed target {float(yv[i])!r}: "
+                f"relative residual {float(np.max(res)):.3e}, since no double lies "
+                f"strictly inside [{w_i.a_full!r}, {w_i.b_full!r}]")
         z[interior] = zi
     return z
 

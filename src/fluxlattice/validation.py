@@ -17,11 +17,12 @@ one check of the Chambers momentum independence, a relative defect (see
 `harper.chambers_defect`).
 
 A run computes only what the checks read.  mu_0..mu_k and eta at each of them
-come from one Dirichlet solve (`eta_on_poles`), which sign alternation reads
-at once.  Without a given z_min the Wronskian and Kronig-Penney samples start
-at the floor of the spectrum, the lower edge of band window 0, taken by one
-edge solve on [anchor, mu_0] (`discriminant.lowest_window_edge`); no band
-window is scanned and no spectrum is assembled.
+come from one Dirichlet solve (`discriminant.poles_and_etas`), which sign
+alternation reads at once.  Without a given z_min the Wronskian and
+Kronig-Penney samples start at the floor of the spectrum, the lower edge of
+band window 0, taken by one edge solve on [anchor, mu_0]
+(`discriminant.lowest_window_edge`); no band window is scanned and no
+spectrum is assembled.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembler import below_spectrum, resolve_flux
-from .discriminant import (CouplingParams, check_range, eta_many, eta_on_poles,
-                           lowest_window_edge)
-from .edge_solver import _basis_many, dirichlet_eigenvalues, round_up_index
+from .discriminant import (CouplingParams, eta_many, lowest_window_edge, poles_and_etas,
+                           require_range)
+from .edge_solver import _basis_many
 from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
                      torus_oracle)
 from .kp_oracle import kp_trace_many
@@ -68,7 +69,8 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyRe
 
 def check_sign_alternation(c: CouplingParams, k_max: int = 10) -> PropertyResult:
     signs = (-1.0) ** np.arange(k_max + 1)
-    worst = float(np.max(signs * eta_on_poles(c, k_max) + c.threshold))
+    _, etas = poles_and_etas(c, k_max)
+    worst = float(np.max(signs * etas + c.threshold))
     return PropertyResult("sign_alternation", max(worst, 0.0), SIGN_ALTERNATION_SLACK)
 
 
@@ -112,14 +114,14 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
     The Wronskian and Kronig-Penney samples span [z_min, z_max]; z_min None
     starts them at the floor of the spectrum, window 0's a_full, taken by one
     edge solve below mu_0 (ConfigError when z_max lies below it).  mu_0 and
-    every eta(mu_k) come from one Dirichlet solve, reaching
-    round_up_index(k_max); no band window is scanned.
+    every eta(mu_k) come from the one Dirichlet solve `poles_and_etas(c,
+    k_max)` makes; no band window is scanned.
     """
     flux, _ = resolve_flux(theta, q_max)
-    check_range(z_min, z_max)
+    require_range(z_min, z_max)
     if z_min is None:
-        mu_0 = dirichlet_eigenvalues(c.potential, round_up_index(k_max)).eigenvalues[0]
-        z_min = lowest_window_edge(c, mu_0)
+        mus, _ = poles_and_etas(c, k_max)
+        z_min = lowest_window_edge(c, float(mus[0]))
         if z_max < z_min:
             raise below_spectrum(z_max)
     results = [

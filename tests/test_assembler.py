@@ -78,12 +78,14 @@ def test_resolve_flux_decimal_convergent():
 
 
 def test_classify_free_band_edge(free_coupling):
-    assert classify_eigenvalue(free_coupling, RationalFlux(0, 1), 0) is \
+    eta_0 = eta_on_pole(free_coupling, 0)
+    assert classify_eigenvalue(free_coupling, RationalFlux(0, 1), eta_0) is \
         Classification.BAND_EDGE
 
 
 def test_classify_half_flux_isolated(free_coupling):
-    assert classify_eigenvalue(free_coupling, RationalFlux(1, 2), 0) is \
+    eta_0 = eta_on_pole(free_coupling, 0)
+    assert classify_eigenvalue(free_coupling, RationalFlux(1, 2), eta_0) is \
         Classification.ISOLATED
 
 
@@ -91,7 +93,7 @@ def test_classify_convex_potential_isolated(linear_pot):
     # convex V with nonvanishing slope opens every gap at integer flux
     c = CouplingParams(alpha=2.0, beta=1.0, potential=linear_pot)
     for k in range(6):
-        assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
             Classification.ISOLATED
 
 
@@ -128,11 +130,12 @@ def test_classify_mirror_symmetric_edges(pot, alpha, beta, q, p_seed):
         y = abs(eta_on_pole(c, k))
         assert abs(y - c.threshold) <= THRESHOLD_RTOL * c.threshold
         for theta in (RationalFlux(0, 1), RationalFlux(1, 1)):
-            assert classify_eigenvalue(c, theta, k) is Classification.BAND_EDGE
+            assert classify_eigenvalue(c, theta, eta_on_pole(c, k)) is \
+                Classification.BAND_EDGE
         assert norm < y
-        assert classify_eigenvalue(c, f, k) is Classification.ISOLATED
-        assert classify_eigenvalue(one_31, RationalFlux(1, 31), k) is \
-            Classification.ISOLATED
+        assert classify_eigenvalue(c, f, eta_on_pole(c, k)) is Classification.ISOLATED
+        assert classify_eigenvalue(one_31, RationalFlux(1, 31),
+                                   eta_on_pole(one_31, k)) is Classification.ISOLATED
 
 
 def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
@@ -147,9 +150,9 @@ def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
     monkeypatch.setattr(assembler, "harper_spectrum", refuse)
     monkeypatch.setattr(harper, "harper_spectrum", refuse)
     for k in range(4):
-        assert classify_eigenvalue(c, RationalFlux(1, 31), k) is \
+        assert classify_eigenvalue(c, RationalFlux(1, 31), eta_on_pole(c, k)) is \
             Classification.ISOLATED
-        assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
             Classification.BAND_EDGE
 
 
@@ -164,7 +167,7 @@ def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
     mus = [mu for mu in dirichlet_eigenvalues(free_pot, 6).eigenvalues if mu < 30.0]
     assert len(mus) == 5
     for k, mu in enumerate(mus):
-        assert classify_eigenvalue(c, RationalFlux(0, 1), k) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
             Classification.BAND_EDGE
         edges = [e for w in windows for e in (w.a_full, w.b_full)]
         assert edges.count(mu) == ends

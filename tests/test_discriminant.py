@@ -152,14 +152,14 @@ def test_batched_inversion_across_windows(step_pot, picks):
         invert_eta_many(batch + [other], np.append(ys, 0.0))
 
 
-def test_inversion_raises_on_missed_residual(free_pot):
-    # window 0 at alpha = -200 is narrower than one ulp at z = -2500, so no z
-    # in it reaches an interior target; the inversion must say so
+def test_inversion_raises_on_unresolvable_window(free_pot):
+    # window 0 at alpha = -200 holds no double strictly inside, so every
+    # interior target would come back as an edge; the inversion must say so
     c = CouplingParams(alpha=-200.0, beta=1.0, potential=free_pot)
     w = band_windows(c, None, 10.0)[0]
     assert w.index == 0 and w.b_full - w.a_full <= np.spacing(2500.0)
-    with pytest.raises(ConsistencyError,
-                       match=r"window 0 missed target -3\.9: relative residual 7\.959e-01"):
+    with pytest.raises(ConsistencyError, match=r"window 0 missed target -3\.9: "
+                       r"relative residual 7\.959e-01, since no double lies"):
         invert_eta_many(w, np.linspace(-3.9, 3.9, 12))
 
 
@@ -175,6 +175,24 @@ def _oracle_eta(kind, alpha, beta):
 
 def _sign_change_near(f, z, tol):
     return f(np.array([z - tol]))[0] * f(np.array([z + tol]))[0] <= 0.0
+
+
+@pytest.mark.parametrize("kind, alpha, beta", [("free", -15.0, 0.5), ("free", -25.0, 1.0),
+                                               ("linear", -15.0, 0.5)])
+def test_steep_window_still_inverts(request, kind, alpha, beta):
+    # window 0 near z = -36 is about 1e-6 wide and eta is about 1e6 steep
+    # there, so no double z meets INVERT_RESIDUAL; each root is still within
+    # EDGE_TOL_Z of the answer, where the closed-form eta changes by ~1e-4
+    p = request.getfixturevalue(f"{kind}_pot")
+    c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+    w, = band_windows(c, None, -30.0)
+    assert w.index == 0 and w.b_full - w.a_full < 2e-6
+    ys = np.linspace(-0.9, 0.9, 5) * c.threshold
+    zs = invert_eta_many(w, ys)
+    assert np.all(np.diff(zs) <= 0.0) if not w.increasing else np.all(np.diff(zs) >= 0.0)
+    oracle = _oracle_eta(kind, alpha, beta)
+    for z, y in zip(zs, ys):
+        assert _sign_change_near(lambda zz: oracle(zz) - y, z, EDGE_TOL_Z)
 
 
 @settings(max_examples=25)

@@ -10,7 +10,7 @@ import pytest
 
 from fluxlattice import (ConfigError, CouplingParams, RationalFlux, graph_spectrum,
                          validation)
-from fluxlattice.discriminant import EDGE_TOL_Z, _nus_upto, eta_on_pole, eta_on_poles
+from fluxlattice.discriminant import EDGE_TOL_Z, _nus_upto, eta_on_pole, poles_and_etas
 from fluxlattice.edge_solver import _mus_through, dirichlet_eigenvalues
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -64,7 +64,7 @@ def test_sign_alternation_reads_one_solve(request, edge):
     # k_max = 20 spans the solves of eta_on_pole's three cache keys (7, 15, 31)
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=0.0, beta=1.3, potential=p)
-    one = eta_on_poles(c, 20)
+    _, one = poles_and_etas(c, 20)
     per_k = np.array([eta_on_pole(c, k) for k in range(21)])
     assert one.shape == (21,)
     assert np.all(np.abs(one - per_k) <= 1e-9 * np.abs(per_k))
@@ -78,15 +78,15 @@ def test_sign_alternation_sees_a_late_violation(step_pot, monkeypatch):
     c = CouplingParams(alpha=0.0, beta=1.0, potential=step_pot)
 
     def flipped(c, k_max):
-        etas = eta_on_poles(c, k_max).copy()
+        mus, etas = poles_and_etas(c, k_max)
         etas[13] = -etas[13]
-        return etas
+        return mus, etas
 
-    monkeypatch.setattr(validation, "eta_on_poles", flipped)
+    monkeypatch.setattr(validation, "poles_and_etas", flipped)
     r = validation.check_sign_alternation(c, 20)
     assert not r.passed
     # (-1)^13 (-eta(mu_13)) + threshold = eta(mu_13) + threshold
-    assert r.defect == eta_on_poles(c, 20)[13] + c.threshold
+    assert r.defect == poles_and_etas(c, 20)[1][13] + c.threshold
 
 
 def test_run_all_rejects_z_max_below_spectrum(free_pot):
