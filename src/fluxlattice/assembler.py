@@ -1,28 +1,26 @@
 """Assemble the full lattice spectrum: point spectrum plus eta-preimage of Harper bands.
 
 The spectrum splits as Sigma_0 (the Dirichlet eigenvalues mu_k, infinitely
-degenerate point spectrum) union Sigma = eta^{-1}(spec M(theta, beta)).  Per
-band window J_n and Harper band [e-, e+] the continuous part receives the
-monotone pullback [eta^{-1}(y1), eta^{-1}(y2)] with the endpoint order set by
-the window orientation.  Each mu_k is BandEdge when theta is an integer and
-|eta(mu_k)| sits on the threshold 2(1+beta^2), and Isolated otherwise
-(`classify_eigenvalue`); no Harper band is read for it.
+degenerate point spectrum) union Sigma = eta^{-1}(spec M(theta, beta)).  Each
+mu_k is BandEdge when theta is an integer and |eta(mu_k)| sits on the
+threshold 2(1+beta^2), and Isolated otherwise (`classify_eigenvalue`).
 
-The scan range, band windows and the mu_k in range do not depend on the flux,
-so a request computes them once (`_scan`) and reuses them for every flux;
-at integer flux eta(mu_k) comes from the scan's own Dirichlet solve.
+The windows do not depend on the flux, so a request scans them once (`_scan`)
+and `_assemble` serves any number of fluxes in one collect, invert, clip pass
+with one eta inversion: one flux for `graph_spectrum`, all for `butterfly_sweep`.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
-                           eta_many, invert_eta_many, poles_and_etas)
+                           invert_eta_many, poles_and_etas, require_resolvable)
 from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
@@ -119,18 +117,13 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
 
 @dataclass(frozen=True)
 class _Scan:
-    """The flux-independent part of a request over [z_min, z_max]: y_bounds
-    is eta's range on each window as clipped, poles holds (k, mu_k) for mu_k in
-    range, and mu_0..mu_{k_through} (mu_{k_through} >= z_max) came from one
-    Dirichlet solve."""
+    """The flux-independent part of a request over [z_min, z_max]: the band
+    windows meeting it, each clipped to it as scanned and keeping its full
+    domain [a_full, b_full], on which eta is inverted."""
 
     coupling: CouplingParams
     z_min: float
-    z_max: float
     windows: tuple[BandWindow, ...]
-    y_bounds: tuple[tuple[float, float], ...]
-    poles: tuple[tuple[int, float], ...]
-    k_through: int
 
 
 def below_spectrum(z_max: float) -> ConfigError:
@@ -146,68 +139,40 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
         if not windows:
             raise below_spectrum(z_max)
         z_min = windows[0].a_full
-    y_bounds = []
-    for w in windows:
-        v = (eta_many(c, np.asarray([w.a, w.b])) if w.truncated
-             else [-c.threshold, c.threshold])
-        y_bounds.append((float(np.min(v)), float(np.max(v))))
-    mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
-    poles = tuple((k, mu) for k, mu in enumerate(mus) if z_min <= mu <= z_max)
-    return _Scan(coupling=c, z_min=float(z_min), z_max=float(z_max),
-                 windows=tuple(windows), y_bounds=tuple(y_bounds), poles=poles,
-                 k_through=len(mus) - 1)
+    return _Scan(coupling=c, z_min=float(z_min), windows=tuple(windows))
 
 
-def _assemble(scan: _Scan, flux: RationalFlux, convergent_used: str | None
-              ) -> SpectralSet:
-    harper = harper_spectrum(flux, scan.coupling.beta)
-    threshold = scan.coupling.threshold
-    # collect every (window, band) pair, invert all endpoints that clipping
-    # left free in one call, then hand the results back in the same order
-    pairs = []
-    for w, (yl, yh) in zip(scan.windows, scan.y_bounds):
-        for j, (lo, hi) in enumerate(harper.bands):
-            y1, y2 = max(lo, -threshold), min(hi, threshold)
-            z1 = z2 = None  # endpoints pinned by clipping, no inversion needed
-            clipped = False
-            if y1 < yl:
-                y1, clipped = yl, True
-                z1 = w.a if w.increasing else w.b
-            if y2 > yh:
-                y2, clipped = yh, True
-                z2 = w.b if w.increasing else w.a
-            if y1 > y2:
-                continue  # band lies entirely outside the clipped window
-            pairs.append((w, j, y1, y2, z1, z2, clipped))
-    free = [(w, y) for w, _, y1, y2, z1, z2, _ in pairs
-            for y, z in ((y1, z1), (y2, z2)) if z is None]
-    inv = iter(invert_eta_many([w for w, _ in free],
-                               np.asarray([y for _, y in free])).tolist())
-    intervals: list[ContinuousInterval] = []
-    for w, j, _, _, z1, z2, clipped in pairs:
-        z1 = next(inv) if z1 is None else z1
-        z2 = next(inv) if z2 is None else z2
-        z_lo, z_hi = max(min(z1, z2), w.a), min(max(z1, z2), w.b)
-        if z_hi < z_lo:
+def _assemble(scan: _Scan, fluxes) -> list:
+    """Per flux, its HarperBands and intervals sorted by z, or the
+    NumericalError that flux alone raised.  Collect both ends of every Harper
+    band on every window, invert them all in one call on the windows' full
+    domains, and clip each pullback [min z, max z] to its window as scanned:
+    truncated when the clip shortens it, dropped when nothing is left."""
+    c = scan.coupling
+    out, ws, ys = [], [], []
+    for flux in fluxes:
+        try:
+            harper = harper_spectrum(flux, c.beta)
+            fw = [w for w in scan.windows for _ in harper.bands for _ in (0, 1)]
+            fy = np.tile(np.clip(harper.bands, -c.threshold, c.threshold).ravel(),
+                         len(scan.windows))
+            require_resolvable(c, fw, fy)
+        except NumericalError as exc:
+            out.append(exc)
             continue
-        intervals.append(ContinuousInterval(
-            z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
-            truncated=bool(clipped)))
-    intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
-    # eta(mu_k) matters at integer flux only; read it from the scan's solve
-    etas = (poles_and_etas(scan.coupling, scan.k_through)[1] if flux.q == 1
-            else [None] * (scan.k_through + 1))
-    return SpectralSet(
-        point_spectrum=tuple(
-            PointEigenvalue(k, mu, classify_eigenvalue(scan.coupling, flux, etas[k]))
-            for k, mu in scan.poles),
-        continuous=tuple(intervals),
-        z_min=scan.z_min, z_max=scan.z_max,
-        coupling=scan.coupling, flux=flux,
-        convergent_used=convergent_used,
-        harper=harper,
-        windows=scan.windows,
-    )
+        out.append((harper, []))
+        ws += fw
+        ys.append(fy)
+    z = iter(invert_eta_many(ws, np.concatenate(ys) if ys else []).reshape(-1, 2).tolist())
+    for harper, intervals in (r for r in out if not isinstance(r, NumericalError)):
+        for w, j in itertools.product(scan.windows, range(len(harper.bands))):
+            lo, hi = sorted(next(z))
+            z_lo, z_hi = max(lo, w.a), min(hi, w.b)
+            if z_lo <= z_hi:
+                intervals.append(ContinuousInterval(z_lo=z_lo, z_hi=z_hi, window=w.index,
+                                                    band=j, truncated=(z_lo, z_hi) != (lo, hi)))
+        intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
+    return [r if isinstance(r, NumericalError) else (r[0], tuple(r[1])) for r in out]
 
 
 def graph_spectrum(p: Potential, c: CouplingParams, theta,
@@ -222,7 +187,25 @@ def graph_spectrum(p: Potential, c: CouplingParams, theta,
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     flux, convergent_used = resolve_flux(theta, q_max)
-    return _assemble(_scan(c, z_min, z_max), flux, convergent_used)
+    scan = _scan(c, z_min, z_max)
+    (res,) = _assemble(scan, [flux])
+    if isinstance(res, NumericalError):
+        raise res
+    harper, intervals = res
+    mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
+    # eta(mu_k) matters at integer flux only; read it from the scan's solve
+    etas = poles_and_etas(c, len(mus) - 1)[1] if flux.q == 1 else [None] * len(mus)
+    return SpectralSet(
+        point_spectrum=tuple(
+            PointEigenvalue(k, mu, classify_eigenvalue(c, flux, etas[k]))
+            for k, mu in enumerate(mus) if scan.z_min <= mu <= z_max),
+        continuous=intervals,
+        z_min=scan.z_min, z_max=float(z_max),
+        coupling=c, flux=flux,
+        convergent_used=convergent_used,
+        harper=harper,
+        windows=scan.windows,
+    )
 
 
 def gap_report(s: SpectralSet) -> GapReport:
@@ -270,22 +253,21 @@ def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
                     ) -> tuple[list[ButterflyRow], list[str]]:
     """Continuous spectrum intervals for every Farey flux with q' <= q_max.
 
-    One flux-independent scan is shared across rows; z_min defaults as in
-    graph_spectrum.  Rows come back ordered by (q', p') then z; per-flux
-    failures are collected as diagnostics without aborting the sweep.
+    One scan and one `_assemble` pass serve every flux, so the sweep makes
+    one eta inversion in all and builds no SpectralSet; z_min defaults as in
+    graph_spectrum.  Rows come back ordered by (q', p') then z; a flux that
+    fails is reported as a diagnostic and the others keep their rows.
     """
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
-    scan = _scan(c, z_min, z_max)
+    fluxes = farey_fluxes(q_max)
     rows: list[ButterflyRow] = []
     diagnostics: list[str] = []
-    for flux in farey_fluxes(q_max):
-        try:
-            s = _assemble(scan, flux, None)
-        except NumericalError as exc:
-            diagnostics.append(f"theta={flux}: {exc}")
+    for flux, res in zip(fluxes, _assemble(_scan(c, z_min, z_max), fluxes)):
+        if isinstance(res, NumericalError):
+            diagnostics.append(f"theta={flux}: {res}")
             continue
         rows.extend(ButterflyRow(flux=flux, band_index=i, z_lo=iv.z_lo,
                                  z_hi=iv.z_hi, truncated=iv.truncated)
-                    for i, iv in enumerate(s.continuous))
+                    for i, iv in enumerate(res[1]))
     return rows, diagnostics

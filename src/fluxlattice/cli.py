@@ -2,6 +2,7 @@
 
 Subcommands: spectrum (JSON SpectralSet), butterfly (CSV sweep table),
 dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
+Only spectrum, harper and validate need theta (or a field sample).
 Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 3 numerical failure.  Output is byte-identical for identical configs unless
 --stamp is given.
@@ -35,6 +36,7 @@ from .harper import RationalFlux, harper_spectrum, make_rational
 from .potential import FieldSample, Potential, flux_from_field, make_potential
 
 BUTTERFLY_HEADER = ["θ_num", "θ_den", "band_index", "z_lo", "z_hi", "truncated"]
+THETA = "theta (or a field sample)"  # the flux field that spectrum, harper and validate need
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class RunConfig:
     potential: Potential
     alpha: float
     beta: float
-    theta: object            # RationalFlux (exact "p/q") or float (resolved later)
+    theta: object            # RationalFlux (exact "p/q"), float (resolved later) or None
     theta_repr: object       # value echoed into outputs, as given in the config
     q_max: int
     z_min: float | None
@@ -115,7 +117,7 @@ def parse_config(doc: dict) -> RunConfig:
         theta = flux_from_field(sample, potential.l)
         theta_repr = theta
     else:
-        raise ConfigError("missing field: theta (or a field sample)")
+        theta = theta_repr = None
     q_max = doc.get("q_max", 50)
     if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 1:
         raise ConfigError(f"q_max must be an integer >= 1, got {q_max!r}")
@@ -159,10 +161,11 @@ def _coupling(cfg: RunConfig) -> CouplingParams:
     return CouplingParams(alpha=cfg.alpha, beta=cfg.beta, potential=cfg.potential)
 
 
-def _require_z_max(cfg: RunConfig) -> float:
-    if cfg.z_max is None:
-        raise ConfigError("missing field: z_max")
-    return cfg.z_max
+def _require(value, field: str):
+    """value, or a ConfigError naming the missing field."""
+    if value is None:
+        raise ConfigError(f"missing field: {field}")
+    return value
 
 
 def _potential_doc(p: Potential) -> dict:
@@ -189,8 +192,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
     if cfg.fmt == "csv":
         raise ConfigError("spectrum output is JSON; use butterfly for CSV tables")
-    z_max = _require_z_max(cfg)
-    s = graph_spectrum(cfg.potential, _coupling(cfg), cfg.theta,
+    theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
+    s = graph_spectrum(cfg.potential, _coupling(cfg), theta,
                        z_min=cfg.z_min, z_max=z_max, q_max=cfg.q_max)
     gaps = gap_report(s)
     doc = {
@@ -228,7 +231,7 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
 def cmd_butterfly(cfg: RunConfig, out: str | None) -> int:
     if cfg.fmt == "json":
         raise ConfigError("butterfly output is CSV")
-    z_max = _require_z_max(cfg)
+    z_max = _require(cfg.z_max, "z_max")
     rows, diagnostics = butterfly_sweep(
         cfg.potential, _coupling(cfg), cfg.q_max, z_min=cfg.z_min, z_max=z_max)
     buf = io.StringIO()
@@ -262,7 +265,7 @@ def cmd_dirichlet(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_harper(cfg: RunConfig, out: str | None) -> int:
-    flux, convergent = resolve_flux(cfg.theta, cfg.q_max)
+    flux, convergent = resolve_flux(_require(cfg.theta, THETA), cfg.q_max)
     bands = harper_spectrum(flux, cfg.beta)
     if cfg.fmt == "csv":
         buf = io.StringIO()
@@ -280,8 +283,8 @@ def cmd_harper(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
-    z_max = _require_z_max(cfg)
-    results = validation.run_all(_coupling(cfg), cfg.theta, cfg.z_min, z_max,
+    theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
+    results = validation.run_all(_coupling(cfg), theta, cfg.z_min, z_max,
                                  q_max=cfg.q_max, k_max=cfg.k_max)
     _emit("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                   f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), out)

@@ -40,6 +40,7 @@ from .potential import Potential
 EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
 INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) of an inversion
 THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it
+EDGE_TARGET_RTOL = 1e-13  # an inversion target this close to -+threshold is an edge
 
 
 def check_coupling(alpha: float, beta: float) -> None:
@@ -326,20 +327,40 @@ def band_windows(c: CouplingParams, z_min: float | None,
     return windows
 
 
+def require_resolvable(c: CouplingParams, ws, ys: np.ndarray) -> None:
+    """ConsistencyError if a target off -+threshold lies on a window with no
+    double strictly between a_full and b_full (free edge, alpha = -200), where
+    any inversion ends at an edge; ws holds one BandWindow per target.  It
+    names the target of largest relative residual |eta - y| / (1 + |y|)."""
+    a = np.array([w.a_full for w in ws])
+    b = np.array([w.b_full for w in ws])
+    off = np.abs(np.abs(ys) - c.threshold) > EDGE_TARGET_RTOL * c.threshold
+    missed = np.flatnonzero(off & (np.nextafter(a, b) >= b))
+    if missed.size:
+        y = ys[missed]
+        res = np.min(np.abs(eta_many(c, np.stack((a[missed], b[missed]))) - y),
+                     axis=0) / (1.0 + np.abs(y))
+        i = int(np.argmax(res))
+        w = ws[int(missed[i])]
+        raise ConsistencyError(
+            f"eta inversion on window {w.index} missed target {float(y[i])!r}: "
+            f"relative residual {float(res[i]):.3e}, since no double lies "
+            f"strictly inside [{w.a_full!r}, {w.b_full!r}]")
+
+
 def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     """Solve eta(z) = y on a window's full domain for a batch of y values.
 
     w is one BandWindow for all targets, or a sequence holding one window per
-    target, so a whole request inverts in one call; the windows must share one
-    coupling.  Each target is solved on its own bracket [a_full, b_full] and
-    only unfinished targets are evaluated, so on a piecewise-constant edge no
-    answer depends on the other targets of its batch.  Each z is certified to
-    EDGE_TOL_Z or one ulp, not by its residual: on a steep window |eta - y| at
-    the nearest double, |eta'| ulp / 2 plus eta's own rounding, can exceed
-    INVERT_RESIDUAL.
-    A window with no double strictly between a_full and b_full (free edge,
-    alpha = -200) sends every interior target to an edge; that raises
-    ConsistencyError naming the window, the target and its residual.
+    target, so a whole request inverts in one call: `graph_spectrum` and
+    `butterfly_sweep` each call it once, for every flux they assemble.  The
+    windows must share one coupling.  Each target is solved on its own
+    bracket [a_full, b_full] and only unfinished targets are evaluated, so on
+    a piecewise-constant edge no answer depends on the other targets of its
+    batch.  Each z is certified to EDGE_TOL_Z or one ulp, not by its
+    residual: on a steep window |eta - y| at the nearest double, |eta'| ulp /
+    2 plus eta's own rounding, can exceed INVERT_RESIDUAL.
+    Targets that `require_resolvable` refuses raise its ConsistencyError.
     """
     ys = np.asarray(ys, dtype=float)
     ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
@@ -352,31 +373,22 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
         bad = float(ys[np.argmax(np.abs(ys))])
         raise DomainError(f"eta target {bad} outside [-{c.threshold}, {c.threshold}]")
     ys = np.clip(ys, -c.threshold, c.threshold)
+    require_resolvable(c, ws, ys)
     a = np.array([x.a_full for x in ws])
     b = np.array([x.b_full for x in ws])
     inc = np.array([x.increasing for x in ws])
     # the homeomorphism maps -+threshold to the window edges exactly; at a
     # touching window the edge is a double root of eta -+ threshold, so root
     # finding there would be sqrt(eps)-conditioned while the edge is known
-    at_top = np.abs(ys - c.threshold) <= 1e-13 * c.threshold
-    at_bot = np.abs(ys + c.threshold) <= 1e-13 * c.threshold
+    at_top = np.abs(ys - c.threshold) <= EDGE_TARGET_RTOL * c.threshold
+    at_bot = np.abs(ys + c.threshold) <= EDGE_TARGET_RTOL * c.threshold
     z = np.where(at_top == inc, b, a)  # the edge that eta sends to the target
     interior = ~(at_top | at_bot)
     if np.any(interior):
         yv, lo, hi = ys[interior], a[interior], b[interior]
         sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
-        zi = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
-                          lo, hi, sign_lo)
-        flat = np.flatnonzero(np.nextafter(lo, hi) >= hi)  # no double inside
-        if flat.size:
-            res = np.abs(eta_many(c, zi[flat]) - yv[flat]) / (1.0 + np.abs(yv[flat]))
-            i = flat[int(np.argmax(res))]
-            w_i = ws[int(np.flatnonzero(interior)[i])]
-            raise ConsistencyError(
-                f"eta inversion on window {w_i.index} missed target {float(yv[i])!r}: "
-                f"relative residual {float(np.max(res)):.3e}, since no double lies "
-                f"strictly inside [{w_i.a_full!r}, {w_i.b_full!r}]")
-        z[interior] = zi
+        z[interior] = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
+                                   lo, hi, sign_lo)
     return z
 
 

@@ -295,3 +295,34 @@ def test_butterfly_row_ordering(free_pot, free_coupling):
     rows, _ = butterfly_sweep(free_pot, free_coupling, 3, z_min=0.0, z_max=4.0)
     keys = [(r.flux.q, r.flux.p, r.band_index) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_one_inversion_per_request(step_pot, monkeypatch):
+    calls = []
+    real = assembler.invert_eta_many
+
+    def counted(ws, ys):
+        calls.append(len(ys))
+        return real(ws, ys)
+
+    monkeypatch.setattr(assembler, "invert_eta_many", counted)
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    graph_spectrum(step_pot, c, RationalFlux(2, 5), z_min=0.3, z_max=7.7)
+    assert len(calls) == 1
+    calls.clear()
+    butterfly_sweep(step_pot, c, 5, z_min=0.3, z_max=7.7)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("z_min,z_max", [(0.3, 7.7), (2.07, 12.0)])
+def test_butterfly_rows_are_graph_spectra(step_pot, z_min, z_max):
+    # 7.7 cuts window 1 = [7.29, 7.84], 2.07 window 0 = [2.048, 2.092] and 12
+    # window 2 = [11.6, 14.5], so some pullbacks are clipped and truncated
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    rows, diags = butterfly_sweep(step_pot, c, 5, z_min=z_min, z_max=z_max)
+    assert diags == []
+    assert any(r.truncated for r in rows)
+    for flux in farey_fluxes(5):
+        s = graph_spectrum(step_pot, c, flux, z_min=z_min, z_max=z_max)
+        assert [(r.z_lo, r.z_hi, r.truncated) for r in rows if r.flux == flux] == [
+            (iv.z_lo, iv.z_hi, iv.truncated) for iv in s.continuous]

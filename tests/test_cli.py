@@ -175,6 +175,52 @@ def test_butterfly_counts_failed_fluxes(tmp_path, capsys, monkeypatch):
     assert ("1", "2") not in fluxes and ("1", "3") in fluxes
 
 
+def test_butterfly_unresolvable_window_fails_per_flux(tmp_path, capsys):
+    # window 0 at alpha = -200 is narrower than one ulp: the fluxes with a
+    # Harper band edge inside (-4, 4) fail there, while 0/1 and 1/1, whose one
+    # band maps onto the window's edges, keep their rows
+    doc = {k: v for k, v in FREE_CFG.items() if k not in ("z_min", "theta")}
+    cfg = write_config(tmp_path, {**doc, "alpha": -200.0, "q_max": 3})
+    assert main(["butterfly", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    rows = ["-2500.0,-2500.0", "1.0,1.0259559033595889", "4.0,4.103780228606205",
+            "9.0,9.233343148790112"]
+    assert out.splitlines() == ["θ_num,θ_den,band_index,z_lo,z_hi,truncated"] + [
+        f"{p},1,{i},{row},false" for p in (0, 1) for i, row in enumerate(rows)]
+    window = "since no double lies strictly inside [-2500.0, -2500.0]"
+    assert err.splitlines() == [
+        f"butterfly diagnostic: theta=1/2: eta inversion on window 0 missed target "
+        f"-2.8284271247461903: relative residual 7.388e-01, {window}",
+        f"butterfly diagnostic: theta=1/3: eta inversion on window 0 missed target "
+        f"-2.732050807568877: relative residual 7.321e-01, {window}",
+        f"butterfly diagnostic: theta=2/3: eta inversion on window 0 missed target "
+        f"-2.732050807568877: relative residual 7.321e-01, {window}",
+        "butterfly: 3 of 5 fluxes failed"]
+
+
+@pytest.mark.parametrize("command", ["butterfly", "dirichlet"])
+def test_commands_without_theta_need_none(tmp_path, capsys, command):
+    doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}
+    cfg = write_config(tmp_path, {**doc, "q_max": 2, "z_max": 4.0, "k_max": 2})
+    assert main([command, "--config", cfg]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "harper", "validate"])
+def test_commands_reading_theta_require_it(tmp_path, capsys, command):
+    doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: missing field: theta (or a field sample)\n")
+
+
+def test_butterfly_still_checks_a_given_theta(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/0", "q_max": 2})
+    assert main(["butterfly", "--config", cfg]) == 2
+    assert "denominator" in capsys.readouterr().err
+
+
 def test_dirichlet_json(tmp_path, capsys):
     cfg = write_config(tmp_path, {**FREE_CFG, "k_max": 2})
     assert main(["dirichlet", "--config", cfg]) == 0

@@ -1,0 +1,147 @@
+"""Compare the `spectrum` and `butterfly` output of two source trees.
+
+    python tools/cli_diff.py OLD NEW [--edges free step linear65]
+
+OLD and NEW are checkouts of the repository (for example the parent commit,
+made with `git worktree add` or `git archive`).  Each tree runs the whole
+config grid in one worker process of its own, with PYTHONPATH at its `src`:
+
+  * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
+    on request linear65 (V = t sampled at 65 nodes; about 15 minutes a tree
+    on one core, against seconds for the two piecewise edges);
+  * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
+  * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
+  * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, and `butterfly` at q_max 5.
+
+A run's text is its exit code, stdout and stderr.  Each config prints one
+line: identical; the largest numeric difference between the two texts and
+how many numbers differ, when only numbers differ; the truncation flags that
+changed; or that the texts differ in structure.  The last line sums up.
+Exit status 0 means every config is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+L = float(np.pi)
+LINEAR65 = np.linspace(0.0, L, 65)
+EDGES = {
+    "free": {"kind": "zero"},
+    "step": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
+             "values": [0.0, 10.0]},
+    "linear65": {"kind": "sampled", "grid": LINEAR65.tolist(),
+                 "values": LINEAR65.tolist()},
+}
+ALPHAS = (1.0, 0.0, -1.5, -15.0)
+BETAS = (0.5, 1.0, 1.3)
+RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
+THETAS = ("0/1", "1/3", "2/5", "1/2")
+Q_MAX = 5
+
+NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+FLAG = re.compile(r"\b(?:true|false)\b")
+
+
+def grid(edges):
+    """(label, subcommand, config) for every run."""
+    for edge, alpha, beta, (z_min, z_max) in itertools.product(
+            edges, ALPHAS, BETAS, RANGES):
+        doc = {"l": L, "potential": EDGES[edge], "alpha": alpha, "beta": beta,
+               "z_max": z_max, **({} if z_min is None else {"z_min": z_min})}
+        label = f"{edge} alpha={alpha} beta={beta} z=[{z_min}, {z_max}]"
+        for theta in THETAS:
+            yield f"spectrum {label} theta={theta}", "spectrum", {**doc, "theta": theta}
+        # butterfly reads no theta; older trees demand one all the same
+        yield (f"butterfly {label} q_max={Q_MAX}", "butterfly",
+               {**doc, "theta": "0/1", "q_max": Q_MAX})
+
+
+def worker(edges) -> None:
+    """Run the grid with the fluxlattice on sys.path; print a JSON list of texts."""
+    from fluxlattice.cli import main
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        for _, command, doc in grid(edges):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", path])
+            texts.append(f"exit {rc}\n{out.getvalue()}\n{err.getvalue()}")
+    json.dump(texts, sys.stdout)
+
+
+def run_tree(root: str, edges) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker",
+                             "--edges", *edges], env=env, stdout=subprocess.PIPE,
+                            text=True)
+
+
+def compare(old: str, new: str) -> tuple[str, str, float]:
+    """(kind, one-line verdict, largest numeric difference) for two texts;
+    kind is identical, numbers, flags or structure."""
+    if old == new:
+        return "identical", "identical", 0.0
+    skeleton_old, skeleton_new = NUMBER.sub("#", old), NUMBER.sub("#", new)
+    if FLAG.sub("@", skeleton_old) != FLAG.sub("@", skeleton_new):
+        return "structure", "differs in structure", 0.0
+    a = np.array([float(x) for x in NUMBER.findall(old)])
+    b = np.array([float(x) for x in NUMBER.findall(new)])
+    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+    verdict = f"max |diff| {diff:.3e} over {int(np.count_nonzero(a != b))} numbers"
+    flags = [(x, y) for x, y in zip(FLAG.findall(skeleton_old),
+                                    FLAG.findall(skeleton_new)) if x != y]
+    if not flags:
+        return "numbers", verdict, diff
+    return "flags", (f"{verdict}; truncation flags changed: {len(flags)} "
+                     f"({flags[0][0]} -> {flags[0][1]}, ...)"), diff
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE", help="OLD and NEW checkouts")
+    parser.add_argument("--edges", nargs="+", choices=sorted(EDGES),
+                        default=["free", "step"])
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.edges)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, OLD and NEW")
+    procs = [run_tree(root, args.edges) for root in args.trees]
+    outputs = [p.communicate()[0] for p in procs]
+    if any(p.returncode for p in procs):
+        print("a worker failed", file=sys.stderr)
+        return 2
+    old, new = (json.loads(text) for text in outputs)
+    counts = dict.fromkeys(("identical", "numbers", "flags", "structure"), 0)
+    worst = 0.0
+    for (label, _, _), a, b in zip(grid(args.edges), old, new):
+        kind, verdict, diff = compare(a, b)
+        print(f"{label}: {verdict}")
+        counts[kind] += 1
+        worst = max(worst, diff)
+    print(f"summary: {counts['identical']} of {len(old)} identical, "
+          f"{counts['numbers']} differ only in numbers (max |diff| {worst:.3e}), "
+          f"{counts['flags']} change truncation flags, "
+          f"{counts['structure']} differ in structure")
+    return 0 if counts["identical"] == len(old) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
