@@ -18,7 +18,13 @@ and the Chambers relation states that
 
 is independent of momentum.  The spectrum is P^{-1}([-L, L]) with
 L = 2 + 2 beta^{2q}: exactly q closed bands (touching allowed) whose edges
-are the eigenvalues of H at the extremal momenta (0,0) and (pi/q, pi/q).
+are the eigenvalues of H at the extremal momenta (0,0) (P = +L) and
+(pi/q, pi/q) (P = -L).  P is monotone on each band, so band i holds the i-th
+eigenvalue of each fiber and nothing else: pairing the two sorted spectra by
+index cannot misorder a band.  Each edge is then polished on a longdouble
+fit of P (`_chambers_ld`, `_polish_edge`), which moves it by up to 2e-10
+and is kept only until that fit is deleted: the unpolished eigenvalues are
+the more accurate edges.
 
 The Chambers determinants run in extended precision (numpy longdouble), from
 the bands of H (diagonal, e^{i k1} and its conjugate) and never from a q x q
@@ -49,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, TorusSizeError
+from .errors import DomainError, TorusSizeError
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -330,35 +336,33 @@ def chambers_defect(f: RationalFlux, beta: float) -> float:
 def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
     """Band intervals {E : P(E) in [-L, L]}, L = 2 + 2 beta^{2q}.
 
-    Edges are the eigenvalues of H(0,0) (roots of P = +L) and of
-    H(pi/q, pi/q) (roots of P = -L); sorted and paired they bound the q bands.
-    Each edge is polished by bisection on the longdouble P when a sign change
-    survives in a tight bracket (touching bands have double roots and keep the
-    eigenvalue value).  Touching bands stay separate intervals.  H depends on
-    p mod q only, so the bands are cached per (p mod q, q, beta) and returned
-    with the flux asked for; a pairing failure names that flux.
+    Band i is [min(e+_i, e-_i), max(e+_i, e-_i)], where e+ are the sorted
+    eigenvalues of H(0,0) (roots of P = +L) and e- those of H(pi/q, pi/q)
+    (roots of P = -L), paired by index.  P is monotone on each band, so every
+    band holds exactly one root of each kind, and the i-th band holds the i-th
+    of each: the pairing cannot misorder.  Each edge is then polished by
+    bisection on the longdouble P when a sign change survives in a tight
+    bracket (touching bands have double roots and keep the eigenvalue value).
+    Touching bands stay separate intervals.  H depends on p mod q only, so
+    the bands are cached per (p mod q, q, beta) and returned with the flux
+    asked for.
     """
     bands = _harper_bands(f.p % f.q, f.q, float(beta))
-    if any(lo > hi for lo, hi in bands):
-        raise ConsistencyError(f"band pairing failed for theta={f}, beta={beta}")
     return HarperBands(flux=f, beta=float(beta), bands=bands)
 
 
 @lru_cache(maxsize=256)
 def _harper_bands(p: int, q: int, beta: float) -> tuple[tuple[float, float], ...]:
-    e_plus = np.linalg.eigvalsh(_fiber(p, q, beta, 0.0, 0.0))
-    e_minus = np.linalg.eigvalsh(_fiber(p, q, beta, np.pi / q, np.pi / q))
-    beta_ld = _LD(beta)
-    level = _LD(2.0) + _LD(2.0) * beta_ld ** (2 * q)
-    roots = [(float(e), _LD(1.0)) for e in e_plus] + [(float(e), _LD(-1.0)) for e in e_minus]
-    roots.sort(key=lambda t: t[0])
+    e_plus, e_minus = (np.linalg.eigvalsh(_fiber(p, q, beta, k, k)).tolist()
+                       for k in (0.0, np.pi / q))
+    level = _LD(2.0) + _LD(2.0) * _LD(beta) ** (2 * q)
     if float(level) < 1e12:  # beyond that the polynomial scale swamps the edge scale
         coeffs = _chambers_ld(p, q, beta)
-        roots = [(_polish_edge(coeffs, e, s * level), s) for e, s in roots]
-    edges = [e for e, _ in roots]
-    bands = tuple((edges[2 * i], edges[2 * i + 1]) for i in range(q))
+        e_plus = [_polish_edge(coeffs, e, level) for e in e_plus]
+        e_minus = [_polish_edge(coeffs, e, -level) for e in e_minus]
     bound = 2.0 * (1.0 + beta ** 2)
-    return tuple((max(lo, -bound), min(hi, bound)) for lo, hi in bands)
+    return tuple((max(min(a, b), -bound), min(max(a, b), bound))
+                 for a, b in zip(e_plus, e_minus))
 
 
 def _polish_edge(coeffs: np.ndarray, e: float, target) -> float:

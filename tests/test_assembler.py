@@ -139,16 +139,16 @@ def test_classify_mirror_symmetric_edges(pot, alpha, beta, q, p_seed):
 
 
 def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
-    # at 1/31, beta = 1 harper_spectrum raises (band pairing), so the
-    # classification must not need it, while the assembly still does
+    # with harper_spectrum failing the assembly fails, while the
+    # classification, which must not need the bands, still answers
     c = CouplingParams(alpha=0.5, beta=1.0, potential=free_coupling.potential)
-    with pytest.raises(ConsistencyError):
-        graph_spectrum(c.potential, c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("harper_spectrum called")
+        raise ConsistencyError("harper_spectrum called")
     monkeypatch.setattr(assembler, "harper_spectrum", refuse)
     monkeypatch.setattr(harper, "harper_spectrum", refuse)
+    with pytest.raises(ConsistencyError, match="harper_spectrum called"):
+        graph_spectrum(c.potential, c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
     for k in range(4):
         assert classify_eigenvalue(c, RationalFlux(1, 31), eta_on_pole(c, k)) is \
             Classification.ISOLATED

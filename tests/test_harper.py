@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (ConsistencyError, DomainError, RationalFlux,
-                         TorusSizeError, approximate_irrational, best_convergent,
+from fluxlattice import (DomainError, RationalFlux, TorusSizeError,
+                         approximate_irrational, best_convergent,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
 from fluxlattice import harper
@@ -17,8 +17,8 @@ from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cyclic,
                                 _det_transfer, _fiber_bands, _gauss_solve_ld,
                                 _harper_bands)
 from fluxlattice.validation import check_chambers, check_torus_containment
-from oracles import (dense_det_ld, dense_fiber_ld, dense_kgrid_bands, landau_torus,
-                     symmetric_gauge_torus)
+from oracles import (dense_det_ld, dense_fiber, dense_fiber_ld, dense_kgrid_bands,
+                     landau_torus, symmetric_gauge_torus)
 
 SQ3 = np.sqrt(3.0)
 THIRD_FLUX_BANDS = [(-1.0 - SQ3, -2.0), (1.0 - SQ3, SQ3 - 1.0), (2.0, 1.0 + SQ3)]
@@ -414,12 +414,48 @@ def test_harper_cache_returns_requested_flux():
     assert shifted.flux == RationalFlux(7, 5) and shifted.bands == base.bands
 
 
-def test_harper_cached_failure_names_requested_flux():
-    # 1/31 at beta = 1 is a known band-pairing failure; 32/31 shares its entry
-    with pytest.raises(ConsistencyError, match=r"theta=1/31,"):
-        harper_spectrum(RationalFlux(1, 31), 1.0)
-    with pytest.raises(ConsistencyError, match=r"theta=32/31,"):
-        harper_spectrum(RationalFlux(32, 31), 1.0)
+# every default-range (p/q, beta) (Farey q <= 50, beta in {0.5, 1, 1.3, 2})
+# whose edges, sorted together and paired as neighbours, misordered a band
+FORMERLY_MISPAIRED = [(p, q, beta) for beta, fluxes in {
+    0.5: [(45, 46), (46, 47), (1, 49), (48, 49), (1, 50), (49, 50)],
+    1.0: [(1, 31), (30, 31), (31, 32), (1, 33), (33, 34), (1, 35), (34, 35),
+          (1, 36), (35, 36), (1, 37), (36, 37), (1, 38), (37, 38), (1, 39),
+          (1, 40), (39, 40), (1, 41), (40, 41), (1, 42), (41, 42), (1, 43),
+          (2, 43), (41, 43), (42, 43), (1, 44), (43, 44), (1, 45), (2, 45),
+          (43, 45), (44, 45), (1, 46), (45, 46), (1, 47), (45, 47), (46, 47),
+          (1, 48), (47, 48), (1, 49), (47, 49), (48, 49), (1, 50), (49, 50)],
+    1.3: [(1, 37), (37, 38), (1, 39), (39, 40), (1, 41), (40, 41), (1, 42),
+          (41, 42), (1, 43), (42, 43), (1, 44), (43, 44), (1, 45), (44, 45),
+          (1, 46), (45, 46), (1, 47), (46, 47), (1, 48), (47, 48), (1, 49),
+          (48, 49), (1, 50), (49, 50)],
+}.items() for p, q in fluxes]
+
+
+@pytest.mark.parametrize("p,q,beta", FORMERLY_MISPAIRED)
+def test_bands_paired_by_index(p, q, beta):
+    f = RationalFlux(p, q)
+    bands = harper_spectrum(f, beta).bands
+    assert len(bands) == q
+    tol = lambda e: 2e-10 * max(1.0, abs(e))
+    edges = [e for band in bands for e in band]
+    assert all(b >= a - tol(a) for a, b in zip(edges, edges[1:]))
+    e_plus, e_minus = (np.linalg.eigvalsh(dense_fiber(p, q, beta, k, k))
+                       for k in (0.0, np.pi / q))
+    for (lo, hi), a, b in zip(bands, e_plus, e_minus):
+        assert abs(lo - min(a, b)) <= tol(lo) and abs(hi - max(a, b)) <= tol(hi)
+    for e in torus_oracle(f, beta, 1):
+        assert any(lo - 1e-9 <= e <= hi + 1e-9 for lo, hi in bands)
+
+
+@pytest.mark.parametrize("p,q", [(55, 89), (89, 144)])
+def test_measure_at_golden_mean_convergents(p, q):
+    # Thouless, J. Phys. C 16 (1983) L929: q |sigma(p/q)| -> 9.3299 at beta = 1;
+    # Avila-Krikorian, Ann. Math. 164 (2006): |sigma| -> |4 - 4 beta^2| otherwise
+    def measure(beta):
+        return sum(hi - lo for lo, hi in harper_spectrum(RationalFlux(p, q), beta).bands)
+    assert abs(q * measure(1.0) - 9.3299) < 5e-3
+    for beta in (0.5, 2.0):
+        assert abs(measure(beta) - abs(4.0 - 4.0 * beta ** 2)) < 1e-6
 
 
 def test_flux_reflection():
@@ -490,8 +526,7 @@ def test_torus_blocks_match_real_space(p, q, beta, reps):
 
 @pytest.mark.parametrize("p,q,beta", [(13, 34, 1.0), (1, 31, 2.0)])
 def test_check_torus_containment_large_q(p, q, beta):
-    # q > 12: the torus side is q itself (1/31 raises at beta = 1, a known
-    # band-pairing failure, hence beta = 2 there)
+    # q > 12: the torus side is q itself
     r = check_torus_containment(harper_spectrum(RationalFlux(p, q), beta))
     assert r.passed, r
 

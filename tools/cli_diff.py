@@ -1,6 +1,6 @@
-"""Compare the `spectrum` and `butterfly` output of two source trees.
+"""Compare the `spectrum`, `butterfly` and `harper` output of two source trees.
 
-    python tools/cli_diff.py OLD NEW [--edges free step linear65]
+    python tools/cli_diff.py OLD NEW [--edges free step linear65] [--harper]
 
 OLD and NEW are checkouts of the repository (for example the parent commit,
 made with `git worktree add` or `git archive`).  Each tree runs the whole
@@ -11,7 +11,10 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     on one core, against seconds for the two piecewise edges);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
-  * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, and `butterfly` at q_max 5.
+  * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, and `butterfly` at q_max 5;
+  * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
+    with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
+    free and step grid takes about 40 s a tree).
 
 A run's text is its exit code, stdout and stderr.  Each config prints one
 line: identical; the largest numeric difference between the two texts and
@@ -27,6 +30,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -49,12 +53,20 @@ BETAS = (0.5, 1.0, 1.3)
 RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
 THETAS = ("0/1", "1/3", "2/5", "1/2")
 Q_MAX = 5
+HARPER_Q_MAX = 50
+HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 FLAG = re.compile(r"\b(?:true|false)\b")
 
 
-def grid(edges):
+def farey(q_max):
+    """The reduced fractions p/q in [0, 1] with q <= q_max, by q then p."""
+    return [(p, q) for q in range(1, q_max + 1) for p in range(q + 1)
+            if math.gcd(p, q) == 1]
+
+
+def grid(edges, harper):
     """(label, subcommand, config) for every run."""
     for edge, alpha, beta, (z_min, z_max) in itertools.product(
             edges, ALPHAS, BETAS, RANGES):
@@ -66,15 +78,20 @@ def grid(edges):
         # butterfly reads no theta; older trees demand one all the same
         yield (f"butterfly {label} q_max={Q_MAX}", "butterfly",
                {**doc, "theta": "0/1", "q_max": Q_MAX})
+    if harper:
+        for beta, (p, q) in itertools.product(HARPER_BETAS, farey(HARPER_Q_MAX)):
+            yield (f"harper beta={beta} theta={p}/{q}", "harper",
+                   {"l": L, "potential": EDGES["free"], "alpha": 0.0, "beta": beta,
+                    "theta": f"{p}/{q}"})
 
 
-def worker(edges) -> None:
+def worker(edges, harper) -> None:
     """Run the grid with the fluxlattice on sys.path; print a JSON list of texts."""
     from fluxlattice.cli import main
     texts = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
-        for _, command, doc in grid(edges):
+        for _, command, doc in grid(edges, harper):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             out, err = io.StringIO(), io.StringIO()
@@ -84,11 +101,11 @@ def worker(edges) -> None:
     json.dump(texts, sys.stdout)
 
 
-def run_tree(root: str, edges) -> subprocess.Popen:
+def run_tree(root: str, edges, harper) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
     return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker",
-                             "--edges", *edges], env=env, stdout=subprocess.PIPE,
-                            text=True)
+                             "--edges", *edges, *(["--harper"] if harper else [])],
+                            env=env, stdout=subprocess.PIPE, text=True)
 
 
 def compare(old: str, new: str) -> tuple[str, str, float]:
@@ -116,14 +133,16 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", metavar="TREE", help="OLD and NEW checkouts")
     parser.add_argument("--edges", nargs="+", choices=sorted(EDGES),
                         default=["free", "step"])
+    parser.add_argument("--harper", action="store_true",
+                        help="add `harper` at every Farey flux with q <= 50")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.edges)
+        worker(args.edges, args.harper)
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD and NEW")
-    procs = [run_tree(root, args.edges) for root in args.trees]
+    procs = [run_tree(root, args.edges, args.harper) for root in args.trees]
     outputs = [p.communicate()[0] for p in procs]
     if any(p.returncode for p in procs):
         print("a worker failed", file=sys.stderr)
@@ -131,7 +150,7 @@ def main(argv=None) -> int:
     old, new = (json.loads(text) for text in outputs)
     counts = dict.fromkeys(("identical", "numbers", "flags", "structure"), 0)
     worst = 0.0
-    for (label, _, _), a, b in zip(grid(args.edges), old, new):
+    for (label, _, _), a, b in zip(grid(args.edges, args.harper), old, new):
         kind, verdict, diff = compare(a, b)
         print(f"{label}: {verdict}")
         counts[kind] += 1
