@@ -8,6 +8,11 @@ threshold 2(1+beta^2), and Isolated otherwise (`classify_eigenvalue`).
 The windows do not depend on the flux, so a request scans them once (`_scan`)
 and `_assemble` serves any number of fluxes in one collect, invert, clip pass
 with one eta inversion: one flux for `graph_spectrum`, all for `butterfly_sweep`.
+The flux enters only through its Harper bands, and spec M(theta) is even and
+1-periodic in theta (M(-theta) = conj M(theta), and the fiber depends on
+p mod q only), so the spectrum is symmetric about theta = 1/2.  Fluxes with
+equal bands, such as p/q and (q - p)/q, share one inversion and one interval
+list, so their intervals are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -144,35 +149,42 @@ def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
 
 def _assemble(scan: _Scan, fluxes) -> list:
     """Per flux, its HarperBands and intervals sorted by z, or the
-    NumericalError that flux alone raised.  Collect both ends of every Harper
-    band on every window, invert them all in one call on the windows' full
-    domains, and clip each pullback [min z, max z] to its window as scanned:
-    truncated when the clip shortens it, dropped when nothing is left."""
+    NumericalError that flux alone raised.  Fluxes with equal Harper bands
+    share one interval list: the assembly reads a flux only through its bands,
+    and p/q, (p + q)/q and (q - p)/q have the same bands, since M(-theta) =
+    conj M(theta) (`harper_spectrum`).  For each distinct band set, collect
+    both ends of every band on every window; invert them all in one call on
+    the windows' full domains, and clip each pullback [min z, max z] to its
+    window as scanned: truncated when the clip shortens it, dropped when
+    nothing is left."""
     c = scan.coupling
-    out, ws, ys = [], [], []
+    out, shared, ws, ys = [], {}, [], []
     for flux in fluxes:
         try:
             harper = harper_spectrum(flux, c.beta)
-            fw = [w for w in scan.windows for _ in harper.bands for _ in (0, 1)]
-            fy = np.tile(np.clip(harper.bands, -c.threshold, c.threshold).ravel(),
-                         len(scan.windows))
-            require_resolvable(c, fw, fy)
+            if harper.bands not in shared:
+                fw = [w for w in scan.windows for _ in harper.bands for _ in (0, 1)]
+                fy = np.tile(np.clip(harper.bands, -c.threshold, c.threshold).ravel(),
+                             len(scan.windows))
+                require_resolvable(c, fw, fy)
+                shared[harper.bands] = []
+                ws += fw
+                ys.append(fy)
         except NumericalError as exc:
             out.append(exc)
             continue
-        out.append((harper, []))
-        ws += fw
-        ys.append(fy)
+        out.append(harper)
     z = iter(invert_eta_many(ws, np.concatenate(ys) if ys else []).reshape(-1, 2).tolist())
-    for harper, intervals in (r for r in out if not isinstance(r, NumericalError)):
-        for w, j in itertools.product(scan.windows, range(len(harper.bands))):
+    for bands, intervals in shared.items():
+        for w, j in itertools.product(scan.windows, range(len(bands))):
             lo, hi = sorted(next(z))
             z_lo, z_hi = max(lo, w.a), min(hi, w.b)
             if z_lo <= z_hi:
                 intervals.append(ContinuousInterval(z_lo=z_lo, z_hi=z_hi, window=w.index,
                                                     band=j, truncated=(z_lo, z_hi) != (lo, hi)))
         intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
-    return [r if isinstance(r, NumericalError) else (r[0], tuple(r[1])) for r in out]
+        shared[bands] = tuple(intervals)
+    return [r if isinstance(r, NumericalError) else (r, shared[r.bands]) for r in out]
 
 
 def graph_spectrum(p: Potential, c: CouplingParams, theta,
@@ -255,8 +267,10 @@ def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
 
     One scan and one `_assemble` pass serve every flux, so the sweep makes
     one eta inversion in all and builds no SpectralSet; z_min defaults as in
-    graph_spectrum.  Rows come back ordered by (q', p') then z; a flux that
-    fails is reported as a diagnostic and the others keep their rows.
+    graph_spectrum.  The mirror fluxes p'/q' and (q' - p')/q' share one Harper
+    solve and one set of pullbacks (M(-theta) = conj M(theta)), so their rows
+    are equal.  Rows come back ordered by (q', p') then z; a flux that fails
+    is reported as a diagnostic and the others keep their rows.
     """
     if c.potential != p:
         c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)

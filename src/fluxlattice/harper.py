@@ -39,8 +39,12 @@ beyond float64 are what keeps their rounding below that tolerance up to
 q = 26.  `_det_cyclic` is a dense LU with partial pivoting on band data that
 keeps only the three rows pivoting can touch at each step; the fit of P that
 polishes the band edges takes its q+1 node determinants from it in one call.
-H depends on p mod q only, so the fit of P and the Harper bands are cached
-per (p mod q, q, beta).
+H depends on p mod q only, and the spectrum is even in theta: the fiber at
+-p/q is the complex conjugate of the fiber at p/q at momentum (-k1, -k2),
+since M(-theta) = conj M(theta), and conjugation keeps a Hermitian spectrum
+and the real polynomial P.  So p/q, (p + q)/q and (q - p)/q have one P and
+one set of Harper bands, and both are cached once per
+(min(p mod q, -p mod q), q, beta).
 
 `torus_oracle` restricts M to an N x N torus and diagonalizes it through its N
 momentum blocks (N x N each, N^4 work instead of N^6 for the dense matrix),
@@ -291,18 +295,26 @@ def _gauss_solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mirror_class(f: RationalFlux) -> int:
+    """The one numerator of theta = +-p/q mod 1 that the cached fit of P and
+    the cached bands are keyed on: min(p mod q, -p mod q)."""
+    return min(f.p % f.q, -f.p % f.q)
+
+
 def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomial:
     """The degree-q Chambers polynomial P(E), momentum independent.
 
     Coefficients are fit from det(E I - H) at q+1 Chebyshev-spaced energies at
     the reference momentum (pi/2q, pi/2q), all q+1 determinants from one
-    `_det_cyclic` call; the fit is cached per (p mod q, q, beta), since H
-    depends on p mod q only.  `_harper_bands` reads the cached fit
-    `_chambers_ld` directly for its band-edge polish, and `chambers_defect`
-    takes P(E) from a transfer trace, so nothing in the package calls this
-    wrapper; the tests check the fit through it.
+    `_det_cyclic` call.  P is one real polynomial for p/q, (p + q)/q and
+    (q - p)/q (M(-theta) = conj M(theta)), so the fit is cached, like the
+    bands it polishes, per (min(p mod q, -p mod q), q, beta).
+    `_harper_bands` reads the cached fit `_chambers_ld` directly for its
+    band-edge polish, and `chambers_defect` takes P(E) from a transfer trace,
+    so nothing in the package calls this wrapper; the tests check the fit
+    through it.
     """
-    coeffs_desc = _chambers_ld(f.p % f.q, f.q, float(beta))
+    coeffs_desc = _chambers_ld(_mirror_class(f), f.q, float(beta))
     return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])
 
 
@@ -343,11 +355,12 @@ def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
     of each: the pairing cannot misorder.  Each edge is then polished by
     bisection on the longdouble P when a sign change survives in a tight
     bracket (touching bands have double roots and keep the eigenvalue value).
-    Touching bands stay separate intervals.  H depends on p mod q only, so
-    the bands are cached per (p mod q, q, beta) and returned with the flux
-    asked for.
+    Touching bands stay separate intervals.  H depends on p mod q only, and
+    M(-theta) = conj M(theta) has the same spectrum, so p/q, (p + q)/q and
+    (q - p)/q share one cache entry, keyed (min(p mod q, -p mod q), q, beta),
+    and each gets the bands with the flux asked for.
     """
-    bands = _harper_bands(f.p % f.q, f.q, float(beta))
+    bands = _harper_bands(_mirror_class(f), f.q, float(beta))
     return HarperBands(flux=f, beta=float(beta), bands=bands)
 
 

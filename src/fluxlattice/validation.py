@@ -11,8 +11,11 @@ both sides combine the same four endpoint values of one propagation, so its
 defect can only show rounding, never a wrong basis.  `flux_periodicity`
 compares the Harper bands at p/q and (p+q)/q: the assembly reads the flux
 only through them and q, so equal bands mean equal spectra, and no spectrum
-is assembled here.  Since the fiber uses (p j) mod q and the bands are cached
-per p mod q, its defect is 0 by construction.  `chambers_independence` is the
+is assembled here.  Since the fiber uses (p j) mod q and the bands at p/q,
+(p+q)/q and (q-p)/q share one cache entry (keyed on min(p mod q, -p mod q),
+as M(-theta) = conj M(theta)), its defect is 0 by construction; so would be
+a reflection check read through `harper_spectrum`, which must build the
+fiber at (q-p)/q itself to compare anything.  `chambers_independence` is the
 one check of the Chambers momentum independence, a relative defect (see
 `harper.chambers_defect`).
 

@@ -326,3 +326,35 @@ def test_butterfly_rows_are_graph_spectra(step_pot, z_min, z_max):
         s = graph_spectrum(step_pot, c, flux, z_min=z_min, z_max=z_max)
         assert [(r.z_lo, r.z_hi, r.truncated) for r in rows if r.flux == flux] == [
             (iv.z_lo, iv.z_hi, iv.truncated) for iv in s.continuous]
+
+
+def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
+    # spec M(p/q) = spec M((q - p)/q), since M(-theta) = conj M(theta): the
+    # sweep inverts 2q targets per window once per distinct band set, and
+    # mirror fluxes get equal rows.  On the piecewise step edge no inversion
+    # answer depends on its batch, so every row still equals graph_spectrum
+    # at its own flux, which inverts that flux's targets alone
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    batches = []
+    real = assembler.invert_eta_many
+
+    def recorded(ws, ys):
+        batches.append(np.asarray(ys))
+        return real(ws, ys)
+
+    monkeypatch.setattr(assembler, "invert_eta_many", recorded)
+    rows, diags = butterfly_sweep(step_pot, c, 8, z_min=0.3, z_max=7.7)
+    assert diags == [] and len(batches) == 1
+    n_windows = len(band_windows(c, 0.3, 7.7))
+    classes = {(min(f.p, f.q - f.p), f.q) for f in farey_fluxes(8)}
+    assert len(classes) < len(farey_fluxes(8))
+    assert batches[0].size == sum(2 * q * n_windows for _, q in classes)
+    by_flux = {}
+    for r in rows:
+        by_flux.setdefault(r.flux, []).append((r.band_index, r.z_lo, r.z_hi, r.truncated))
+    for flux in farey_fluxes(8):
+        mirror = RationalFlux(flux.q - flux.p, flux.q)
+        assert by_flux[flux] == by_flux[mirror]
+        s = graph_spectrum(step_pot, c, flux, z_min=0.3, z_max=7.7)
+        assert by_flux[flux] == [(i, iv.z_lo, iv.z_hi, iv.truncated)
+                                 for i, iv in enumerate(s.continuous)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -108,6 +109,7 @@ def test_chambers_defect_sees_planted_fiber_error(p, q, monkeypatch):
 
 
 FAREY_26 = [(p, q) for q in range(1, 27) for p in range(q + 1) if math.gcd(p, q) == 1]
+FAREY_50 = [(p, q) for q in range(1, 51) for p in range(q + 1) if math.gcd(p, q) == 1]
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 2.0])
@@ -459,10 +461,32 @@ def test_measure_at_golden_mean_convergents(p, q):
 
 
 def test_flux_reflection():
-    for (p, q) in [(1, 2), (1, 3), (2, 5)]:
-        a = harper_spectrum(RationalFlux(p, q), 0.8).edges
-        b = harper_spectrum(RationalFlux(-p, q), 0.8).edges
-        assert np.max(np.abs(a - b)) < 1e-9
+    # harper_spectrum((q - p)/q) is the cache entry of p/q, so it is checked
+    # against the fiber built at (q - p)/q itself: the conjugate of the fiber
+    # at p/q, at negated momenta, so a different matrix with the same spectrum
+    # at the extremal momenta (0, 0) and (pi/q, pi/q)
+    tol = lambda e: 2e-10 * max(1.0, abs(e))
+    lower_half = [(p, q) for p, q in FAREY_50 if 2 * p < q]
+    for beta, (p, q) in itertools.product((0.5, 1.0, 1.3, 2.0), lower_half):
+        f = RationalFlux(q - p, q)
+        bands = harper_spectrum(f, beta).bands
+        assert len(bands) == q
+        e_plus, e_minus = (np.linalg.eigvalsh(dense_fiber(q - p, q, beta, k, k))
+                           for k in (0.0, np.pi / q))
+        for (lo, hi), a, b in zip(bands, e_plus, e_minus):
+            assert abs(lo - min(a, b)) <= tol(lo) and abs(hi - max(a, b)) <= tol(hi)
+        lo, hi = np.array(bands).T
+        e = torus_oracle(f, beta, 1)[:, None]
+        assert np.all(((lo - 1e-9 <= e) & (e <= hi + 1e-9)).any(axis=1))
+
+
+def test_harper_cache_shares_mirror_flux():
+    base = harper_spectrum(RationalFlux(2, 5), 1.3)
+    before = _harper_bands.cache_info()
+    mirror = harper_spectrum(RationalFlux(3, 5), 1.3)
+    after = _harper_bands.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert mirror.flux == RationalFlux(3, 5) and mirror.bands == base.bands
 
 
 def test_band_reflection_symmetry():

@@ -11,7 +11,8 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     on one core, against seconds for the two piecewise edges);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
-  * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, and `butterfly` at q_max 5;
+  * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
+    bands are the cache entry of 2/5), and `butterfly` at q_max 5;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
@@ -51,7 +52,7 @@ EDGES = {
 ALPHAS = (1.0, 0.0, -1.5, -15.0)
 BETAS = (0.5, 1.0, 1.3)
 RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
-THETAS = ("0/1", "1/3", "2/5", "1/2")
+THETAS = ("0/1", "1/3", "2/5", "1/2", "3/5")
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
