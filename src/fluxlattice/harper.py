@@ -26,19 +26,20 @@ fit of P (`_chambers_ld`, `_polish_edge`), which moves it by up to 2e-10
 and is kept only until that fit is deleted: the unpolished eigenvalues are
 the more accurate edges.
 
-The Chambers determinants run in extended precision (numpy longdouble), from
-the bands of H (diagonal, e^{i k1} and its conjugate) and never from a q x q
-matrix.  `_det_transfer` takes det(E I - H) as the trace of q 2 x 2 transfer
-matrices plus the wrap term -2 cos(q k1).  `chambers_defect` measures the
-momentum independence with it alone, P(E) at the reference momentum included,
-and divides by the largest term of the relation, 2 + 2 beta^{2q} + |P(E)|:
-the terms reach 6e20 at q = 34, beta = 2, so only a relative defect can be
-held to a fixed tolerance (1e-12 in `validate`).  Near theta = 1/2 the
-transfer products outgrow P by orders of magnitude, and longdouble's 11 bits
-beyond float64 are what keeps their rounding below that tolerance up to
-q = 26.  `_det_cyclic` is a dense LU with partial pivoting on band data that
-keeps only the three rows pivoting can touch at each step; the fit of P that
-polishes the band edges takes its q+1 node determinants from it in one call.
+Because of the Chambers relation, spec H(k) depends on c(k) = 2 cos(q k1) +
+2 beta^{2q} cos(q k2) alone.  `chambers_defect` checks that: it takes fixed
+momentum pairs (k, k') with c(k') = c(k) and k' != k, builds all their
+fibers in one `_fiber` call, and compares the sorted spectra from one
+batched `eigvalsh`.  Both sides are backward-stable float64 eigenvalues, so
+no product of transfer matrices enters and the defect stays at rounding
+level at every q.  It shows only that spec H(k) depends on c(k); it does
+not show that det(E I - H(k)) is linear in c.  The band edges and the check
+read the one fiber builder.  The fit of P that polishes the band edges runs
+in extended precision (numpy longdouble) on the bands of H at the reference
+momentum (`_fiber_bands`); `_det_cyclic`, a dense LU with partial pivoting
+on band data that keeps only the three rows pivoting can touch at each
+step, gives its q+1 node determinants in one call.
+
 H depends on p mod q only, and the spectrum is even in theta: the fiber at
 -p/q is the complex conjugate of the fiber at p/q at momentum (-k1, -k2),
 since M(-theta) = conj M(theta), and conjugation keeps a Hermitian spectrum
@@ -64,6 +65,7 @@ from .errors import DomainError, TorusSizeError
 _LD = np.longdouble
 _CLD = np.clongdouble
 _PI_LD = np.arccos(_LD(-1.0))  # pi beyond float64 precision
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 TORUS_DIM_GUARD = 4096         # refuse N^2 above this (N blocks of N x N)
 
 
@@ -110,38 +112,38 @@ class HarperBands:
     def edges(self) -> np.ndarray:
         return np.asarray([e for band in self.bands for e in band])
 
-    def max_abs_edge(self) -> float:
-        return float(np.max(np.abs(self.edges)))
-
 
 def _fiber(p: int, q: int, beta, k1, k2) -> np.ndarray:
-    h = np.zeros((q, q), dtype=complex)
-    diag_amp = 2.0 * np.float64(beta) ** 2
-    e = np.exp(1j * np.float64(k1))
-    for j in range(q):
-        # (p*j) mod q keeps angles in [0, 2 pi) and makes flux 1-periodicity exact
-        h[j, j] += diag_amp * np.cos(2.0 * np.pi * np.float64((p * j) % q) / q
-                                     + np.float64(k2))
-        h[j, (j + 1) % q] += e
-        h[(j + 1) % q, j] += e.conjugate()
+    """The Bloch fibers H(k1, k2), stacked over the broadcast shape of the
+    momenta: shape (..., q, q).  Each entry is summed from zero, the diagonal
+    first and then each hop, so for q = 1 both hops land on the diagonal and
+    for q = 2 wrap and direct hop add up."""
+    k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+    j = np.arange(q)
+    nxt = (j + 1) % q
+    h = np.zeros(k1.shape + (q, q), dtype=complex)
+    # (p*j) mod q keeps angles in [0, 2 pi) and makes flux 1-periodicity exact
+    angle = 2.0 * np.pi * ((p * j) % q).astype(float) / q
+    h[..., j, j] += 2.0 * np.float64(beta) ** 2 * np.cos(angle + k2[..., None])
+    e = np.exp(1j * k1)[..., None]
+    h[..., j, nxt] += e
+    h[..., nxt, j] += e.conjugate()
     return h
 
 
-def _fiber_bands(p: int, q: int, beta, k1, k2):
-    """The bands of the Bloch fiber H(k1, k2) in complex longdouble, broadcast
-    over arrays of momenta k1 and k2: (diag, upper, lower) with diag[..., j] =
-    H[j, j], upper = H[j, j+1] and lower = H[j+1, j], indices mod q.  Each is
-    summed from zero in `_fiber`'s order, so a dense longdouble fiber built
-    that way holds the same entries bit for bit: for q = 1 both hops land on
-    the diagonal, for q = 2 wrap and direct hop add up in upper and in lower."""
+def _fiber_bands(p: int, q: int, beta, k):
+    """The bands of the Bloch fiber H(k, k) in complex longdouble: (diag,
+    upper, lower) with diag[j] = H[j, j], upper = H[j, j+1] and lower =
+    H[j+1, j], indices mod q, each summed in `_fiber`'s order: for q = 1 both
+    hops land on the diagonal, for q = 2 wrap and direct hop add up in upper
+    and in lower."""
     j = np.arange(q)
     angle = 2.0 * _PI_LD * ((p % q) * j % q).astype(_LD) / _LD(q)
-    k2 = np.asarray(k2, dtype=_LD)[..., None]
-    diag = _CLD(0.0) + _LD(2.0) * _LD(beta) ** 2 * np.cos(angle + k2)
-    e = np.exp(1j * np.asarray(k1, dtype=_LD))
+    diag = _CLD(0.0) + _LD(2.0) * _LD(beta) ** 2 * np.cos(angle + k)
+    e = np.exp(1j * _LD(k))
     upper, lower = _CLD(0.0) + e, _CLD(0.0) + e.conjugate()
     if q == 1:
-        diag = diag + e[..., None] + e.conjugate()[..., None]
+        diag = diag + e + e.conjugate()
     elif q == 2:
         upper, lower = upper + e.conjugate(), lower + e
     return diag, upper, lower
@@ -155,7 +157,7 @@ def bloch_matrix(f: RationalFlux, beta: float, k1: float, k2: float) -> np.ndarr
 
 def _det_cyclic(energy, diag, upper, lower) -> np.ndarray:
     """det(E I - H) in complex longdouble for cyclic-tridiagonal H given by
-    the bands of `_fiber_bands`; energy, diag[..., j], upper and lower
+    bands like those of `_fiber_bands`; energy, diag[..., j], upper and lower
     broadcast together, and so does the result.
 
     Dense LU with partial pivoting on band data: pivoting keeps column c
@@ -227,34 +229,6 @@ def _det_cyclic(energy, diag, upper, lower) -> np.ndarray:
     return det.reshape(shape)
 
 
-def _det_transfer(energy, diag, upper, lower) -> np.ndarray:
-    """det(E I - H) in complex longdouble from the bands of `_fiber_bands`,
-    broadcast like `_det_cyclic`, as the trace of q transfer matrices:
-
-        det(E I - H) = tr prod_j [[E - d_j, -u l], [1, 0]]
-                       + (-1)^{q+1} ((-u)^q + (-l)^q)      (q >= 3),
-
-    the continuant recursion of E I - H closed around its wrap hops.  For the
-    fiber u l = 1 and the second term is -2 cos(q k1).  For q <= 2 the hops are
-    folded into the bands, and the 1 x 1 or 2 x 2 determinant is taken as is.
-    Its rounding error is a few q ulps of the permanent of |E I - H|, the sum
-    of the moduli of the terms the trace adds up.
-    """
-    a = np.asarray(energy, dtype=_LD)[..., None] - diag
-    q = a.shape[-1]
-    if q == 1:
-        return a[..., 0]
-    if q == 2:
-        return a[..., 0] * a[..., 1] - upper * lower
-    w = -upper * lower
-    # columns (x, y) of the running product, started at the identity
-    x0, y0, x1, y1 = a[..., 0], _CLD(1.0), w, _CLD(0.0)
-    for j in range(1, q):
-        x0, y0 = a[..., j] * x0 + w * y0, x0
-        x1, y1 = a[..., j] * x1 + w * y1, x1
-    return x0 + y1 + (-1) ** (q + 1) * ((-upper) ** q + (-lower) ** q)
-
-
 def _polyval_ld(coeffs_desc: np.ndarray, x):
     out = x * _LD(0.0)
     for c in coeffs_desc:
@@ -270,7 +244,7 @@ def _chambers_ld(p: int, q: int, beta: float) -> np.ndarray:
     bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
     jj = np.arange(q + 1)
     nodes = bound * np.cos(_PI_LD * (2 * jj.astype(_LD) + 1) / (2 * (q + 1)))
-    vals = np.real(_det_cyclic(nodes, *_fiber_bands(p, q, beta, ref, ref)))
+    vals = np.real(_det_cyclic(nodes, *_fiber_bands(p, q, beta, ref)))
     # Vandermonde solve, descending powers
     vander = np.vander(nodes, q + 1).astype(_LD)
     return _gauss_solve_ld(vander, vals)
@@ -310,8 +284,8 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
     (q - p)/q (M(-theta) = conj M(theta)), so the fit is cached, like the
     bands it polishes, per (min(p mod q, -p mod q), q, beta).
     `_harper_bands` reads the cached fit `_chambers_ld` directly for its
-    band-edge polish, and `chambers_defect` takes P(E) from a transfer trace,
-    so nothing in the package calls this wrapper; the tests check the fit
+    band-edge polish, and `chambers_defect` compares spectra, never P, so
+    nothing in the package calls this wrapper; the tests check the fit
     through it.
     """
     coeffs_desc = _chambers_ld(_mirror_class(f), f.q, float(beta))
@@ -319,30 +293,35 @@ def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomia
 
 
 def chambers_defect(f: RationalFlux, beta: float) -> float:
-    """Max over a k-grid and in-band test energies of the relative defect
+    """The measured momentum independence of the Chambers relation: max over
+    12 fixed momentum pairs (k, k'), k' != k, with c(k') = c(k), of
 
-        |det(E I - H(k)) + 2 cos(q k1) + 2 beta^{2q} cos(q k2) - P(E)|
-        / (2 + 2 beta^{2q} + |P(E)|),
+        max_i |lambda_i(H(k)) - lambda_i(H(k'))| / 2(1 + beta^2),
 
-    the measured momentum independence of the Chambers relation.  Every
-    determinant, P(E) = det(E I - H) at the reference momentum (pi/2q, pi/2q)
-    included, is one transfer trace of `_det_transfer` on the bands of the
-    fibers, so no q x q matrix is built.  The denominator is the largest term
-    of the relation, so longdouble rounding reads 1e-19 to 1e-16 wherever the
-    transfer products stay near that size; near theta = 1/2 at q >= 27 they
-    outgrow it, and so does the defect.
+    the sorted spectra compared index by index, relative to the bound
+    2(1 + beta^2) on ||H||.  k runs over two Kronecker sequences, so q k1 and
+    q k2 spread over the torus at every q.  Divided by its larger weight, c
+    is r cos(q u) + cos(q v): u is the momentum of the smaller weight (k1 for
+    beta >= 1, k2 otherwise), v the other, and r = beta^{-2q} for beta >= 1,
+    beta^{2q} otherwise, so r <= 1.  k' has v as its u-component and, as its
+    v-component, the s in [0, pi/q] with cos(q s) = r cos(q u) + (1 - r)
+    cos(q v), which exists since the right side is a convex combination of
+    cosines.  All 24 fibers come from one `_fiber` call and their eigenvalues
+    from one batched `eigvalsh`, so the defect is float64 rounding, about
+    eps ||H||, at every q.  Equal spectra show that spec H(k) depends on c(k)
+    only, not that det(E I - H(k)) is linear in c.
     """
-    p, q = f.p, f.q
-    n_k, n_e = 10, 5  # k-grid points per axis, test energies
-    level = _LD(2.0) * _LD(beta) ** (2 * q)
-    energies = (np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * _LD(beta) ** 2)).astype(_LD)
-    ref = _PI_LD / (2 * q)  # where both cosine terms vanish, so det = P
-    poly = np.real(_det_transfer(energies, *_fiber_bands(p, q, beta, ref, ref)))
-    kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
-    k1, k2 = kgrid[:, None, None], kgrid[None, :, None]  # axes (k1, k2, energy)
-    det = np.real(_det_transfer(energies, *_fiber_bands(p, q, beta, k1, k2)))
-    val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
-    return float(np.max(np.abs(val - poly) / (2 + level + np.abs(poly))))
+    n, q = 12, f.q
+    m = np.arange(1, n + 1)
+    a = 2.0 * np.pi * (m / _GOLDEN % 1.0)
+    b = 2.0 * np.pi * (m / math.sqrt(2.0) % 1.0)
+    r = float(beta) ** (-2 * q if beta >= 1.0 else 2 * q)
+    u, v = (a, b) if beta >= 1.0 else (b, a)
+    s = np.arccos(np.clip(r * np.cos(q * u) + (1.0 - r) * np.cos(q * v), -1.0, 1.0)) / q
+    k1, k2 = (v, s) if beta >= 1.0 else (s, v)
+    fibers = _fiber(f.p, q, beta, np.concatenate([a, k1]), np.concatenate([b, k2]))
+    lam = np.linalg.eigvalsh(fibers)
+    return float(np.max(np.abs(lam[:n] - lam[n:]))) / (2.0 * (1.0 + beta ** 2))
 
 
 def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
@@ -366,8 +345,8 @@ def harper_spectrum(f: RationalFlux, beta: float) -> HarperBands:
 
 @lru_cache(maxsize=256)
 def _harper_bands(p: int, q: int, beta: float) -> tuple[tuple[float, float], ...]:
-    e_plus, e_minus = (np.linalg.eigvalsh(_fiber(p, q, beta, k, k)).tolist()
-                       for k in (0.0, np.pi / q))
+    k = np.array([0.0, np.pi / q])
+    e_plus, e_minus = np.linalg.eigvalsh(_fiber(p, q, beta, k, k)).tolist()
     level = _LD(2.0) + _LD(2.0) * _LD(beta) ** (2 * q)
     if float(level) < 1e12:  # beyond that the polynomial scale swamps the edge scale
         coeffs = _chambers_ld(p, q, beta)

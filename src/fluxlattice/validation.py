@@ -15,9 +15,11 @@ is assembled here.  Since the fiber uses (p j) mod q and the bands at p/q,
 (p+q)/q and (q-p)/q share one cache entry (keyed on min(p mod q, -p mod q),
 as M(-theta) = conj M(theta)), its defect is 0 by construction; so would be
 a reflection check read through `harper_spectrum`, which must build the
-fiber at (q-p)/q itself to compare anything.  `chambers_independence` is the
-one check of the Chambers momentum independence, a relative defect (see
-`harper.chambers_defect`).
+fiber at (q-p)/q itself to compare anything.  `chambers_independence`
+compares the float64 spectra of Bloch fibers at momentum pairs with equal
+c(k) = 2 cos(q k1) + 2 beta^{2q} cos(q k2), relative to 2(1 + beta^2) (see
+`harper.chambers_defect`): it shows that spec H(k) depends on c(k) only,
+not that det(E I - H(k)) is linear in c.
 
 A run computes only what the checks read.  mu_0..mu_k and eta at each of them
 come from one Dirichlet solve (`discriminant.poles_and_etas`), which sign

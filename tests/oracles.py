@@ -4,9 +4,10 @@ Nothing here reuses the package's solution paths: the Dirichlet oracle is a
 finite-difference matrix eigenproblem, the Harper oracle a dense momentum-grid
 diagonalization, the torus the dense real-space matrix, the free and step
 edge bases closed trigonometric forms, and the linear-potential basis a closed
-Airy-function form.  The Chambers determinants have an exact reference: a
-dense longdouble fiber and its determinant by dense LU with partial pivoting,
-the arithmetic the package's band kernel must reproduce bit for bit.
+Airy-function form.  The fiber stack and the longdouble Chambers fit have
+exact references: the fiber built one entry at a time, and its determinant
+by dense LU with partial pivoting, the arithmetic the package's kernels must
+reproduce bit for bit.
 """
 
 import numpy as np
@@ -90,17 +91,16 @@ def dense_fiber(p, q, beta, k1, k2):
     return h
 
 
-def dense_fiber_ld(p, q, beta, k1, k2):
-    """The Bloch fiber in complex longdouble, each entry summed in the order
-    of the package's float64 fiber (diagonal first, then each hop), so that
-    for q <= 2 the hops that land on one entry add up the same way."""
-    ld = np.longdouble
-    two_pi = 2.0 * np.arccos(ld(-1.0))
-    h = np.zeros((q, q), dtype=np.clongdouble)
-    diag_amp = ld(2.0) * ld(beta) ** 2
-    e = np.exp(1j * ld(k1))
+def ordered_fiber(p, q, beta, k1, k2, real=np.longdouble):
+    """The Bloch fiber in the complex type of `real`, each entry summed in the
+    order of the package's fiber (diagonal first, then each hop), so that for
+    q <= 2 the hops that land on one entry add up the same way."""
+    two_pi = 2.0 * np.arccos(real(-1.0))
+    h = np.zeros((q, q), dtype=np.result_type(real, np.complex64))
+    diag_amp = real(2.0) * real(beta) ** 2
+    e = np.exp(1j * real(k1))
     for j in range(q):
-        h[j, j] += diag_amp * np.cos(two_pi * ld((p * j) % q) / ld(q) + ld(k2))
+        h[j, j] += diag_amp * np.cos(two_pi * real((p * j) % q) / real(q) + real(k2))
         h[j, (j + 1) % q] += e
         h[(j + 1) % q, j] += e.conjugate()
     return h

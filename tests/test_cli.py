@@ -341,18 +341,28 @@ def test_validate_out_writes_report(tmp_path, capsys):
     assert all(lines) and [m.group(2) for m in lines] == VALIDATE_ORDER
 
 
-def test_validate_step_edge_at_formerly_mispaired_flux(tmp_path, capsys):
-    # 1/31 at beta = 1 is one of the default-range fluxes whose Harper bands
-    # were once paired as sorted neighbours and came out misordered
+def _validate_step_edge_passes(tmp_path, capsys, theta):
     step = {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
             "values": [0.0, 10.0]}
     cfg = write_config(tmp_path, {"l": L, "potential": step, "alpha": 1.0,
-                                  "beta": 1.0, "theta": "1/31", "z_max": 40.0})
+                                  "beta": 1.0, "theta": theta, "z_max": 40.0})
     assert main(["validate", "--config", cfg]) == 0
     matches = [VALIDATE_LINE.match(line) for line in capsys.readouterr().out.splitlines()]
     assert all(matches)
     assert [(m.group(1), m.group(2)) for m in matches] == \
         [("PASS", name) for name in VALIDATE_ORDER]
+
+
+def test_validate_step_edge_at_formerly_mispaired_flux(tmp_path, capsys):
+    # 1/31 at beta = 1 is one of the default-range fluxes whose Harper bands
+    # were once paired as sorted neighbours and came out misordered
+    _validate_step_edge_passes(tmp_path, capsys, "1/31")
+
+
+def test_validate_step_edge_at_formerly_failing_chambers_flux(tmp_path, capsys):
+    # 24/49 at beta = 1 had the largest Chambers defect of the default range,
+    # 8.3e-7 against 1e-12, when it was taken from longdouble transfer traces
+    _validate_step_edge_passes(tmp_path, capsys, "24/49")
 
 
 def test_validate_computes_harper_bands_once_per_flux(monkeypatch):

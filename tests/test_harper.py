@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +13,11 @@ from fluxlattice import (DomainError, RationalFlux, TorusSizeError,
                          bloch_matrix, chambers_defect, chambers_polynomial,
                          harper_spectrum, make_rational, torus_oracle)
 from fluxlattice import harper
-from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cyclic,
-                                _det_transfer, _fiber_bands, _gauss_solve_ld,
-                                _harper_bands)
+from fluxlattice.harper import (_CLD, _LD, _PI_LD, _chambers_ld, _det_cyclic, _fiber,
+                                _gauss_solve_ld, _harper_bands)
 from fluxlattice.validation import check_chambers, check_torus_containment
-from oracles import (dense_det_ld, dense_fiber, dense_fiber_ld, dense_kgrid_bands,
-                     landau_torus, symmetric_gauge_torus)
+from oracles import (dense_det_ld, dense_fiber, dense_kgrid_bands, landau_torus,
+                     ordered_fiber, symmetric_gauge_torus)
 
 SQ3 = np.sqrt(3.0)
 THIRD_FLUX_BANDS = [(-1.0 - SQ3, -2.0), (1.0 - SQ3, SQ3 - 1.0), (2.0, 1.0 + SQ3)]
@@ -84,41 +82,59 @@ def test_chambers_independence(beta):
                 assert chambers_defect(RationalFlux(p, q), beta) < 1e-9
 
 
-@pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (3, 8), (8, 21), (13, 34)])
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 5), (3, 8), (8, 21), (13, 34), (24, 49),
+                                 (1, 31)])
 def test_chambers_defect_sees_planted_fiber_error(p, q, monkeypatch):
-    # 1e-6 cos(k1) added to one diagonal entry makes det(E I - H(k)) depend
-    # on momentum beyond the Chambers terms; validate's check must fail.  The
-    # entry's cofactor is of the size of the relation's terms over |E - H_00|,
-    # so the relative defect reads about 1e-6: 1.05e-6 to 1.15e-5 here, at
-    # least 5e5 times the tolerance, against clean defects below 4e-17
+    # 1e-6 cos(k1) added to one diagonal entry of the float64 fiber moves each
+    # eigenvalue by about 1e-6 |v_0|^2 cos(k1), which c(k) does not fix, so
+    # validate's check must fail.  Planted defects read 3.8e-8 (1/31, beta =
+    # 2) to 3.3e-7 here, clean ones at most 3.8e-15
     f = RationalFlux(p, q)
     betas = (0.5, 1.0, 2.0)
     clean = [check_chambers(f, beta) for beta in betas]
-    bands = harper._fiber_bands
+    fiber = harper._fiber
 
     def planted(p, q, beta, k1, k2):
-        diag, upper, lower = bands(p, q, beta, k1, k2)
-        error = _LD(1e-6) * np.cos(np.asarray(k1, dtype=_LD))[..., None]
-        return diag + np.where(np.arange(q) == 0, error, 0), upper, lower
+        h = fiber(p, q, beta, k1, k2)
+        h[..., 0, 0] += 1e-6 * np.cos(k1)
+        return h
 
-    monkeypatch.setattr(harper, "_fiber_bands", planted)  # P(E) is planted too
+    monkeypatch.setattr(harper, "_fiber", planted)
     for beta, clean_check in zip(betas, clean):
         planted_check = check_chambers(f, beta)
         assert clean_check.passed and clean_check.defect < 1e-14
-        assert not planted_check.passed and planted_check.defect > 5e-7
+        assert not planted_check.passed and planted_check.defect >= 1e-8
 
 
-FAREY_26 = [(p, q) for q in range(1, 27) for p in range(q + 1) if math.gcd(p, q) == 1]
 FAREY_50 = [(p, q) for q in range(1, 51) for p in range(q + 1) if math.gcd(p, q) == 1]
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 2.0])
 def test_chambers_passes_default_range(beta):
-    # every Farey flux with q <= 26: the relation's terms reach 2 beta^{2q}
-    # = 9e15 at q = 26, beta = 2, where an absolute 1e-9 could not be met
-    failing = [(p, q, r.defect) for p, q in FAREY_26
+    failing = [(p, q, r.defect) for p, q in FAREY_50
                if not (r := check_chambers(RationalFlux(p, q), beta)).passed]
     assert failing == []
+
+
+# every default-range (p/q, beta) whose Chambers defect, then taken from
+# longdouble transfer traces of det(E I - H), exceeded the tolerance 1e-12
+# (up to 8.3e-7 at 24/49, beta = 1): the products outgrew the relation's
+# terms near theta = 1/2
+FORMERLY_FAILING_CHAMBERS = [(p, q, beta) for beta, fluxes in {
+    1.0: [(13, 27), (14, 27), (14, 29), (15, 29), (15, 31), (16, 31), (16, 33),
+          (17, 33), (17, 35), (18, 35), (17, 36), (19, 36), (18, 37), (19, 37),
+          (19, 39), (20, 39), (19, 40), (21, 40), (20, 41), (21, 41), (21, 43),
+          (22, 43), (21, 44), (23, 44), (22, 45), (23, 45), (22, 47), (23, 47),
+          (24, 47), (23, 48), (25, 48), (23, 49), (24, 49), (25, 49), (26, 49)],
+    1.3: [(20, 41), (21, 41), (21, 43), (22, 43), (22, 45), (23, 45), (23, 47),
+          (24, 47), (24, 49), (25, 49)],
+}.items() for p, q in fluxes]
+
+
+@pytest.mark.parametrize("p,q,beta", FORMERLY_FAILING_CHAMBERS)
+def test_chambers_passes_where_transfer_trace_failed(p, q, beta):
+    r = check_chambers(RationalFlux(p, q), beta)
+    assert r.passed and r.defect <= 1e-14, r
 
 
 def _dense_band_matrix(e, diag, upper, lower):
@@ -177,110 +193,12 @@ def test_cyclic_det_kernel_zero_pivot():
         assert (det == 0) == singular
 
 
-def _permanent(energy, diag, upper, lower):
-    """The permanent of |E I - H| for the bands `_det_transfer` reads: the
-    sum of the moduli of the terms of det(E I - H), in float64."""
-    a = np.abs((energy - diag).astype(complex))
-    u, l = abs(complex(upper)), abs(complex(lower))
-    q = len(a)
-    if q <= 2:
-        return a[0] if q == 1 else a[0] * a[1] + u * l
-    m = np.eye(2)
-    for aj in a:
-        m = np.array([[aj, u * l], [1.0, 0.0]]) @ m
-    return np.trace(m) + u**q + l**q
-
-
-@settings(max_examples=80)
-@given(q=st.one_of(st.integers(1, 4), st.integers(1, 50)), data=st.data())
-def test_transfer_det_kernel_matches_dense_lu(q, data):
-    # random complex band data, non-Hermitian hops, q <= 2 folded.  Each of the
-    # q steps of the transfer product rounds its entries within 2 ulps of the
-    # product of their moduli, so the trace is off by a few q ulps of the
-    # permanent of |E I - H|; the dense LU is off by about as much (up to
-    # 1.9 q ulps of it together, measured on 3000 random cases)
-    m = data.draw(st.integers(1, 6))
-    energy = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]),
-                                         min_size=m, max_size=m)), dtype=_LD)
-    diag = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=q, max_size=q),
-                                       min_size=m, max_size=m)), dtype=_CLD)
-    hop = st.one_of(st.just(0), _ENTRY)
-    upper, lower = (np.array(data.draw(st.lists(hop, min_size=m, max_size=m)),
-                             dtype=_CLD) for _ in range(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        dets = _det_transfer(energy, diag, upper, lower)
-    eps = float(np.finfo(_LD).eps)
-    for det, band in zip(dets, zip(energy, diag, upper, lower)):
-        dense = dense_det_ld(_dense_band_matrix(*band))
-        assert abs(complex(det - dense)) <= 4 * q * eps * _permanent(*band)
-
-
-def _mp_chambers_p(p, q, beta, e):
-    """det(E I - H) at the exact reference momentum (pi/2q, pi/2q), where both
-    cosine terms vanish, by mpmath's LU at the working precision."""
-    ref = mp.pi / (2 * q)
-    a = mp.matrix(q, q)
-    for j in range(q):
-        a[j, j] = mp.mpf(e) - 2 * mp.mpf(beta) ** 2 * mp.cos(2 * mp.pi * ((p * j) % q) / q + ref)
-        a[j, (j + 1) % q], a[(j + 1) % q, j] = -mp.expj(ref), -mp.expj(-ref)
-    return mp.re(mp.det(a))
-
-
-def test_chambers_p_against_mpmath():
-    # P(E) at 13/34 to 40 digits.  Its terms reach 9e12 (beta = 1) and 6e20
-    # (beta = 2); the transfer trace is within 1.5e-17 of the largest, a few
-    # q ulps of longdouble
-    p, q = 13, 34
-    ref = _PI_LD / (2 * q)
-    for beta in (1.0, 2.0):
-        energies = (np.linspace(-0.8, 0.8, 5) * float(2 + 2 * _LD(beta) ** 2)).astype(_LD)
-        poly = np.real(_det_transfer(energies, *_fiber_bands(p, q, beta, ref, ref)))
-        with mp.workdps(40):
-            for e, got in zip(energies, poly):
-                exact = _mp_chambers_p(p, q, beta, float(e))
-                hi = float(got)  # the longdouble value exactly, as two doubles
-                value = mp.mpf(hi) + mp.mpf(float(got - _LD(hi)))
-                scale = 2 + 2 * mp.mpf(beta) ** (2 * q) + abs(exact)
-                assert abs(value - exact) / scale < 1e-16
-
-
-def _dense_chambers_defect(f, beta, n_k=10, n_e=5):
-    """chambers_defect with one dense LU per momentum and energy, P(E) too."""
-    p, q = f.p, f.q
-    level = _LD(2.0) * _LD(beta) ** (2 * q)
-    energies = np.linspace(-0.8, 0.8, n_e) * float(2 + 2 * _LD(beta) ** 2)
-    kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), n_k, endpoint=False).astype(_LD)
-    eye = np.eye(q, dtype=_CLD)
-    href = dense_fiber_ld(p, q, beta, _PI_LD / (2 * q), _PI_LD / (2 * q))
-    poly = [np.real(dense_det_ld(_LD(e) * eye - href)) for e in energies]
-    worst = 0.0
-    for k1 in kgrid:
-        for k2 in kgrid:
-            h = dense_fiber_ld(p, q, beta, k1, k2)
-            for e, pe in zip(energies, poly):
-                det = np.real(dense_det_ld(_LD(e) * eye - h))
-                val = det + 2 * np.cos(q * k1) + level * np.cos(q * k2)
-                worst = max(worst, float(abs(val - pe) / (2 + level + abs(pe))))
-    return worst
-
-
-@pytest.mark.parametrize("p,q", [(5, 13), (8, 21), (0, 1), (1, 2), (2, 3), (13, 34),
-                                 (1, 50)])
-def test_chambers_defect_matches_dense_loop(p, q):
-    # both defects are rounding, each below 6.1e-17 here; they differ by at
-    # most 4.8e-18, so 1e-16 holds with margin and is 1e4 below the tolerance
-    f = RationalFlux(p, q)
-    for beta in (0.5, 1.0, 2.0):
-        assert abs(chambers_defect(f, beta) - _dense_chambers_defect(f, beta)) < 1e-16
-
-
 @pytest.mark.parametrize("p,q,beta", [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (5, 13, 1.0),
                                       (13, 34, 0.5), (1, 50, 2.0)])
 def test_chambers_fit_matches_dense_fit(p, q, beta):
     # the fit of P with one dense LU per node, then the same solve
     ref = _PI_LD / (2 * q)
-    href = dense_fiber_ld(p, q, beta, ref, ref)
+    href = ordered_fiber(p, q, beta, ref, ref)
     bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
     jj = np.arange(q + 1)
     nodes = bound * np.cos(_PI_LD * (2 * jj.astype(_LD) + 1) / (2 * (q + 1)))
@@ -291,37 +209,33 @@ def test_chambers_fit_matches_dense_fit(p, q, beta):
 
 
 def test_chambers_defect_peak_memory():
-    # one kernel call over all 500 matrices of q = 50; a dense (500, q, q)
-    # stack alone would take 40 MB
-    _chambers_ld.cache_clear()
+    # one stack of the 24 fibers of q = 50, 0.96 MB, and one batched eigvalsh
+    # on it: 1.05 MB measured, so a second copy of the stack would show
     tracemalloc.start()
     try:
         chambers_defect(RationalFlux(1, 50), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 1_500_000
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 40), st.integers(-120, 120), st.floats(0.3, 2.5),
        st.sampled_from([0, 3, 7]), st.booleans())
 def test_fiber_row_matches_fiber(q, p, beta, k1_index, negate):
-    # the bands of the k-grid row chambers_defect uses; q <= 2 (hops add), p < 0
-    # and p >= q all occur, and -k1 covers negative momenta and a -0.0 at index 0
-    kgrid = np.linspace(0.0, 2.0 * float(_PI_LD), 10, endpoint=False).astype(_LD)
+    # a stack of fibers along k2 at one k1, broadcast like the momenta
+    # chambers_defect passes, against fibers built one entry at a time in
+    # float64; q <= 2 (hops add), p < 0 and p >= q all occur, and -k1 covers
+    # negative momenta and a -0.0 at index 0
+    kgrid = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
     k1 = -kgrid[k1_index] if negate else kgrid[k1_index]
-    diag, upper, lower = _fiber_bands(p, q, beta, k1, kgrid)
-    loop = np.stack([dense_fiber_ld(p, q, beta, k1, k2) for k2 in kgrid])
-    j, nxt = np.arange(q), (np.arange(q) + 1) % q
-    pairs = [(diag, loop[:, j, j])]
-    if q > 1:
-        pairs += [(np.broadcast_to(upper, (10, q)), loop[:, j, nxt]),
-                  (np.broadcast_to(lower, (10, q)), loop[:, nxt, j])]
-    for band, entries in pairs:
-        assert np.array_equal(band, entries)
-        for part in (np.real, np.imag):  # the signs of zeros too: bit for bit
-            assert np.array_equal(np.signbit(part(band)), np.signbit(part(entries)))
+    stack = _fiber(p, q, beta, k1, kgrid)
+    loop = np.stack([ordered_fiber(p, q, beta, k1, k2, real=np.float64) for k2 in kgrid])
+    assert stack.shape == (10, q, q)
+    assert np.array_equal(stack, loop)
+    for part in (np.real, np.imag):  # the signs of zeros too: bit for bit
+        assert np.array_equal(np.signbit(part(stack)), np.signbit(part(loop)))
 
 
 def test_chambers_fit_shared_across_flux_period():
