@@ -12,6 +12,8 @@ Z^2.  The package computes all ingredients and assembles band/gap structure,
 classification of the eigenvalues, and Hofstadter-butterfly sweep data.  The
 `validate` checks (Wronskian, sign alternation, Chambers independence, the
 Kronig-Penney trace, torus containment, flux periodicity) live in `validation`.
+The edge basis, the Pruefer count and the Bloch fiber have batched kernels
+only (`edge_solver._basis_many`, `_count_below_many`, `harper._fiber`).
 """
 
 from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
@@ -20,17 +22,14 @@ from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
                         graph_spectrum, resolve_flux)
 from .discriminant import (BandWindow, CouplingParams, band_windows, eta,
                            eta_on_pole, invert_eta, invert_eta_many)
-from .edge_solver import (DirichletSpectrum, SolutionPair, dirichlet_count_below,
-                          dirichlet_eigenvalues, integrate_basis)
+from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
 from .errors import (BracketingError, ConfigError, ConsistencyError, DomainError,
                      IntegrationOverflowError, NumericalError, TorusSizeError)
 from .harper import (HarperBands, RationalFlux, approximate_irrational,
-                     best_convergent, bloch_matrix, chambers_defect,
-                     chambers_polynomial, harper_spectrum, make_rational,
-                     torus_oracle)
+                     best_convergent, chambers_defect, harper_spectrum,
+                     make_rational, torus_oracle)
 from .kp_oracle import kp_trace_many
-from .potential import (FieldSample, Potential, evaluate_potential,
-                        flux_from_field, make_potential)
+from .potential import FieldSample, Potential, flux_from_field, make_potential
 
 __version__ = "0.1.0"
 

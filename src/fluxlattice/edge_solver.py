@@ -42,21 +42,6 @@ _RK4_PHASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SolutionPair:
-    """Endpoint data of the canonical basis at one z."""
-
-    z: float
-    u1_l: float
-    du1_l: float
-    u2_l: float
-    du2_l: float
-
-    @property
-    def wronskian_defect(self) -> float:
-        return abs(self.du1_l * self.u2_l - self.u1_l * self.du2_l - 1.0)
-
-
-@dataclass(frozen=True)
 class DirichletSpectrum:
     """First eigenvalues of the Dirichlet edge operator, strictly increasing."""
 
@@ -126,17 +111,6 @@ def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
     return u[0], du[0], u[1], du[1]
 
 
-def integrate_basis(p: Potential, z: float) -> SolutionPair:
-    """Endpoint values of u1, u2 at t=l for one real z."""
-    u1, du1, u2, du2 = _basis_many(p, np.asarray([float(z)]))
-    pair = SolutionPair(float(z), float(u1[0]), float(du1[0]), float(u2[0]), float(du2[0]))
-    scale = max(1.0, abs(pair.du1_l * pair.u2_l))  # defect is relative once the
-    if pair.wronskian_defect > 1e-6 * scale:       # solutions grow large
-        raise ConsistencyError(
-            f"Wronskian defect {pair.wronskian_defect:.3e} at z={z}; integration unstable")
-    return pair
-
-
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues below each z (Pruefer oscillation count).
 
@@ -176,11 +150,6 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior
     count -= u == 0.0
     return count
-
-
-def dirichlet_count_below(p: Potential, z: float) -> int:
-    """Pruefer count: number of mu_k strictly below z."""
-    return int(_count_below_many(p, np.asarray([float(z)]))[0])
 
 
 @lru_cache(maxsize=64)

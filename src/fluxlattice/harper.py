@@ -149,12 +149,6 @@ def _fiber_bands(p: int, q: int, beta, k):
     return diag, upper, lower
 
 
-def bloch_matrix(f: RationalFlux, beta: float, k1: float, k2: float) -> np.ndarray:
-    """The q x q Hermitian Bloch fiber H(k1, k2); for q = 1 the single entry is
-    2 cos(k1) + 2 beta^2 cos(k2), for q = 2 wrap and direct hop add to 2 cos(k1)."""
-    return _fiber(f.p, f.q, beta, k1, k2)
-
-
 def _det_cyclic(energy, diag, upper, lower) -> np.ndarray:
     """det(E I - H) in complex longdouble for cyclic-tridiagonal H given by
     bands like those of `_fiber_bands`; energy, diag[..., j], upper and lower
@@ -238,8 +232,15 @@ def _polyval_ld(coeffs_desc: np.ndarray, x):
 
 @lru_cache(maxsize=256)
 def _chambers_ld(p: int, q: int, beta: float) -> np.ndarray:
-    """Descending longdouble coefficients of P(E) = det(E I - H(ref)) at the
-    reference momentum (pi/2q, pi/2q), where both cosine terms vanish."""
+    """Descending longdouble coefficients of the degree-q Chambers polynomial
+    P(E) = det(E I - H(ref)) at the reference momentum (pi/2q, pi/2q), where
+    both cosine terms vanish.
+
+    Fit from det(E I - H) at q+1 Chebyshev-spaced energies, all q+1
+    determinants from one `_det_cyclic` call.  `_harper_bands` polishes its
+    edges on this fit and keys it, like the bands, on min(p mod q, -p mod q),
+    so p/q, (p + q)/q and (q - p)/q share one fit.
+    """
     ref = _PI_LD / (2 * q)
     bound = _LD(2.0) + _LD(2.0) * _LD(beta) ** 2
     jj = np.arange(q + 1)
@@ -273,23 +274,6 @@ def _mirror_class(f: RationalFlux) -> int:
     """The one numerator of theta = +-p/q mod 1 that the cached fit of P and
     the cached bands are keyed on: min(p mod q, -p mod q)."""
     return min(f.p % f.q, -f.p % f.q)
-
-
-def chambers_polynomial(f: RationalFlux, beta: float) -> np.polynomial.Polynomial:
-    """The degree-q Chambers polynomial P(E), momentum independent.
-
-    Coefficients are fit from det(E I - H) at q+1 Chebyshev-spaced energies at
-    the reference momentum (pi/2q, pi/2q), all q+1 determinants from one
-    `_det_cyclic` call.  P is one real polynomial for p/q, (p + q)/q and
-    (q - p)/q (M(-theta) = conj M(theta)), so the fit is cached, like the
-    bands it polishes, per (min(p mod q, -p mod q), q, beta).
-    `_harper_bands` reads the cached fit `_chambers_ld` directly for its
-    band-edge polish, and `chambers_defect` compares spectra, never P, so
-    nothing in the package calls this wrapper; the tests check the fit
-    through it.
-    """
-    coeffs_desc = _chambers_ld(_mirror_class(f), f.q, float(beta))
-    return np.polynomial.Polynomial(np.asarray(coeffs_desc, dtype=float)[::-1])
 
 
 def chambers_defect(f: RationalFlux, beta: float) -> float:

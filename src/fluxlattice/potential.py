@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 KINDS = ("zero", "constant", "piecewise_constant", "sampled")
 
@@ -94,7 +94,8 @@ class Potential:
         return self.kind != "sampled"
 
     def values_on(self, t: np.ndarray) -> np.ndarray:
-        """V(t) on an array of points inside [0,l]; no domain check (internal)."""
+        """V(t) on an array of points in [0,l], right-continuous at interior
+        breakpoints; t is not checked against [0,l]."""
         if self.kind == "zero":
             return np.zeros_like(t)
         if self.kind == "constant":
@@ -223,13 +224,6 @@ def _as_float_tuple(x, name: str) -> tuple[float, ...]:
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"field {name} must be a list of numbers")
-
-
-def evaluate_potential(p: Potential, t: float) -> float:
-    """V(t) for t in [0,l]; right-continuous at interior breakpoints."""
-    if not 0.0 <= t <= p.l:
-        raise DomainError(f"t={t} outside [0, {p.l}]")
-    return float(p.values_on(np.asarray([t]))[0])
 
 
 def flux_from_field(f: FieldSample, l: float) -> float:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlattice import (Classification, ConfigError, ConsistencyError,
-                         CouplingParams, RationalFlux, assembler, bloch_matrix,
+                         CouplingParams, RationalFlux, assembler,
                          butterfly_sweep, classify_eigenvalue,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
                          graph_spectrum, harper, make_potential, resolve_flux)
-from fluxlattice.discriminant import (THRESHOLD_RTOL, band_windows, eta_many,
+from fluxlattice.discriminant import (EDGE_TOL_Z, THRESHOLD_RTOL, band_windows, eta_many,
                                       eta_on_pole)
 from oracles import merged_intervals
 
@@ -124,7 +124,7 @@ def test_classify_mirror_symmetric_edges(pot, alpha, beta, q, p_seed):
     p = next(p for p in range(p_seed % q, p_seed % q + q) if np.gcd(p, q) == 1)
     one_31 = CouplingParams(alpha=alpha, beta=1.0, potential=pot)
     f = RationalFlux(p, q)
-    norm = max(np.max(np.abs(np.linalg.eigvalsh(bloch_matrix(f, beta, k, k))))
+    norm = max(np.max(np.abs(np.linalg.eigvalsh(harper._fiber(p, q, beta, k, k))))
                for k in (0.0, np.pi / q))
     for k in range(6):
         y = abs(eta_on_pole(c, k))
@@ -260,6 +260,32 @@ def test_default_floor_loses_nothing(free_pot, step_pot, alpha, beta, edge, flux
     assert _ends(s).shape == _ends(far).shape
     assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
     assert s.point_spectrum == far.point_spectrum
+
+
+@settings(max_examples=40)
+@given(alpha=st.floats(-15.0, 15.0), beta=st.floats(0.5, 2.0),
+       edge=st.sampled_from(["free", "step"]), flux=st.sampled_from(farey_fluxes(8)),
+       z_max=st.floats(5.0, 30.0))
+def test_pullbacks_in_band_order_and_mu_in_gaps(free_pot, step_pot, alpha, beta, edge,
+                                                flux, z_max):
+    # every interval lies in its window, and on each window the pullbacks of
+    # the q Harper bands follow band order, reversed where eta decreases.
+    # Touching bands may overlap by rounding (8.9e-16 on the step edge at
+    # alpha = 1, beta = 0.5, theta = 1/2), so order holds within EDGE_TOL_Z.
+    # Off the integers ||M|| < 2(1+beta^2) <= |eta(mu_k)|, so every mu_k in
+    # range lies in a gap
+    p = free_pot if edge == "free" else step_pot
+    c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+    s = graph_spectrum(p, c, flux, z_max=z_max)
+    assert {iv.window for iv in s.continuous} <= {w.index for w in s.windows}
+    for w in s.windows:
+        ivs = sorted((iv for iv in s.continuous if iv.window == w.index),
+                     key=lambda iv: iv.band, reverse=not w.increasing)
+        assert all(w.a <= iv.z_lo <= iv.z_hi <= w.b for iv in ivs)
+        assert all(a.z_hi <= b.z_lo + EDGE_TOL_Z for a, b in zip(ivs, ivs[1:]))
+    if flux.q > 1:
+        in_gaps = {mu for g in gap_report(s).gaps for mu in g.contains_mu}
+        assert all(pt.mu in in_gaps for pt in s.point_spectrum)
 
 
 def test_farey_enumeration():

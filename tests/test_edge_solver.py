@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (IntegrationOverflowError, dirichlet_count_below,
-                         dirichlet_eigenvalues, integrate_basis, make_potential)
-from fluxlattice.edge_solver import _count_below_many
+from fluxlattice import IntegrationOverflowError, dirichlet_eigenvalues, make_potential
+from fluxlattice.edge_solver import _basis_many, _count_below_many
 from oracles import fd_dirichlet, free_basis, linear_basis
 
 L = np.pi
@@ -17,51 +16,59 @@ MATHIEU_MU = [-5.7900805986377115, 2.0994604454867347, 9.236327713694054,
               16.648219937169863, 25.51081604630306, 36.35886684802971]
 
 
+def basis_at(p, z):
+    """(u1, du1, u2, du2) at t = l for one z, through the batched kernel."""
+    return tuple(float(v[0]) for v in _basis_many(p, np.asarray([z])))
+
+
+def wronskian_defect(p, z):
+    """|u1' u2 - u1 u2' - 1| at t = l, and the solution scale max(1, |u1' u2|)."""
+    u1, du1, u2, du2 = basis_at(p, z)
+    return abs(du1 * u2 - u1 * du2 - 1.0), max(1.0, abs(du1 * u2))
+
+
 def test_free_basis_z1(free_pot):
-    pair = integrate_basis(free_pot, 1.0)
-    assert pair.u1_l == pytest.approx(0.0, abs=1e-12)
-    assert pair.du1_l == pytest.approx(-1.0, rel=1e-9)
-    assert pair.u2_l == pytest.approx(-1.0, rel=1e-9)
-    assert pair.du2_l == pytest.approx(0.0, abs=1e-12)
+    u1, du1, u2, du2 = basis_at(free_pot, 1.0)
+    assert u1 == pytest.approx(0.0, abs=1e-12)
+    assert du1 == pytest.approx(-1.0, rel=1e-9)
+    assert u2 == pytest.approx(-1.0, rel=1e-9)
+    assert du2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_free_basis_quarter(free_pot):
-    pair = integrate_basis(free_pot, 0.25)
-    assert pair.u1_l == pytest.approx(2.0, rel=1e-9)
-    assert pair.du1_l == pytest.approx(0.0, abs=1e-12)
-    assert pair.u2_l == pytest.approx(0.0, abs=1e-12)
-    assert pair.du2_l == pytest.approx(-0.5, rel=1e-9)
+    u1, du1, u2, du2 = basis_at(free_pot, 0.25)
+    assert u1 == pytest.approx(2.0, rel=1e-9)
+    assert du1 == pytest.approx(0.0, abs=1e-12)
+    assert u2 == pytest.approx(0.0, abs=1e-12)
+    assert du2 == pytest.approx(-0.5, rel=1e-9)
 
 
 def test_free_basis_hyperbolic(free_pot):
-    pair = integrate_basis(free_pot, -1.0)
-    assert pair.u1_l == pytest.approx(np.sinh(np.pi), rel=1e-9)
-    assert pair.u2_l == pytest.approx(np.cosh(np.pi), rel=1e-9)
+    u1, _, u2, _ = basis_at(free_pot, -1.0)
+    assert u1 == pytest.approx(np.sinh(np.pi), rel=1e-9)
+    assert u2 == pytest.approx(np.cosh(np.pi), rel=1e-9)
 
 
 def test_free_basis_z0(free_pot):
-    pair = integrate_basis(free_pot, 0.0)
-    assert pair.u1_l == pytest.approx(np.pi, rel=1e-12)
-    assert pair.du1_l == pytest.approx(1.0, rel=1e-12)
-    assert pair.u2_l == pytest.approx(1.0, rel=1e-12)
+    u1, du1, u2, _ = basis_at(free_pot, 0.0)
+    assert u1 == pytest.approx(np.pi, rel=1e-12)
+    assert du1 == pytest.approx(1.0, rel=1e-12)
+    assert u2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_free_closed_forms_over_range(free_pot):
     for z in np.linspace(-5.0, 110.0, 47):
-        pair = integrate_basis(free_pot, float(z))
-        u1, du1, u2, du2 = free_basis(float(z))
-        assert pair.u1_l == pytest.approx(u1, rel=1e-9, abs=1e-12)
-        assert pair.du1_l == pytest.approx(du1, rel=1e-9, abs=1e-12)
-        assert pair.u2_l == pytest.approx(u2, rel=1e-9, abs=1e-12)
-        assert pair.du2_l == pytest.approx(du2, rel=1e-9, abs=1e-12)
+        got = basis_at(free_pot, float(z))
+        for g, ref in zip(got, free_basis(float(z))):
+            assert g == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def test_linear_rk4_against_airy(linear_pot):
     # the sampled (RK4) path against an exact answer: V = t is represented
-    # exactly by two-node interpolation, so only the integration error shows
+    # exactly by two-node interpolation, so only the integration error shows.
+    # One z a call: the RK4 step count follows the batch's largest |z|
     for z in np.linspace(-10.0, 120.0, 53):
-        pair = integrate_basis(linear_pot, float(z))
-        got = (pair.u1_l, pair.du1_l, pair.u2_l, pair.du2_l)
+        got = basis_at(linear_pot, float(z))
         for g, ref in zip(got, linear_basis(float(z))):
             assert abs(g - ref) <= 1e-8 * max(1.0, abs(ref)), (z, g, ref)
 
@@ -75,21 +82,19 @@ def test_wronskian_defect_all_kinds(fixture, request):
     p = request.getfixturevalue(fixture)
     floor = min(0.0, p.infimum()) - 1.0
     for z in np.linspace(floor, 120.0, 40):
-        pair = integrate_basis(p, float(z))
-        scale = max(1.0, abs(pair.du1_l * pair.u2_l))
+        defect, scale = wronskian_defect(p, float(z))
         if scale < 1e6:
-            assert pair.wronskian_defect < 1e-8
-        assert pair.wronskian_defect / scale < 1e-12
+            assert defect < 1e-8
+        assert defect / scale < 1e-12
     for z in np.linspace(floor - 20.0, floor, 9):
-        pair = integrate_basis(p, float(z))
-        scale = max(1.0, abs(pair.du1_l * pair.u2_l))
-        assert pair.wronskian_defect / scale < 1e-12
+        defect, scale = wronskian_defect(p, float(z))
+        assert defect / scale < 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard(free_pot):
     with pytest.raises(IntegrationOverflowError, match="rescale"):
-        integrate_basis(free_pot, -1e7)
+        _basis_many(free_pot, np.asarray([-1e7]))
 
 
 def test_dirichlet_free(free_pot):
@@ -128,7 +133,7 @@ def test_prufer_count_at_midpoints(fixture, request):
     mus = spec.eigenvalues
     for k in range(5):
         mid = 0.5 * (mus[k] + mus[k + 1])
-        assert dirichlet_count_below(p, mid) == k + 1
+        assert _count_below_many(p, np.asarray([mid]))[0] == k + 1
 
 
 @settings(max_examples=60)
@@ -152,5 +157,4 @@ def test_prufer_count_piecewise_vs_fd(cuts, values):
 
 
 def test_prufer_count_below_ground(free_pot):
-    assert dirichlet_count_below(free_pot, 0.5) == 0
-    assert dirichlet_count_below(free_pot, -3.0) == 0
+    assert list(_count_below_many(free_pot, np.asarray([0.5, -3.0]))) == [0, 0]

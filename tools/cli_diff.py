@@ -1,4 +1,4 @@
-"""Compare the `spectrum`, `butterfly` and `harper` output of two source trees.
+"""Compare the output of every CLI subcommand between two source trees.
 
     python tools/cli_diff.py OLD NEW [--edges free step linear65] [--harper]
 
@@ -12,7 +12,10 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
   * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
-    bands are the cache entry of 2/5), and `butterfly` at q_max 5;
+    bands are the cache entry of 2/5), `butterfly` at q_max 5, and
+    `validate` at theta 1/3 and 2/5;
+  * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
+    in json and in csv, with k_max 10;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
@@ -53,6 +56,8 @@ ALPHAS = (1.0, 0.0, -1.5, -15.0)
 BETAS = (0.5, 1.0, 1.3)
 RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
 THETAS = ("0/1", "1/3", "2/5", "1/2", "3/5")
+VALIDATE_THETAS = ("1/3", "2/5")
+K_MAX = 10
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
@@ -79,6 +84,13 @@ def grid(edges, harper):
         # butterfly reads no theta; older trees demand one all the same
         yield (f"butterfly {label} q_max={Q_MAX}", "butterfly",
                {**doc, "theta": "0/1", "q_max": Q_MAX})
+        for theta in VALIDATE_THETAS:
+            yield f"validate {label} theta={theta}", "validate", {**doc, "theta": theta}
+    for edge, fmt in itertools.product(edges, ("json", "csv")):
+        # dirichlet reads no theta either; older trees demand one all the same
+        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", "dirichlet",
+               {"l": L, "potential": EDGES[edge], "alpha": 0.0, "beta": 1.0,
+                "theta": "0/1", "k_max": K_MAX, "format": fmt})
     if harper:
         for beta, (p, q) in itertools.product(HARPER_BETAS, farey(HARPER_Q_MAX)):
             yield (f"harper beta={beta} theta={p}/{q}", "harper",
