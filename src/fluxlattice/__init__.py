@@ -12,16 +12,18 @@ Z^2.  The package computes all ingredients and assembles band/gap structure,
 classification of the eigenvalues, and Hofstadter-butterfly sweep data.  The
 `validate` checks (Wronskian, sign alternation, Chambers independence, the
 Kronig-Penney trace, torus containment, flux periodicity) live in `validation`.
-The edge basis, the Pruefer count and the Bloch fiber have batched kernels
-only (`edge_solver._basis_many`, `_count_below_many`, `harper._fiber`).
+The edge basis, the Pruefer count, eta, its inversion and the Bloch fiber have
+batched kernels only (`edge_solver._basis_many`, `_count_below_many`,
+`discriminant.eta_many`, `invert_eta_many`, `harper._fiber`); eta at the
+Dirichlet eigenvalues comes from their solve (`DirichletSpectrum.nus`).
 """
 
 from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
                         GapReport, PointEigenvalue, SpectralSet, butterfly_sweep,
                         classify_eigenvalue, farey_fluxes, gap_report,
                         graph_spectrum, resolve_flux)
-from .discriminant import (BandWindow, CouplingParams, band_windows, eta,
-                           eta_on_pole, invert_eta, invert_eta_many)
+from .discriminant import (BandWindow, CouplingParams, band_windows, eta_on_pole,
+                           invert_eta_many)
 from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
 from .errors import (BracketingError, ConfigError, ConsistencyError, DomainError,
                      IntegrationOverflowError, NumericalError, TorusSizeError)

@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 spectrum JSON: parameters (with the scan range z_min..z_max; z_min defaults to
 the lower edge of the lowest band window), point_spectrum, continuous, gaps,
 metadata {convergent_used[, generated_at]}.  validate samples [z_min, z_max]
-with the same default z_min, and exits 2 when z_max lies below it.  butterfly
-exits 0 when some fluxes fail, since the other rows still hold; stderr names
-each failure and ends with "butterfly: K of N fluxes failed".
+from the same lower window edge, and exits 2 when z_max lies below it; that
+floor is solved on [anchor, mu_0] (`lowest_window_edge`) and spectrum's on
+[anchor, window centre] (`band_windows`), so the two default z_min agree to
+about 1e-13 but not always bit for bit.  butterfly exits 0 when some fluxes
+fail, since the other rows still hold; stderr names each failure and ends
+with "butterfly: K of N fluxes failed".
 """
 
 from __future__ import annotations
@@ -296,23 +299,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fluxlattice",
         description="Spectra of the periodic square quantum-graph lattice "
                     "with magnetic flux")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "butterfly", "dirichlet", "harper", "validate"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=("json", "csv"),
+    parser.add_argument("command", choices=("spectrum", "butterfly", "dirichlet",
+                                            "harper", "validate"))
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", default=None, choices=("json", "csv"),
                         dest="fmt", help="output format where applicable")
-        sp.add_argument("--q-max", type=int, default=None, dest="q_max",
+    parser.add_argument("--q-max", type=int, default=None, dest="q_max",
                         help="override config q_max")
-        if name == "spectrum":
-            sp.add_argument("--stamp", action="store_true",
-                            help="include a timestamp in metadata")
+    parser.add_argument("--stamp", action="store_true",
+                        help="include a timestamp in metadata (spectrum only)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.stamp and args.command != "spectrum":
+        parser.error(f"--stamp applies to spectrum only, not {args.command}")
     try:
         cfg = load_config(args.config)
         if args.fmt is not None:

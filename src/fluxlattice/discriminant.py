@@ -17,7 +17,10 @@ J_n on which eta is a strictly monotone homeomorphism onto
 
 eta is always evaluated in its entire form, never through the
 Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
-is no pole cancellation near mu_k.
+is no pole cancellation near mu_k.  eta(mu_k) has one producer, the Dirichlet
+solve's record nu_k (`poles_and_etas`); the band scan, the eigenvalue
+classification and the sign alternation check all read it.  eta and its
+inversion are batched only (`eta_many`, `invert_eta_many`).
 
 Every root here (window centres, window edges, inversions) comes from one
 bracketed solver, `_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973)
@@ -28,7 +31,6 @@ root with a sign change inside a bracket at most EDGE_TOL_Z wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,19 +100,12 @@ def eta_many(c: CouplingParams, z: np.ndarray) -> np.ndarray:
     return (1.0 + c.beta**2) * (du1 + u2) + c.alpha * u1
 
 
-def eta(c: CouplingParams, z: float) -> float:
-    """The entire discriminant at one point."""
-    return float(eta_many(c, np.asarray([float(z)]))[0])
-
-
 def poles_and_etas(c: CouplingParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu_0..mu_{k_max} and eta at each, from the one cached Dirichlet solve
-    that reaches k_max.  eta(mu_k) = (1+beta^2)(u1'(l;mu_k) + u2(l;mu_k)); the
-    alpha term drops since u1(l;mu_k) = 0, so the values are alpha-independent."""
-    k_round = round_up_index(k_max)
-    mus = dirichlet_eigenvalues(c.potential, k_round).eigenvalues[:k_max + 1]
-    nus = _nus_upto(c.potential, k_round)[:k_max + 1]
-    return np.asarray(mus), (1.0 + c.beta**2) * np.asarray(nus)
+    """mu_0..mu_{k_max} and eta(mu_k) = (1+beta^2) nu_k at each, from the one
+    cached Dirichlet solve that reaches k_max; alpha-independent."""
+    spec = dirichlet_eigenvalues(c.potential, round_up_index(k_max))
+    return (np.asarray(spec.eigenvalues[:k_max + 1]),
+            (1.0 + c.beta**2) * np.asarray(spec.nus[:k_max + 1]))
 
 
 def eta_on_pole(c: CouplingParams, k: int) -> float:
@@ -122,14 +117,6 @@ def escapes_threshold(c: CouplingParams, y):
     """Elementwise |y| - 2(1+beta^2) > THRESHOLD_RTOL * 2(1+beta^2): y lies off
     the threshold by more than rounding."""
     return np.abs(y) - c.threshold > THRESHOLD_RTOL * c.threshold
-
-
-@lru_cache(maxsize=512)
-def _nus_upto(p: Potential, k_max: int) -> tuple[float, ...]:
-    """u1'(l) + u2(l) at mu_0..mu_{k_max}, one batched propagation."""
-    mus = np.asarray(dirichlet_eigenvalues(p, k_max).eigenvalues)
-    _, du1, u2, _ = _basis_many(p, mus)
-    return tuple(float(v) for v in du1 + u2)
 
 
 def _solve_batch(g, lo, hi, sign_lo):
@@ -233,13 +220,14 @@ def require_range(z_min: float | None, z_max: float) -> None:
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
 
 
-def _anchor_below(c: CouplingParams, z: float) -> float:
-    """A point below the lowest window: walk down from z - 1 in doubling steps
-    until eta > 2(1+beta^2).  z must not lie above mu_0."""
+def _anchor_below(c: CouplingParams, z: float) -> tuple[float, float]:
+    """A point below the lowest window and eta there: walk down from z - 1 in
+    doubling steps until eta > 2(1+beta^2).  z must not lie above mu_0."""
     start, step = z - 1.0, 1.0
     for _ in range(80):
-        if eta_many(c, np.asarray([start]))[0] > c.threshold:
-            return start
+        y = float(eta_many(c, np.asarray([start]))[0])
+        if y > c.threshold:
+            return start, y
         start -= step
         step *= 2.0
     raise NumericalError("could not find eta > threshold below the lowest window")
@@ -252,7 +240,7 @@ def lowest_window_edge(c: CouplingParams, mu_0: float) -> float:
     positive below window 0, and eta <= -2(1+beta^2) from the window's upper
     edge up to mu_0 (sign alternation), so no window centre is needed.
     """
-    lo = _anchor_below(c, mu_0)
+    lo, _ = _anchor_below(c, mu_0)
     return float(_solve_batch(lambda zz, _: eta_many(c, zz) - c.threshold,
                               [lo], [mu_0], [1.0])[0])
 
@@ -270,14 +258,15 @@ def band_windows(c: CouplingParams, z_min: float | None,
     """
     require_range(z_min, z_max)
     threshold = c.threshold
-    mus = np.asarray(_mus_through(c.potential, z_max))  # the last one is >= z_max
-    start = _anchor_below(c, float(mus[0]) if z_min is None
-                          else min(z_min, float(mus[0])))
+    # mu_0..mu_n with mu_n >= z_max, and eta at each from the same solve
+    mus, eta_mus = poles_and_etas(c, len(_mus_through(c.potential, z_max)) - 1)
+    start, eta_start = _anchor_below(c, float(mus[0]) if z_min is None
+                                     else min(z_min, float(mus[0])))
     if z_min is None:
         z_min = start  # the lowest window lies above its anchor
 
     anchors = np.concatenate([[start], mus])
-    eta_anchor = eta_many(c, anchors)
+    eta_anchor = np.concatenate([[eta_start], eta_mus])
 
     # segments whose window could intersect [z_min, z_max]
     seg = np.array([i for i in range(len(anchors) - 1)
@@ -287,7 +276,8 @@ def band_windows(c: CouplingParams, z_min: float | None,
     left, right = anchors[seg], anchors[seg + 1]
     eta_left, eta_right = eta_anchor[seg], eta_anchor[seg + 1]
 
-    # interior anchor: the unique root of eta inside each segment
+    # interior anchor: the unique root of eta inside each segment (the solver
+    # evaluates eta at its bracket ends itself, the anchors included)
     center = _solve_batch(lambda zz, _: eta_many(c, zz), left, right, eta_left)
 
     # Edges solve sign(eta_anchor) * eta = threshold between center and anchor.
@@ -390,9 +380,3 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
         z[interior] = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
                                    lo, hi, sign_lo)
     return z
-
-
-def invert_eta(w: BandWindow, y: float) -> float:
-    """Unique z in J_n with eta(z) = y; requires |y| <= 2(1+beta^2)."""
-    return float(invert_eta_many(w, np.asarray([float(y)]))[0])
-

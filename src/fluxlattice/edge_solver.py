@@ -43,10 +43,13 @@ _RK4_PHASE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DirichletSpectrum:
-    """First eigenvalues of the Dirichlet edge operator, strictly increasing."""
+    """First eigenvalues of the Dirichlet edge operator, strictly increasing,
+    and nu_k = u1'(l; mu_k) + u2(l; mu_k) at each, so that eta(mu_k) =
+    (1+beta^2) nu_k (the alpha term drops since u1(l; mu_k) = 0)."""
 
     eigenvalues: tuple[float, ...]
     tolerances: tuple[float, ...]  # achieved per-eigenvalue error estimates
+    nus: tuple[float, ...]
 
 
 def _rk4_steps(p: Potential, z_scale: float) -> int:
@@ -159,7 +162,8 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     Isolation by the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
     mean(V); bisection on the count pins each root down, a safeguarded Newton
     iteration on u1(l; z) polishes it, and a central difference of u1(l; .)
-    verifies simplicity.
+    verifies simplicity.  One more batched propagation at the final mu_k
+    gives nu_k.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -219,8 +223,10 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     if np.any(np.diff(z) <= 0):
         raise ConsistencyError("Dirichlet eigenvalues not strictly increasing")
     achieved = np.maximum(last_step, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
+    _, du1, u2, _ = _basis_many(p, z)
     return DirichletSpectrum(tuple(float(v) for v in z),
-                             tuple(float(v) for v in achieved))
+                             tuple(float(v) for v in achieved),
+                             tuple(float(v) for v in du1 + u2))
 
 
 def round_up_index(k: int) -> int:

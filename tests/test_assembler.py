@@ -179,9 +179,8 @@ def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
 def test_integer_flux_classifies_from_the_scan_solve(step_pot, theta):
     # eta(mu_k) at every pole comes from the solve that found the poles, so
     # integer flux costs no Dirichlet solve beyond it
-    from fluxlattice.discriminant import _nus_upto
     from fluxlattice.edge_solver import _mus_through
-    for cached in (dirichlet_eigenvalues, _mus_through, _nus_upto):
+    for cached in (dirichlet_eigenvalues, _mus_through):
         cached.cache_clear()
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     s = graph_spectrum(step_pot, c, theta, None, 200.0)

@@ -198,6 +198,15 @@ def test_butterfly_unresolvable_window_fails_per_flux(tmp_path, capsys):
         "butterfly: 3 of 5 fluxes failed"]
 
 
+@pytest.mark.parametrize("command", ["butterfly", "dirichlet", "harper", "validate"])
+def test_stamp_is_refused_off_spectrum(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, FREE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--stamp"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["butterfly", "dirichlet"])
 def test_commands_without_theta_need_none(tmp_path, capsys, command):
     doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlattice import (ConsistencyError, CouplingParams, DomainError, band_windows,
-                         discriminant, dirichlet_eigenvalues, eta, eta_on_pole,
-                         invert_eta, invert_eta_many)
-from fluxlattice.discriminant import EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many
+                         discriminant, dirichlet_eigenvalues, eta_on_pole,
+                         invert_eta_many)
+from fluxlattice.discriminant import (EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many,
+                                      poles_and_etas)
+from fluxlattice.edge_solver import _mus_through
 from oracles import free_basis, free_eta, linear_basis, step_basis
 
 L = np.pi
@@ -19,16 +21,16 @@ ALPHA_MINUS2_WINDOW0 = (-0.4217519166920148, 0.25)   # alpha=-2: hyperbolic lowe
 
 
 def test_eta_free_at_zero(free_coupling):
-    assert eta(free_coupling, 0.0) == pytest.approx(4.0, rel=1e-12)
+    assert eta_many(free_coupling, [0.0])[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_eta_free_quarter(free_coupling):
-    assert eta(free_coupling, 0.25) == pytest.approx(0.0, abs=1e-12)
+    assert eta_many(free_coupling, [0.25])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eta_with_alpha(free_pot):
     c = CouplingParams(alpha=3.0, beta=1.0, potential=free_pot)
-    assert eta(c, 0.0) == pytest.approx(4.0 + 3.0 * np.pi, rel=1e-12)
+    assert eta_many(c, [0.0])[0] == pytest.approx(4.0 + 3.0 * np.pi, rel=1e-12)
 
 
 def test_eta_on_pole_free(free_coupling):
@@ -109,15 +111,14 @@ def test_window_between_each_eigenvalue_pair(step_pot):
 
 def test_invert_free_window(free_coupling):
     w = band_windows(free_coupling, -1.0, 2.0)[0]
-    assert invert_eta(w, 0.0) == pytest.approx(0.25, abs=1e-9)
-    assert invert_eta(w, 4.0) == pytest.approx(0.0, abs=1e-9)
-    assert invert_eta(w, 2.0 * np.sqrt(2.0)) == pytest.approx(1.0 / 16.0, abs=1e-9)
+    zs = invert_eta_many(w, [0.0, 4.0, 2.0 * np.sqrt(2.0)])
+    assert zs.tolist() == pytest.approx([0.25, 0.0, 1.0 / 16.0], abs=1e-9)
 
 
 def test_invert_out_of_range(free_coupling):
     w = band_windows(free_coupling, -1.0, 2.0)[0]
     with pytest.raises(DomainError):
-        invert_eta(w, 4.5)
+        invert_eta_many(w, [4.5])
 
 
 def test_invert_round_trip(free_pot):
@@ -144,7 +145,7 @@ def test_batched_inversion_across_windows(step_pot, picks):
     batch = [ws[i % len(ws)] for i, _ in picks]
     ys = np.asarray([f * c.threshold for _, f in picks])
     zs = invert_eta_many(batch, ys)
-    alone = np.asarray([invert_eta(w, y) for w, y in zip(batch, ys)])
+    alone = np.asarray([invert_eta_many(w, [y])[0] for w, y in zip(batch, ys)])
     assert np.all(np.abs(zs - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
     assert np.all(np.abs(eta_many(c, zs) - ys) <= INVERT_RESIDUAL * (1.0 + np.abs(ys)))
     other = _step_windows(step_pot, 2.0)[0]
@@ -269,6 +270,44 @@ def test_eta_call_budget_step_edge(step_pot, monkeypatch):
     assert n_scan <= 40 and len(calls) - n_scan <= 15, (n_scan, len(calls) - n_scan)
 
 
+@pytest.mark.parametrize("edge, alpha", [("free", 0.0), ("free", -15.0), ("step", 1.0),
+                                         ("linear", -1.5)])
+def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edge, alpha):
+    # eta(mu_k) has one producer, the Dirichlet solve: outside the bracketed
+    # solver, which evaluates its own bracket ends, the scan passes no mu_k to
+    # eta_many, and the anchor values it judges are poles_and_etas' own
+    p = request.getfixturevalue(f"{edge}_pot")
+    c = CouplingParams(alpha=alpha, beta=1.3, potential=p)
+    solve, escapes = discriminant._solve_batch, discriminant.escapes_threshold
+    in_solve, points, judged = [], [], []
+
+    def solved(*args):
+        in_solve.append(True)
+        try:
+            return solve(*args)
+        finally:
+            in_solve.pop()
+
+    def counted(c, z):
+        if not in_solve:
+            points.append(np.ravel(z))
+        return eta_many(c, z)
+
+    def recorded(c, y):
+        judged.append(np.array(y))
+        return escapes(c, y)
+
+    monkeypatch.setattr(discriminant, "_solve_batch", solved)
+    monkeypatch.setattr(discriminant, "eta_many", counted)
+    monkeypatch.setattr(discriminant, "escapes_threshold", recorded)
+    band_windows(c, None, 30.0)
+    mus, etas = poles_and_etas(c, len(_mus_through(p, 30.0)) - 1)
+    assert points and not np.any(np.isin(np.concatenate(points), mus))
+    eta_left, eta_right = judged  # eta at the lower and upper anchor of each window
+    assert np.array_equal(eta_right, etas)
+    assert np.array_equal(eta_left[1:], etas[:-1]) and eta_left[0] > c.threshold
+
+
 def test_monotone_inside_windows(step_pot):
     c = CouplingParams(alpha=0.5, beta=0.8, potential=step_pot)
     for w in band_windows(c, -2.0, 40.0):
@@ -292,11 +331,11 @@ def test_eta_matches_krein_route(fixture, alpha, beta, request):
     mus = np.asarray(dirichlet_eigenvalues(p, 12).eigenvalues)
     zs = [z for z in np.linspace(-3.0, 70.0, 150)
           if np.min(np.abs(mus - z)) > 0.1]
-    for z in zs:
+    for z, y in zip(zs, eta_many(c, zs)):
         u1, du1, u2, _ = basis(float(z))
         s11, s12, s22 = -u2 / u1, 1.0 / u1, -du1 / u1
         via_s = alpha / s12 - (1 + beta**2) * (s11 + s22) / s12
-        assert abs(eta(c, float(z)) - via_s) < 1e-8
+        assert abs(y - via_s) < 1e-8
 
 
 @pytest.mark.parametrize("fixture,alpha,beta", [
@@ -315,8 +354,9 @@ def test_sign_alternation(fixture, alpha, beta, request):
 
 def test_eta_against_closed_form(free_pot):
     c = CouplingParams(alpha=1.7, beta=1.1, potential=free_pot)
-    for z in np.linspace(-4.0, 50.0, 93):
-        assert eta(c, float(z)) == pytest.approx(
+    zs = np.linspace(-4.0, 50.0, 93)
+    for z, y in zip(zs, eta_many(c, zs)):
+        assert y == pytest.approx(
             free_eta(float(z), alpha=1.7, beta=1.1), rel=1e-10, abs=1e-10)
 
 

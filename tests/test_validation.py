@@ -10,14 +10,14 @@ import pytest
 
 from fluxlattice import (ConfigError, CouplingParams, RationalFlux, graph_spectrum,
                          validation)
-from fluxlattice.discriminant import EDGE_TOL_Z, _nus_upto, eta_on_pole, poles_and_etas
+from fluxlattice.discriminant import EDGE_TOL_Z, eta_on_pole, poles_and_etas
 from fluxlattice.edge_solver import _mus_through, dirichlet_eigenvalues
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _clear_edge_caches():
-    for cached in (dirichlet_eigenvalues, _nus_upto, _mus_through):
+    for cached in (dirichlet_eigenvalues, _mus_through):
         cached.cache_clear()
 
 

@@ -16,14 +16,18 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     `validate` at theta 1/3 and 2/5;
   * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
     in json and in csv, with k_max 10;
+  * per edge, at alpha 1 and beta 1.3, every subcommand under five
+    combinations of --format, --q-max and --out (FLAG_RUNS), including the
+    refused `spectrum --format csv` and `--q-max 0`;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
 
-A run's text is its exit code, stdout and stderr.  Each config prints one
-line: identical; the largest numeric difference between the two texts and
-how many numbers differ, when only numbers differ; the truncation flags that
-changed; or that the texts differ in structure.  The last line sums up.
+A run's text is its exit code, stdout, stderr and the text of its --out
+file, if any.  Each config prints one line: identical; the largest numeric
+difference between the two texts and how many numbers differ, when only
+numbers differ; the truncation flags that changed; or that the texts differ
+in structure.  The last line sums up.
 Exit status 0 means every config is identical.
 """
 
@@ -61,6 +65,14 @@ K_MAX = 10
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
+OUT = "<out>"  # stands for the --out path in a run's arguments
+FLAG_RUNS = (  # (arguments after the subcommand, extra config) per edge
+    (("--format", "csv", "--q-max", "3"), {}),
+    (("--q-max", "3", "--out", OUT), {"theta": 0.41}),
+    (("--format", "csv"), {}),
+    (("--out", OUT), {"format": "csv"}),
+    (("--q-max", "0"), {}),
+)
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 FLAG = re.compile(r"\b(?:true|false)\b")
@@ -73,27 +85,33 @@ def farey(q_max):
 
 
 def grid(edges, harper):
-    """(label, subcommand, config) for every run."""
+    """(label, arguments but --config, config) for every run."""
     for edge, alpha, beta, (z_min, z_max) in itertools.product(
             edges, ALPHAS, BETAS, RANGES):
         doc = {"l": L, "potential": EDGES[edge], "alpha": alpha, "beta": beta,
                "z_max": z_max, **({} if z_min is None else {"z_min": z_min})}
         label = f"{edge} alpha={alpha} beta={beta} z=[{z_min}, {z_max}]"
         for theta in THETAS:
-            yield f"spectrum {label} theta={theta}", "spectrum", {**doc, "theta": theta}
+            yield f"spectrum {label} theta={theta}", ["spectrum"], {**doc, "theta": theta}
         # butterfly reads no theta; older trees demand one all the same
-        yield (f"butterfly {label} q_max={Q_MAX}", "butterfly",
+        yield (f"butterfly {label} q_max={Q_MAX}", ["butterfly"],
                {**doc, "theta": "0/1", "q_max": Q_MAX})
         for theta in VALIDATE_THETAS:
-            yield f"validate {label} theta={theta}", "validate", {**doc, "theta": theta}
+            yield f"validate {label} theta={theta}", ["validate"], {**doc, "theta": theta}
     for edge, fmt in itertools.product(edges, ("json", "csv")):
         # dirichlet reads no theta either; older trees demand one all the same
-        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", "dirichlet",
+        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet"],
                {"l": L, "potential": EDGES[edge], "alpha": 0.0, "beta": 1.0,
                 "theta": "0/1", "k_max": K_MAX, "format": fmt})
+    commands = ("spectrum", "butterfly", "dirichlet", "harper", "validate")
+    for edge, command, (flags, extra) in itertools.product(edges, commands, FLAG_RUNS):
+        doc = {"l": L, "potential": EDGES[edge], "alpha": 1.0, "beta": 1.3,
+               "theta": "1/3", "z_max": 10.0, "q_max": Q_MAX, "k_max": K_MAX, **extra}
+        yield (f"{command} {edge} {' '.join(flags)} {json.dumps(extra)}",
+               [command, *flags], doc)
     if harper:
         for beta, (p, q) in itertools.product(HARPER_BETAS, farey(HARPER_Q_MAX)):
-            yield (f"harper beta={beta} theta={p}/{q}", "harper",
+            yield (f"harper beta={beta} theta={p}/{q}", ["harper"],
                    {"l": L, "potential": EDGES["free"], "alpha": 0.0, "beta": beta,
                     "theta": f"{p}/{q}"})
 
@@ -103,14 +121,21 @@ def worker(edges, harper) -> None:
     from fluxlattice.cli import main
     texts = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        for _, command, doc in grid(edges, harper):
+        path, out_path = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        for _, args, doc in grid(edges, harper):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+            argv = [args[0], "--config", path,
+                    *(out_path if a == OUT else a for a in args[1:])]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main([command, "--config", path])
-            texts.append(f"exit {rc}\n{out.getvalue()}\n{err.getvalue()}")
+                rc = main(argv)
+            written = ""
+            if os.path.exists(out_path):
+                with open(out_path, encoding="utf-8", newline="") as fh:
+                    written = fh.read()
+                os.remove(out_path)
+            texts.append(f"exit {rc}\n{out.getvalue()}\n{err.getvalue()}\n{written}")
     json.dump(texts, sys.stdout)
 
 
