@@ -29,7 +29,6 @@ from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_thr
 from .edge_solver import _mus_through
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
-from .potential import Potential
 
 
 class Classification(enum.Enum):
@@ -187,17 +186,15 @@ def _assemble(scan: _Scan, fluxes) -> list:
     return [r if isinstance(r, NumericalError) else (r, shared[r.bands]) for r in out]
 
 
-def graph_spectrum(p: Potential, c: CouplingParams, theta,
-                   z_min: float | None = None, z_max: float = 100.0,
-                   q_max: int = 50) -> SpectralSet:
-    """The lattice spectrum over [z_min, z_max].
+def graph_spectrum(c: CouplingParams, theta, z_min: float | None = None,
+                   z_max: float = 100.0, q_max: int = 50) -> SpectralSet:
+    """The lattice spectrum over [z_min, z_max] for the coupling c, whose
+    potential is the edge's.
 
     theta may be a RationalFlux or a float (resolved to its best convergent
     with denominator <= q_max, recorded in the result).  z_min defaults to the
     lowest band window's a_full (ConfigError if z_max lies below it).
     """
-    if c.potential != p:
-        c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     flux, convergent_used = resolve_flux(theta, q_max)
     scan = _scan(c, z_min, z_max)
     (res,) = _assemble(scan, [flux])
@@ -260,10 +257,10 @@ class ButterflyRow:
     truncated: bool
 
 
-def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
-                    z_min: float | None = None, z_max: float = 100.0
-                    ) -> tuple[list[ButterflyRow], list[str]]:
-    """Continuous spectrum intervals for every Farey flux with q' <= q_max.
+def butterfly_sweep(c: CouplingParams, q_max: int, z_min: float | None = None,
+                    z_max: float = 100.0) -> tuple[list[ButterflyRow], list[str]]:
+    """Continuous spectrum intervals for every Farey flux with q' <= q_max,
+    for the coupling c and its potential.
 
     One scan and one `_assemble` pass serve every flux, so the sweep makes
     one eta inversion in all and builds no SpectralSet; z_min defaults as in
@@ -272,8 +269,6 @@ def butterfly_sweep(p: Potential, c: CouplingParams, q_max: int,
     are equal.  Rows come back ordered by (q', p') then z; a flux that fails
     is reported as a diagnostic and the others keep their rows.
     """
-    if c.potential != p:
-        c = CouplingParams(alpha=c.alpha, beta=c.beta, potential=p)
     fluxes = farey_fluxes(q_max)
     rows: list[ButterflyRow] = []
     diagnostics: list[str] = []

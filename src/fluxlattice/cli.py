@@ -3,6 +3,10 @@
 Subcommands: spectrum (JSON SpectralSet), butterfly (CSV sweep table),
 dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
 Only spectrum, harper and validate need theta (or a field sample).
+Each setting has one place.  The JSON config holds what is computed: l and
+the potential, alpha, beta, theta or field, q_max, z_min, z_max and k_max.
+The command line holds where and how it is written: --out, --format and
+--stamp.  A config that sets out or format exits 2 and names the flag.
 Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 3 numerical failure.  Output is byte-identical for identical configs unless
 --stamp is given.
@@ -44,17 +48,13 @@ THETA = "theta (or a field sample)"  # the flux field that spectrum, harper and 
 
 @dataclass(frozen=True)
 class RunConfig:
-    potential: Potential
-    alpha: float
-    beta: float
+    coupling: CouplingParams  # alpha, beta and the edge potential
     theta: object            # RationalFlux (exact "p/q"), float (resolved later) or None
     theta_repr: object       # value echoed into outputs, as given in the config
     q_max: int
     z_min: float | None
     z_max: float | None
     k_max: int
-    fmt: str | None
-    out: str | None
 
 
 def parse_theta(raw) -> RationalFlux | float:
@@ -91,13 +91,18 @@ def _number_array(raw, name: str) -> np.ndarray:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    for key, flag in (("out", "--out"), ("format", "--format")):  # command line only
+        if key in doc:
+            raise ConfigError(f"{key} is set by the {flag} flag, not in the config")
     potential = make_potential(doc)
     for name in ("alpha", "beta"):
         if name not in doc:
             raise ConfigError(f"missing field: {name}")
         if not isinstance(doc[name], (int, float)) or isinstance(doc[name], bool):
             raise ConfigError(f"field {name} must be a number, got {doc[name]!r}")
-    check_coupling(doc["alpha"], doc["beta"])  # harper and dirichlet build no CouplingParams
+    check_coupling(doc["alpha"], doc["beta"])  # errors echo the values as written
+    coupling = CouplingParams(alpha=float(doc["alpha"]), beta=float(doc["beta"]),
+                              potential=potential)
     has_theta = "theta" in doc
     has_field = "field" in doc
     if has_theta and has_field:
@@ -135,18 +140,10 @@ def parse_config(doc: dict) -> RunConfig:
     k_max = doc.get("k_max", 10)
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise ConfigError(f"k_max must be an integer >= 0, got {k_max!r}")
-    fmt = doc.get("format")
-    if fmt is not None and fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):  # open() takes ints as descriptors
-        raise ConfigError(f"field out must be a path string, got {out!r}")
-    return RunConfig(potential=potential, alpha=float(doc["alpha"]),
-                     beta=float(doc["beta"]), theta=theta, theta_repr=theta_repr,
-                     q_max=q_max,
+    return RunConfig(coupling=coupling, theta=theta, theta_repr=theta_repr, q_max=q_max,
                      z_min=None if z_min is None else float(z_min),
                      z_max=None if z_max is None else float(z_max),
-                     k_max=k_max, fmt=fmt, out=out)
+                     k_max=k_max)
 
 
 def load_config(path: str) -> RunConfig:
@@ -160,10 +157,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _coupling(cfg: RunConfig) -> CouplingParams:
-    return CouplingParams(alpha=cfg.alpha, beta=cfg.beta, potential=cfg.potential)
-
-
 def _require(value, field: str):
     """value, or a ConfigError naming the missing field."""
     if value is None:
@@ -174,7 +167,7 @@ def _require(value, field: str):
 def _potential_doc(p: Potential) -> dict:
     doc = {"kind": p.kind}
     if p.kind == "constant":
-        doc["c"] = p.c
+        doc["c"] = p.values[0]
     elif p.kind == "piecewise_constant":
         doc["breakpoints"] = list(p.breakpoints)
         doc["values"] = list(p.values)
@@ -192,19 +185,19 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
-    if cfg.fmt == "csv":
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.fmt == "csv":
         raise ConfigError("spectrum output is JSON; use butterfly for CSV tables")
     theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
-    s = graph_spectrum(cfg.potential, _coupling(cfg), theta,
-                       z_min=cfg.z_min, z_max=z_max, q_max=cfg.q_max)
+    s = graph_spectrum(cfg.coupling, theta, z_min=cfg.z_min, z_max=z_max,
+                       q_max=cfg.q_max)
     gaps = gap_report(s)
     doc = {
         "parameters": {
-            "l": cfg.potential.l,
-            "potential": _potential_doc(cfg.potential),
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
+            "l": cfg.coupling.potential.l,
+            "potential": _potential_doc(cfg.coupling.potential),
+            "alpha": cfg.coupling.alpha,
+            "beta": cfg.coupling.beta,
             "theta": cfg.theta_repr,
             "theta_resolved": str(s.flux),
             "q_max": cfg.q_max,
@@ -225,25 +218,24 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, stamp: bool) -> int:
             "convergent_used": s.convergent_used,
         },
     }
-    if stamp:
+    if args.stamp:
         doc["metadata"]["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_butterfly(cfg: RunConfig, out: str | None) -> int:
-    if cfg.fmt == "json":
+def cmd_butterfly(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.fmt == "json":
         raise ConfigError("butterfly output is CSV")
     z_max = _require(cfg.z_max, "z_max")
-    rows, diagnostics = butterfly_sweep(
-        cfg.potential, _coupling(cfg), cfg.q_max, z_min=cfg.z_min, z_max=z_max)
+    rows, diagnostics = butterfly_sweep(cfg.coupling, cfg.q_max, z_min=cfg.z_min, z_max=z_max)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BUTTERFLY_HEADER)
     for r in rows:
         writer.writerow([r.flux.p, r.flux.q, r.band_index, repr(r.z_lo),
                          repr(r.z_hi), "true" if r.truncated else "false"])
-    _emit(buf.getvalue(), out)
+    _emit(buf.getvalue(), args.out)
     for msg in diagnostics:
         print(f"butterfly diagnostic: {msg}", file=sys.stderr)
     print(f"butterfly: {len(diagnostics)} of {len(farey_fluxes(cfg.q_max))} "
@@ -251,47 +243,51 @@ def cmd_butterfly(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
-def cmd_dirichlet(cfg: RunConfig, out: str | None) -> int:
-    spec = dirichlet_eigenvalues(cfg.potential, cfg.k_max)
-    if cfg.fmt == "csv":
+def cmd_dirichlet(cfg: RunConfig, args: argparse.Namespace) -> int:
+    spec = dirichlet_eigenvalues(cfg.coupling.potential, cfg.k_max)
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "mu", "tolerance"])
         for k, (mu, tol) in enumerate(zip(spec.eigenvalues, spec.tolerances)):
             writer.writerow([k, repr(mu), repr(tol)])
-        _emit(buf.getvalue(), out)
+        _emit(buf.getvalue(), args.out)
     else:
         doc = {"eigenvalues": list(spec.eigenvalues),
                "tolerances": list(spec.tolerances)}
-        _emit(json.dumps(doc, indent=2) + "\n", out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_harper(cfg: RunConfig, out: str | None) -> int:
+def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
     flux, convergent = resolve_flux(_require(cfg.theta, THETA), cfg.q_max)
-    bands = harper_spectrum(flux, cfg.beta)
-    if cfg.fmt == "csv":
+    bands = harper_spectrum(flux, cfg.coupling.beta)
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["band_index", "e_lo", "e_hi"])
         for j, (lo, hi) in enumerate(bands.bands):
             writer.writerow([j, repr(lo), repr(hi)])
-        _emit(buf.getvalue(), out)
+        _emit(buf.getvalue(), args.out)
     else:
-        doc = {"theta": str(flux), "beta": cfg.beta,
+        doc = {"theta": str(flux), "beta": cfg.coupling.beta,
                "convergent_used": convergent,
                "bands": [[lo, hi] for lo, hi in bands.bands]}
-        _emit(json.dumps(doc, indent=2) + "\n", out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_validate(cfg: RunConfig, out: str | None) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
-    results = validation.run_all(_coupling(cfg), theta, cfg.z_min, z_max,
+    results = validation.run_all(cfg.coupling, theta, cfg.z_min, z_max,
                                  q_max=cfg.q_max, k_max=cfg.k_max)
     _emit("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
-                  f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), out)
+                  f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), args.out)
     return 0 if all(r.passed for r in results) else 1
+
+
+COMMANDS = {"spectrum": cmd_spectrum, "butterfly": cmd_butterfly,
+            "dirichlet": cmd_dirichlet, "harper": cmd_harper, "validate": cmd_validate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,14 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fluxlattice",
         description="Spectra of the periodic square quantum-graph lattice "
                     "with magnetic flux")
-    parser.add_argument("command", choices=("spectrum", "butterfly", "dirichlet",
-                                            "harper", "validate"))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default=None, choices=("json", "csv"),
                         dest="fmt", help="output format where applicable")
-    parser.add_argument("--q-max", type=int, default=None, dest="q_max",
-                        help="override config q_max")
     parser.add_argument("--stamp", action="store_true",
                         help="include a timestamp in metadata (spectrum only)")
     return parser
@@ -318,23 +311,7 @@ def main(argv=None) -> int:
     if args.stamp and args.command != "spectrum":
         parser.error(f"--stamp applies to spectrum only, not {args.command}")
     try:
-        cfg = load_config(args.config)
-        if args.fmt is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "fmt": args.fmt})
-        if args.q_max is not None:
-            if args.q_max < 1:
-                raise ConfigError(f"q_max must be >= 1, got {args.q_max}")
-            cfg = RunConfig(**{**cfg.__dict__, "q_max": args.q_max})
-        out = args.out if args.out is not None else cfg.out
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out, args.stamp)
-        if args.command == "butterfly":
-            return cmd_butterfly(cfg, out)
-        if args.command == "dirichlet":
-            return cmd_dirichlet(cfg, out)
-        if args.command == "harper":
-            return cmd_harper(cfg, out)
-        return cmd_validate(cfg, out)
+        return COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

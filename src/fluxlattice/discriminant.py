@@ -287,14 +287,19 @@ def band_windows(c: CouplingParams, z_min: float | None,
     # return (the window ended at an interior crossing even though eta came
     # back to the threshold exactly at mu_k); interior crossings are always
     # transversal (no extrema on the threshold), so their root finding is clean.
-    dz = 1e-6 * np.maximum(1.0, np.abs(anchors))
-    d_anchor = (eta_many(c, anchors + dz) - eta_many(c, anchors - dz)) / (2.0 * dz)
+    # Only the anchors on the threshold read the slope, so only they take it.
+    on = ~escapes_threshold(c, eta_anchor)
+    d_anchor = np.zeros(len(anchors))
+    if np.any(on):
+        dz = 1e-6 * np.maximum(1.0, np.abs(anchors[on]))
+        d_anchor[on] = (eta_many(c, anchors[on] + dz)
+                        - eta_many(c, anchors[on] - dz)) / (2.0 * dz)
     slope_tol = 1e-4 * (1.0 + threshold)
     # Both edges of every window go into one solve: [left, center] with
     # s eta - threshold > 0 at its lower end, [center, right] with it < 0.
     s_l, s_r = np.sign(eta_left), np.sign(eta_right)
-    do_left = escapes_threshold(c, eta_left) | (s_l * d_anchor[seg] > slope_tol)
-    do_right = escapes_threshold(c, eta_right) | (s_r * d_anchor[seg + 1] < -slope_tol)
+    do_left = ~on[seg] | (s_l * d_anchor[seg] > slope_tol)
+    do_right = ~on[seg + 1] | (s_r * d_anchor[seg + 1] < -slope_tol)
     a_edge, b_edge = np.array(left), np.array(right)
     n_left = int(np.count_nonzero(do_left))
     if n_left or np.any(do_right):

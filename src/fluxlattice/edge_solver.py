@@ -114,16 +114,23 @@ def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
     return u[0], du[0], u[1], du[1]
 
 
+def _half_turns(u, du):
+    """floor(phi / pi) for the angle phi in (-pi, pi] of (u, u'), from the
+    signs alone: -1 when u < 0, 1 on the negative u' axis, else 0."""
+    return ((u == 0.0) & (du < 0.0)).astype(np.int64) - (u < 0.0)
+
+
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues below each z (Pruefer oscillation count).
 
     Counts zeros of u1(.; z) on (t0, t1] of each cell of `_propagate`: the
-    exact phase advance of (u, u'/w) past multiples of pi on a constant cell
-    with z > V, else 1 if u1 changes sign or becomes zero; a zero exactly at
-    t=l is removed after the walk.  Sampled V takes max(2048, 4 w_max l) RK4
-    cells, which resolves every half-wave; the ~1e-6 uncertainty this leaves
-    in the count transition point is removed by the Newton polish of the
-    eigenvalue search.
+    multiples of pi that the phase of (u, u'/w) passes on a constant cell
+    with z > V, read from the computed end state so that a zero on a
+    breakpoint falls in one cell only, else 1 if u1 changes sign or becomes
+    zero; a zero exactly at t=l is removed after the walk.  Sampled V takes
+    max(2048, 4 w_max l) RK4 cells, which resolves every half-wave; the ~1e-6
+    uncertainty this leaves in the count transition point is removed by the
+    Newton polish of the eigenvalue search.
     """
     z = np.asarray(z, dtype=float)
     n = None
@@ -135,7 +142,7 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     count = np.zeros(z.shape, dtype=np.int64)
     u = np.zeros_like(z)
     du = np.ones_like(z)
-    sign = np.sign(u)
+    sign, half = np.sign(u), _half_turns(u, du)
     for u_next, du_next, cell in _propagate(p, z, u, du, n):
         sign_next = np.sign(u_next)
         zeros = sign * (sign - sign_next) > 0  # u1 changes sign or becomes zero
@@ -144,10 +151,15 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
             osc = w2 > 1e-14
             w = np.sqrt(np.where(osc, w2, 1.0))
             # u = A sin(w t + delta) on oscillatory cells; zeros in (t0,t1]
-            # sit at integer multiples of pi of the advancing phase
+            # sit where the phase passes a multiple of pi.  The end phase
+            # delta + w dt is read in the half-turn of the computed end state,
+            # which the next cell starts from, so floor(phase / pi) is
+            # 2 turns + half_next and a zero on a breakpoint is counted once
             delta = np.arctan2(u * w, du)
-            adv = (np.floor((delta + w * dt) / np.pi) - np.floor(delta / np.pi)).astype(np.int64)
-            zeros = np.where(osc, adv, zeros)
+            half_next = _half_turns(u_next, du_next)
+            turns = np.round((delta + w * dt - (half_next + 0.5) * np.pi) / (2.0 * np.pi))
+            zeros = np.where(osc, 2 * turns.astype(np.int64) + half_next - half, zeros)
+            half = half_next
         count += zeros
         u, du, sign = u_next, du_next, sign_next
     # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior

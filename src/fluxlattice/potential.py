@@ -1,11 +1,14 @@
 """Edge potential V on [0,l] and the magnetic-field cell average.
 
 The potential lives on a single edge of length l and is shared by every edge
-of the lattice.  Supported representations: zero, constant, piecewise constant
-(right-continuous at interior breakpoints), and sampled with linear
-interpolation.  The magnetic field enters the rest of the pipeline only
-through the flux per plaquette theta = (1/2pi) * integral of b over the
-fundamental cell F = [0,l]x[0,l].
+of the lattice.  It is stored one of two ways: piecewise constant
+(breakpoints 0 = t_0 < ... < t_n = l and one value per segment,
+right-continuous at interior breakpoints), or sampled with linear
+interpolation.  The zero and constant kinds are the one-segment piecewise
+potentials breakpoints (0, l), values (c,); `kind` only records how the
+config spelled the potential.  The magnetic field enters the rest of the
+pipeline only through the flux per plaquette theta = (1/2pi) * integral of b
+over the fundamental cell F = [0,l]x[0,l].
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ class Potential:
 
     l: float
     kind: str
-    c: float = 0.0
     breakpoints: tuple[float, ...] = ()
     values: tuple[float, ...] = ()
     grid: tuple[float, ...] = ()
@@ -36,9 +38,7 @@ class Potential:
             raise ConfigError(f"l must be a positive real, got {self.l!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"potential.kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "constant" and not np.isfinite(self.c):
-            raise ConfigError("potential.c must be finite")
-        if self.kind == "piecewise_constant":
+        if self.is_piecewise:
             bp, vals = self.breakpoints, self.values
             if len(bp) < 2 or len(vals) != len(bp) - 1:
                 raise ConfigError(
@@ -50,7 +50,7 @@ class Potential:
                 raise ConfigError("potential.breakpoints must start at 0 and end at l")
             if not all(np.isfinite(v) for v in vals):
                 raise ConfigError("potential.values must be finite")
-        if self.kind == "sampled":
+        else:
             g, vals = self.grid, self.values
             if len(g) < 2 or len(vals) != len(g):
                 raise ConfigError(
@@ -75,19 +75,11 @@ class Potential:
         return np.asarray(self.breakpoints, dtype=float)
 
     def segments(self) -> list[tuple[float, float]]:
-        """(value, length) pieces for exact transfer-matrix propagation.
-
-        Only meaningful for the piecewise-constant family (zero, constant,
-        piecewise_constant).
-        """
-        if self.kind == "zero":
-            return [(0.0, self.l)]
-        if self.kind == "constant":
-            return [(self.c, self.l)]
-        if self.kind == "piecewise_constant":
-            bp = self._breakpoints_arr
-            return [(v, bp[i + 1] - bp[i]) for i, v in enumerate(self.values)]
-        raise ValueError("sampled potentials have no exact segment decomposition")
+        """(value, length) pieces for exact transfer-matrix propagation."""
+        if not self.is_piecewise:
+            raise ValueError("sampled potentials have no exact segment decomposition")
+        bp = self._breakpoints_arr
+        return [(v, bp[i + 1] - bp[i]) for i, v in enumerate(self.values)]
 
     @property
     def is_piecewise(self) -> bool:
@@ -96,11 +88,7 @@ class Potential:
     def values_on(self, t: np.ndarray) -> np.ndarray:
         """V(t) on an array of points in [0,l], right-continuous at interior
         breakpoints; t is not checked against [0,l]."""
-        if self.kind == "zero":
-            return np.zeros_like(t)
-        if self.kind == "constant":
-            return np.full_like(t, self.c)
-        if self.kind == "sampled":
+        if not self.is_piecewise:
             return np.interp(t, self._grid_arr, self._values_arr)
         bp = self._breakpoints_arr
         idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(self.values) - 1)
@@ -122,21 +110,12 @@ class Potential:
 
     def mean(self) -> float:
         """Cell average of V, used to seed eigenvalue asymptotics."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "piecewise_constant":
-            bp = self._breakpoints_arr
-            return float(np.dot(self._values_arr, np.diff(bp)) / self.l)
+        if self.is_piecewise:
+            return float(np.dot(self._values_arr, np.diff(self._breakpoints_arr)) / self.l)
         return float(np.trapezoid(self._values_arr, self._grid_arr) / self.l)
 
     def infimum(self) -> float:
-        """inf V over [0,l] (exact for all supported representations)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.c
+        """inf V over [0,l] (exact for both representations)."""
         return float(self._values_arr.min())
 
 
@@ -177,7 +156,8 @@ def make_potential(spec: dict) -> Potential:
 
     Expected keys: l (positive number) and potential {kind, ...} with
     kind-specific fields: constant -> c; piecewise_constant -> breakpoints,
-    values; sampled -> grid, values.
+    values; sampled -> grid, values.  Zero and constant build the one
+    segment breakpoints (0, l), values (c,).
     """
     if not isinstance(spec, dict):
         raise ConfigError("potential spec must be a mapping")
@@ -189,11 +169,14 @@ def make_potential(spec: dict) -> Potential:
         raise ConfigError("field potential must be an object with a 'kind'")
     kind = pot["kind"]
     if kind == "zero":
-        return Potential(l=l, kind="zero")
+        return Potential(l=l, kind="zero", breakpoints=(0.0, l), values=(0.0,))
     if kind == "constant":
         if "c" not in pot:
             raise ConfigError("missing field: potential.c")
-        return Potential(l=l, kind="constant", c=_as_float(pot["c"], "potential.c"))
+        c = _as_float(pot["c"], "potential.c")
+        if not np.isfinite(c):
+            raise ConfigError("potential.c must be finite")
+        return Potential(l=l, kind="constant", breakpoints=(0.0, l), values=(c,))
     if kind == "piecewise_constant":
         bp = _as_float_tuple(pot.get("breakpoints"), "potential.breakpoints")
         vals = _as_float_tuple(pot.get("values"), "potential.values")

@@ -15,9 +15,8 @@ from oracles import merged_intervals
 L = np.pi
 
 
-def test_free_integer_flux_full_line(free_pot, free_coupling):
-    s = graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1),
-                       z_min=-1.0, z_max=10.0)
+def test_free_integer_flux_full_line(free_coupling):
+    s = graph_spectrum(free_coupling, RationalFlux(0, 1), z_min=-1.0, z_max=10.0)
     union = merged_intervals([(iv.z_lo, iv.z_hi) for iv in s.continuous])
     assert len(union) == 1
     assert union[0][0] == pytest.approx(0.0, abs=1e-9)
@@ -29,9 +28,8 @@ def test_free_integer_flux_full_line(free_pot, free_coupling):
     assert gap_report(s).gaps == () or all(g.hi <= 0.0 for g in gap_report(s).gaps)
 
 
-def test_half_flux_bands_and_isolated_mu(free_pot, free_coupling):
-    s = graph_spectrum(free_pot, free_coupling, RationalFlux(1, 2),
-                       z_min=0.0, z_max=2.0)
+def test_half_flux_bands_and_isolated_mu(free_coupling):
+    s = graph_spectrum(free_coupling, RationalFlux(1, 2), z_min=0.0, z_max=2.0)
     union = merged_intervals([(iv.z_lo, iv.z_hi) for iv in s.continuous])
     assert union[0][0] == pytest.approx(1.0 / 16.0, abs=1e-8)
     assert union[0][1] == pytest.approx(9.0 / 16.0, abs=1e-8)
@@ -47,20 +45,18 @@ def test_half_flux_bands_and_isolated_mu(free_pot, free_coupling):
     assert mu_gap[0].contains_mu[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_integer_flux_periodicity_exact(free_pot, free_coupling):
-    s0 = graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1),
-                        z_min=0.0, z_max=10.0)
-    s1 = graph_spectrum(free_pot, free_coupling, RationalFlux(1, 1),
-                        z_min=0.0, z_max=10.0)
+def test_integer_flux_periodicity_exact(free_coupling):
+    s0 = graph_spectrum(free_coupling, RationalFlux(0, 1), z_min=0.0, z_max=10.0)
+    s1 = graph_spectrum(free_coupling, RationalFlux(1, 1), z_min=0.0, z_max=10.0)
     a = [(iv.z_lo, iv.z_hi) for iv in s0.continuous]
     b = [(iv.z_lo, iv.z_hi) for iv in s1.continuous]
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-9
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0 / 3.0, 0.4142])
-def test_flux_periodicity_spectral_sets(free_pot, free_coupling, theta):
-    s0 = graph_spectrum(free_pot, free_coupling, theta, z_min=0.0, z_max=10.0)
-    s1 = graph_spectrum(free_pot, free_coupling, theta + 1.0, z_min=0.0, z_max=10.0)
+def test_flux_periodicity_spectral_sets(free_coupling, theta):
+    s0 = graph_spectrum(free_coupling, theta, z_min=0.0, z_max=10.0)
+    s1 = graph_spectrum(free_coupling, theta + 1.0, z_min=0.0, z_max=10.0)
     a = np.asarray([(iv.z_lo, iv.z_hi) for iv in s0.continuous])
     b = np.asarray([(iv.z_lo, iv.z_hi) for iv in s1.continuous])
     assert a.shape == b.shape
@@ -148,7 +144,7 @@ def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
     monkeypatch.setattr(assembler, "harper_spectrum", refuse)
     monkeypatch.setattr(harper, "harper_spectrum", refuse)
     with pytest.raises(ConsistencyError, match="harper_spectrum called"):
-        graph_spectrum(c.potential, c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
+        graph_spectrum(c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
     for k in range(4):
         assert classify_eigenvalue(c, RationalFlux(1, 31), eta_on_pole(c, k)) is \
             Classification.ISOLATED
@@ -183,7 +179,7 @@ def test_integer_flux_classifies_from_the_scan_solve(step_pot, theta):
     for cached in (dirichlet_eigenvalues, _mus_through):
         cached.cache_clear()
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    s = graph_spectrum(step_pot, c, theta, None, 200.0)
+    s = graph_spectrum(c, theta, None, 200.0)
     assert len(s.point_spectrum) == 13
     assert dirichlet_eigenvalues.cache_info().misses == 1
 
@@ -192,16 +188,16 @@ def test_every_mu_interval_meets_sigma(step_pot):
     # Theorem (B): [mu_k, mu_k+1] always intersects the continuous part
     c = CouplingParams(alpha=1.0, beta=1.5, potential=step_pot)
     for flux in (RationalFlux(0, 1), RationalFlux(1, 2), RationalFlux(2, 5)):
-        s = graph_spectrum(step_pot, c, flux, z_min=-2.0, z_max=60.0)
+        s = graph_spectrum(c, flux, z_min=-2.0, z_max=60.0)
         mus = [pt.mu for pt in s.point_spectrum]
         for mu_a, mu_b in zip(mus, mus[1:]):
             hit = any(iv.z_lo <= mu_b and iv.z_hi >= mu_a for iv in s.continuous)
             assert hit
 
 
-def test_band_count_per_window_bounded_by_q(free_pot, free_coupling):
+def test_band_count_per_window_bounded_by_q(free_coupling):
     for flux in (RationalFlux(1, 2), RationalFlux(1, 3), RationalFlux(2, 5)):
-        s = graph_spectrum(free_pot, free_coupling, flux, z_min=0.0, z_max=10.0)
+        s = graph_spectrum(free_coupling, flux, z_min=0.0, z_max=10.0)
         per_window = {}
         for iv in s.continuous:
             per_window.setdefault(iv.window, 0)
@@ -212,7 +208,7 @@ def test_band_count_per_window_bounded_by_q(free_pot, free_coupling):
 def test_pullback_endpoints_hit_band_edges(free_pot):
     c = CouplingParams(alpha=1.0, beta=1.2, potential=free_pot)
     flux = RationalFlux(1, 3)
-    s = graph_spectrum(free_pot, c, flux, z_min=-1.0, z_max=12.0)
+    s = graph_spectrum(c, flux, z_min=-1.0, z_max=12.0)
     edges = s.harper.edges
     for iv in s.continuous:
         for z_star in (iv.z_lo, iv.z_hi):
@@ -231,19 +227,19 @@ def test_default_floor_is_lowest_window_edge(free_pot, alpha):
     # attractive coupling pushes window 0 far below zero (near z = -6.26 at
     # alpha = -10); the default floor must still start the scan there
     c = CouplingParams(alpha=alpha, beta=1.0, potential=free_pot)
-    s = graph_spectrum(free_pot, c, RationalFlux(1, 3), z_max=5.0)
+    s = graph_spectrum(c, RationalFlux(1, 3), z_max=5.0)
     assert s.z_min == pytest.approx(s.windows[0].a_full, abs=1e-9)
     assert s.windows[0].index == 0
     assert not any(w.truncated_lo for w in s.windows)
-    far = graph_spectrum(free_pot, c, RationalFlux(1, 3), z_min=-100.0, z_max=5.0)
+    far = graph_spectrum(c, RationalFlux(1, 3), z_min=-100.0, z_max=5.0)
     assert _ends(s).shape == _ends(far).shape
     assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
     assert s.point_spectrum == far.point_spectrum
 
 
-def test_default_floor_rejects_z_max_below_spectrum(free_pot, free_coupling):
+def test_default_floor_rejects_z_max_below_spectrum(free_coupling):
     with pytest.raises(ConfigError, match="below the lowest band window"):
-        graph_spectrum(free_pot, free_coupling, RationalFlux(0, 1), z_max=-5.0)
+        graph_spectrum(free_coupling, RationalFlux(0, 1), z_max=-5.0)
 
 
 @settings(max_examples=25)
@@ -254,8 +250,8 @@ def test_default_floor_rejects_z_max_below_spectrum(free_pot, free_coupling):
 def test_default_floor_loses_nothing(free_pot, step_pot, alpha, beta, edge, flux):
     p = free_pot if edge == "free" else step_pot
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
-    s = graph_spectrum(p, c, flux, z_max=12.0)
-    far = graph_spectrum(p, c, flux, z_min=s.z_min - 50.0, z_max=12.0)
+    s = graph_spectrum(c, flux, z_max=12.0)
+    far = graph_spectrum(c, flux, z_min=s.z_min - 50.0, z_max=12.0)
     assert _ends(s).shape == _ends(far).shape
     assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
     assert s.point_spectrum == far.point_spectrum
@@ -275,7 +271,7 @@ def test_pullbacks_in_band_order_and_mu_in_gaps(free_pot, step_pot, alpha, beta,
     # range lies in a gap
     p = free_pot if edge == "free" else step_pot
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
-    s = graph_spectrum(p, c, flux, z_max=z_max)
+    s = graph_spectrum(c, flux, z_max=z_max)
     assert {iv.window for iv in s.continuous} <= {w.index for w in s.windows}
     for w in s.windows:
         ivs = sorted((iv for iv in s.continuous if iv.window == w.index),
@@ -296,16 +292,16 @@ def test_farey_enumeration():
     assert farey_fluxes(1) == [RationalFlux(0, 1), RationalFlux(1, 1)]
 
 
-def test_butterfly_qmax1_identical_rows(free_pot, free_coupling):
-    rows, diags = butterfly_sweep(free_pot, free_coupling, 1, z_min=0.0, z_max=10.0)
+def test_butterfly_qmax1_identical_rows(free_coupling):
+    rows, diags = butterfly_sweep(free_coupling, 1, z_min=0.0, z_max=10.0)
     assert diags == []
     r0 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(0, 1)]
     r1 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(1, 1)]
     assert r0 == r1 and len(r0) > 0
 
 
-def test_butterfly_halfflux_gap_vs_integer(free_pot, free_coupling):
-    rows, _ = butterfly_sweep(free_pot, free_coupling, 2, z_min=0.0, z_max=2.0)
+def test_butterfly_halfflux_gap_vs_integer(free_coupling):
+    rows, _ = butterfly_sweep(free_coupling, 2, z_min=0.0, z_max=2.0)
     by_flux = {}
     for r in rows:
         by_flux.setdefault(r.flux, []).append((r.z_lo, r.z_hi))
@@ -316,8 +312,8 @@ def test_butterfly_halfflux_gap_vs_integer(free_pot, free_coupling):
     assert half[0][1] < 1.0 < half[1][0]
 
 
-def test_butterfly_row_ordering(free_pot, free_coupling):
-    rows, _ = butterfly_sweep(free_pot, free_coupling, 3, z_min=0.0, z_max=4.0)
+def test_butterfly_row_ordering(free_coupling):
+    rows, _ = butterfly_sweep(free_coupling, 3, z_min=0.0, z_max=4.0)
     keys = [(r.flux.q, r.flux.p, r.band_index) for r in rows]
     assert keys == sorted(keys)
 
@@ -332,10 +328,10 @@ def test_one_inversion_per_request(step_pot, monkeypatch):
 
     monkeypatch.setattr(assembler, "invert_eta_many", counted)
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    graph_spectrum(step_pot, c, RationalFlux(2, 5), z_min=0.3, z_max=7.7)
+    graph_spectrum(c, RationalFlux(2, 5), z_min=0.3, z_max=7.7)
     assert len(calls) == 1
     calls.clear()
-    butterfly_sweep(step_pot, c, 5, z_min=0.3, z_max=7.7)
+    butterfly_sweep(c, 5, z_min=0.3, z_max=7.7)
     assert len(calls) == 1
 
 
@@ -344,11 +340,11 @@ def test_butterfly_rows_are_graph_spectra(step_pot, z_min, z_max):
     # 7.7 cuts window 1 = [7.29, 7.84], 2.07 window 0 = [2.048, 2.092] and 12
     # window 2 = [11.6, 14.5], so some pullbacks are clipped and truncated
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    rows, diags = butterfly_sweep(step_pot, c, 5, z_min=z_min, z_max=z_max)
+    rows, diags = butterfly_sweep(c, 5, z_min=z_min, z_max=z_max)
     assert diags == []
     assert any(r.truncated for r in rows)
     for flux in farey_fluxes(5):
-        s = graph_spectrum(step_pot, c, flux, z_min=z_min, z_max=z_max)
+        s = graph_spectrum(c, flux, z_min=z_min, z_max=z_max)
         assert [(r.z_lo, r.z_hi, r.truncated) for r in rows if r.flux == flux] == [
             (iv.z_lo, iv.z_hi, iv.truncated) for iv in s.continuous]
 
@@ -368,7 +364,7 @@ def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
         return real(ws, ys)
 
     monkeypatch.setattr(assembler, "invert_eta_many", recorded)
-    rows, diags = butterfly_sweep(step_pot, c, 8, z_min=0.3, z_max=7.7)
+    rows, diags = butterfly_sweep(c, 8, z_min=0.3, z_max=7.7)
     assert diags == [] and len(batches) == 1
     n_windows = len(band_windows(c, 0.3, 7.7))
     classes = {(min(f.p, f.q - f.p), f.q) for f in farey_fluxes(8)}
@@ -380,6 +376,6 @@ def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
     for flux in farey_fluxes(8):
         mirror = RationalFlux(flux.q - flux.p, flux.q)
         assert by_flux[flux] == by_flux[mirror]
-        s = graph_spectrum(step_pot, c, flux, z_min=0.3, z_max=7.7)
+        s = graph_spectrum(c, flux, z_min=0.3, z_max=7.7)
         assert by_flux[flux] == [(i, iv.z_lo, iv.z_hi, iv.truncated)
                                  for i, iv in enumerate(s.continuous)]

@@ -141,7 +141,7 @@ def test_butterfly_qmax1_two_identical_groups(tmp_path):
 def test_butterfly_half_flux_gap(tmp_path):
     cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 2, "z_max": 2.0})
     out = str(tmp_path / "b.csv")
-    assert main(["butterfly", "--config", cfg, "--q-max", "2", "--out", out]) == 0
+    assert main(["butterfly", "--config", cfg, "--out", out]) == 0
     rows = list(csv.DictReader(open(out, encoding="utf-8")))
     half = sorted((float(r["z_lo"]), float(r["z_hi"])) for r in rows
                   if r["θ_den"] == "2")
@@ -183,8 +183,8 @@ def test_butterfly_unresolvable_window_fails_per_flux(tmp_path, capsys):
     cfg = write_config(tmp_path, {**doc, "alpha": -200.0, "q_max": 3})
     assert main(["butterfly", "--config", cfg]) == 0
     out, err = capsys.readouterr()
-    rows = ["-2500.0,-2500.0", "1.0,1.0259559033595889", "4.0,4.103780228606205",
-            "9.0,9.233343148790112"]
+    rows = ["-2500.0,-2500.0", "1.0000000000000002,1.025955903359589",
+            "4.000000000000001,4.103780228606205", "9.0,9.233343148790112"]
     assert out.splitlines() == ["θ_num,θ_den,band_index,z_lo,z_hi,truncated"] + [
         f"{p},1,{i},{row},false" for p in (0, 1) for i, row in enumerate(rows)]
     window = "since no double lies strictly inside [-2500.0, -2500.0]"
@@ -274,14 +274,27 @@ def test_malformed_field_sample_rejected(tmp_path, capsys, field, name):
     assert err.startswith("config error:") and name in err
 
 
-@pytest.mark.parametrize("out", [True, 7, ["x"]], ids=["bool", "int", "list"])
-def test_non_string_out_rejected(tmp_path, capsys, out):
-    # open() would take true or 7 as a file descriptor, and fail on a list
-    cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2", "out": out})
+@pytest.mark.parametrize("key, flag", [("out", "--out"), ("format", "--format")],
+                         ids=["out", "format"])
+def test_config_out_and_format_refused(tmp_path, capsys, key, flag):
+    # output settings live on the command line only; a config that still sets
+    # one would otherwise be ignored, and output go to stdout instead
+    cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2", key: "csv"})
     assert main(["harper", "--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error:") and "field out" in captured.err
+    assert captured.out == "" and not (tmp_path / "csv").exists()
+    assert captured.err == (
+        f"config error: {key} is set by the {flag} flag, not in the config\n")
+
+
+def test_q_max_flag_refused(tmp_path, capsys):
+    # q_max lives in the config only
+    cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 2})
+    with pytest.raises(SystemExit) as exc:
+        main(["butterfly", "--config", cfg, "--q-max", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --q-max 3" in captured.err
 
 
 def test_harper_subcommand(tmp_path, capsys):

@@ -64,10 +64,12 @@ def test_coupling_validation(free_pot):
 
 def test_windows_free_case(free_coupling):
     ws = band_windows(free_coupling, -1.0, 10.0)
+    mus = dirichlet_eigenvalues(free_coupling.potential, 2).eigenvalues
+    assert mus[:2] == pytest.approx([1.0, 4.0], rel=1e-15)
     assert [w.index for w in ws] == [0, 1, 2, 3]
     assert ws[0].a == pytest.approx(0.0, abs=1e-9)
-    assert ws[0].b == 1.0 and ws[1].a == 1.0   # clamped exactly at mu_0
-    assert ws[1].b == 4.0 and ws[2].a == 4.0
+    assert ws[0].b == mus[0] and ws[1].a == mus[0]   # clamped exactly at mu_0
+    assert ws[1].b == mus[1] and ws[2].a == mus[1]
     assert ws[2].b == pytest.approx(9.0, abs=1e-9)
     assert ws[3].b == 10.0 and ws[3].truncated_hi and ws[3].truncated
     assert [w.increasing for w in ws] == [False, True, False, True]
@@ -267,7 +269,7 @@ def test_eta_call_budget_step_edge(step_pot, monkeypatch):
     n_scan = len(calls)
     ys = np.tile(np.linspace(-0.95, 0.95, 9) * c.threshold, len(ws))
     invert_eta_many([w for w in ws for _ in range(9)], ys)
-    assert n_scan <= 40 and len(calls) - n_scan <= 15, (n_scan, len(calls) - n_scan)
+    assert n_scan <= 31 and len(calls) - n_scan <= 15, (n_scan, len(calls) - n_scan)
 
 
 @pytest.mark.parametrize("edge, alpha", [("free", 0.0), ("free", -15.0), ("step", 1.0),
@@ -303,9 +305,8 @@ def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edg
     band_windows(c, None, 30.0)
     mus, etas = poles_and_etas(c, len(_mus_through(p, 30.0)) - 1)
     assert points and not np.any(np.isin(np.concatenate(points), mus))
-    eta_left, eta_right = judged  # eta at the lower and upper anchor of each window
-    assert np.array_equal(eta_right, etas)
-    assert np.array_equal(eta_left[1:], etas[:-1]) and eta_left[0] > c.threshold
+    (eta_anchor,) = judged  # eta at the anchor below window 0, then at each mu_k
+    assert np.array_equal(eta_anchor[1:], etas) and eta_anchor[0] > c.threshold
 
 
 def test_monotone_inside_windows(step_pot):

@@ -158,3 +158,20 @@ def test_prufer_count_piecewise_vs_fd(cuts, values):
 
 def test_prufer_count_below_ground(free_pot):
     assert list(_count_below_many(free_pot, np.asarray([0.5, -3.0]))) == [0, 0]
+
+
+@pytest.mark.parametrize("breakpoints, values, zs", [
+    ([0.0, L / 2, L], [0.0, 10.0], [(2.0 * m) ** 2 for m in range(1, 21)]),
+    ([0.0, 1.0, 2.0, L], [-2.0, 3.0, 7.0], [-2.0 + (m * np.pi) ** 2 for m in range(1, 15)]),
+], ids=["step", "three_segments"])
+def test_prufer_count_with_a_zero_on_a_breakpoint(breakpoints, values, zs):
+    # at these z the first segment holds a whole number of half-waves, so u1
+    # vanishes on its right end up to rounding; that zero must be counted in
+    # one cell only, not once by the exact phase advance of the first cell
+    # and again by the state the second cell starts from
+    p = make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": breakpoints, "values": values}})
+    mus = dirichlet_eigenvalues(p, 50).eigenvalues
+    assert mus[-1] > max(zs)
+    expected = [int(np.searchsorted(mus, z)) for z in zs]
+    assert list(_count_below_many(p, np.asarray(zs))) == expected

@@ -26,7 +26,7 @@ def _integer_flux_bands(p, alpha_eff, beta, z_min, z_max):
     # alpha_eff = alpha / (1 + beta^2): the graph at theta = 0 has the
     # Kronig-Penney spectrum of that delta strength, for every beta
     c = CouplingParams(alpha=alpha_eff * (1.0 + beta**2), beta=beta, potential=p)
-    s = graph_spectrum(p, c, RationalFlux(0, 1), z_min=z_min, z_max=z_max)
+    s = graph_spectrum(c, RationalFlux(0, 1), z_min=z_min, z_max=z_max)
     return merged_intervals([(iv.z_lo, iv.z_hi) for iv in s.continuous], eps=1e-9)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fluxlattice import (ConfigError, FieldSample, Potential, flux_from_field,
+from fluxlattice import (ConfigError, CouplingParams, FieldSample, Potential, RationalFlux,
+                         dirichlet_eigenvalues, flux_from_field, graph_spectrum,
                          make_potential)
+from fluxlattice.discriminant import eta_many
 
 L = np.pi
 
@@ -15,17 +17,39 @@ def value_at(p, t):
 def test_make_zero():
     p = make_potential({"l": L, "potential": {"kind": "zero"}})
     assert p.kind == "zero" and p.l == L
+    assert (p.breakpoints, p.values) == ((0.0, L), (0.0,))
 
 
 def test_make_constant():
     p = make_potential({"l": L, "potential": {"kind": "constant", "c": 5}})
     assert value_at(p, 0.3) == 5.0
+    assert (p.breakpoints, p.values) == ((0.0, L), (5.0,))
 
 
 def test_make_step():
     p = make_potential({"l": L, "potential": {
         "kind": "piecewise_constant", "breakpoints": [0, L / 2, L], "values": [0, 10]}})
     assert p.breakpoints == (0.0, L / 2, L)
+
+
+@pytest.mark.parametrize("spelling, c", [({"kind": "zero"}, 0.0),
+                                         ({"kind": "constant", "c": 5.0}, 5.0)],
+                         ids=["zero", "const5"])
+def test_one_segment_spellings_agree_bit_for_bit(spelling, c):
+    # zero and constant are stored as the one-segment piecewise potential, so
+    # the two spellings differ in kind only, and every result is bit-identical
+    own = make_potential({"l": L, "potential": spelling})
+    one = make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": [0.0, L], "values": [c]}})
+    assert own.kind != one.kind
+    assert dirichlet_eigenvalues(own, 8) == dirichlet_eigenvalues(one, 8)
+    z = np.linspace(c - 10.0, c + 60.0, 71)
+    ca, cb = (CouplingParams(alpha=1.0, beta=1.3, potential=p) for p in (own, one))
+    assert np.array_equal(eta_many(ca, z), eta_many(cb, z))
+    for flux in (RationalFlux(0, 1), RationalFlux(2, 5)):
+        sa, sb = (graph_spectrum(x, flux, z_max=c + 30.0) for x in (ca, cb))
+        assert (sa.z_min, sa.point_spectrum, sa.continuous) == \
+            (sb.z_min, sb.point_spectrum, sb.continuous)
 
 
 def test_missing_l():

@@ -41,7 +41,7 @@ def test_default_floor_is_spectrum_floor(request, monkeypatch, edge, alpha, beta
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
     floor = _floor_of_run(c, 6.0, monkeypatch)
-    assert abs(floor - graph_spectrum(p, c, RationalFlux(1, 3), None, 6.0).z_min) \
+    assert abs(floor - graph_spectrum(c, RationalFlux(1, 3), None, 6.0).z_min) \
         <= EDGE_TOL_Z
 
 

@@ -1,14 +1,14 @@
 """Compare the output of every CLI subcommand between two source trees.
 
-    python tools/cli_diff.py OLD NEW [--edges free step linear65] [--harper]
+    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65] [--harper]
 
 OLD and NEW are checkouts of the repository (for example the parent commit,
 made with `git worktree add` or `git archive`).  Each tree runs the whole
 config grid in one worker process of its own, with PYTHONPATH at its `src`:
 
   * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
-    on request linear65 (V = t sampled at 65 nodes; about 15 minutes a tree
-    on one core, against seconds for the two piecewise edges);
+    on request const5 (V = 5) and linear65 (V = t sampled at 65 nodes; about
+    15 minutes a tree on one core, against seconds for a piecewise edge);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
   * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
@@ -16,18 +16,20 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     `validate` at theta 1/3 and 2/5;
   * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
     in json and in csv, with k_max 10;
-  * per edge, at alpha 1 and beta 1.3, every subcommand under five
-    combinations of --format, --q-max and --out (FLAG_RUNS), including the
-    refused `spectrum --format csv` and `--q-max 0`;
+  * per edge, at alpha 1 and beta 1.3, every subcommand under the rows of
+    FLAG_RUNS: --format and --out with config q_max 3 or the default, the
+    refused `spectrum --format csv` and config q_max 0, and the settings
+    that have no place, config out and format and the --q-max flag, which
+    the current command line refuses with exit 2;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
 
-A run's text is its exit code, stdout, stderr and the text of its --out
-file, if any.  Each config prints one line: identical; the largest numeric
-difference between the two texts and how many numbers differ, when only
-numbers differ; the truncation flags that changed; or that the texts differ
-in structure.  The last line sums up.
+A run's text is its exit code, stdout, stderr and the text of the file
+that --out (or config out) names, if any.  Each config prints one line:
+identical; the largest numeric difference between the two texts and how
+many numbers differ, when only numbers differ; the truncation flags that
+changed; or that the texts differ in structure.  The last line sums up.
 Exit status 0 means every config is identical.
 """
 
@@ -53,6 +55,7 @@ EDGES = {
     "free": {"kind": "zero"},
     "step": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
              "values": [0.0, 10.0]},
+    "const5": {"kind": "constant", "c": 5.0},
     "linear65": {"kind": "sampled", "grid": LINEAR65.tolist(),
                  "values": LINEAR65.tolist()},
 }
@@ -65,13 +68,16 @@ K_MAX = 10
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
-OUT = "<out>"  # stands for the --out path in a run's arguments
+OUT = "<out>"  # stands for the output path in a run's arguments and config
 FLAG_RUNS = (  # (arguments after the subcommand, extra config) per edge
-    (("--format", "csv", "--q-max", "3"), {}),
-    (("--q-max", "3", "--out", OUT), {"theta": 0.41}),
+    (("--format", "csv"), {"q_max": 3}),
+    (("--out", OUT), {"q_max": 3, "theta": 0.41}),
     (("--format", "csv"), {}),
-    (("--out", OUT), {"format": "csv"}),
-    (("--q-max", "0"), {}),
+    (("--out", OUT, "--format", "csv"), {}),
+    ((), {"q_max": 0}),
+    ((), {"out": OUT}),
+    ((), {"format": "csv"}),
+    (("--q-max", "3"), {}),
 )
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
@@ -100,9 +106,9 @@ def grid(edges, harper):
             yield f"validate {label} theta={theta}", ["validate"], {**doc, "theta": theta}
     for edge, fmt in itertools.product(edges, ("json", "csv")):
         # dirichlet reads no theta either; older trees demand one all the same
-        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet"],
+        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet", "--format", fmt],
                {"l": L, "potential": EDGES[edge], "alpha": 0.0, "beta": 1.0,
-                "theta": "0/1", "k_max": K_MAX, "format": fmt})
+                "theta": "0/1", "k_max": K_MAX})
     commands = ("spectrum", "butterfly", "dirichlet", "harper", "validate")
     for edge, command, (flags, extra) in itertools.product(edges, commands, FLAG_RUNS):
         doc = {"l": L, "potential": EDGES[edge], "alpha": 1.0, "beta": 1.3,
@@ -124,12 +130,15 @@ def worker(edges, harper) -> None:
         path, out_path = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         for _, args, doc in grid(edges, harper):
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                json.dump({k: out_path if v == OUT else v for k, v in doc.items()}, fh)
             argv = [args[0], "--config", path,
                     *(out_path if a == OUT else a for a in args[1:])]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse refuses a flag
+                    rc = exc.code
             written = ""
             if os.path.exists(out_path):
                 with open(out_path, encoding="utf-8", newline="") as fh:
