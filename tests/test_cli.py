@@ -287,6 +287,17 @@ def test_config_out_and_format_refused(tmp_path, capsys, key, flag):
         f"config error: {key} is set by the {flag} flag, not in the config\n")
 
 
+@pytest.mark.parametrize("out", [True, 7, ["x"]], ids=["bool", "int", "list"])
+def test_non_string_out_rejected(tmp_path, capsys, out):
+    # open() would take true or 7 as a file descriptor, and fail on a list;
+    # a config out of any type is refused before it could reach open()
+    cfg = write_config(tmp_path, {**FREE_CFG, "theta": "1/2", "out": out})
+    assert main(["harper", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: out is set by the --out flag, not in the config\n"
+
+
 def test_q_max_flag_refused(tmp_path, capsys):
     # q_max lives in the config only
     cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 2})
