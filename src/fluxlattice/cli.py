@@ -36,7 +36,7 @@ import numpy as np
 from . import validation
 from .assembler import (butterfly_sweep, farey_fluxes, gap_report, graph_spectrum,
                         resolve_flux)
-from .discriminant import CouplingParams, check_coupling
+from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
 from .harper import RationalFlux, harper_spectrum, make_rational
@@ -100,7 +100,6 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"missing field: {name}")
         if not isinstance(doc[name], (int, float)) or isinstance(doc[name], bool):
             raise ConfigError(f"field {name} must be a number, got {doc[name]!r}")
-    check_coupling(doc["alpha"], doc["beta"])  # errors echo the values as written
     coupling = CouplingParams(alpha=float(doc["alpha"]), beta=float(doc["beta"]),
                               potential=potential)
     has_theta = "theta" in doc
@@ -165,16 +164,22 @@ def _require(value, field: str):
 
 
 def _potential_doc(p: Potential) -> dict:
-    doc = {"kind": p.kind}
+    """The potential as its config spelled it (`kind` records the spelling)."""
+    if p.kind == "zero":
+        return {"kind": p.kind}
     if p.kind == "constant":
-        doc["c"] = p.values[0]
-    elif p.kind == "piecewise_constant":
-        doc["breakpoints"] = list(p.breakpoints)
-        doc["values"] = list(p.values)
-    elif p.kind == "sampled":
-        doc["grid"] = list(p.grid)
-        doc["values"] = list(p.values)
-    return doc
+        return {"kind": p.kind, "c": p.values[0]}
+    if p.is_piecewise:
+        return {"kind": p.kind, "breakpoints": list(p.breakpoints), "values": list(p.values)}
+    return {"kind": p.kind, "grid": list(p.grid), "values": list(p.values)}
+
+
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -229,13 +234,9 @@ def cmd_butterfly(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("butterfly output is CSV")
     z_max = _require(cfg.z_max, "z_max")
     rows, diagnostics = butterfly_sweep(cfg.coupling, cfg.q_max, z_min=cfg.z_min, z_max=z_max)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BUTTERFLY_HEADER)
-    for r in rows:
-        writer.writerow([r.flux.p, r.flux.q, r.band_index, repr(r.z_lo),
-                         repr(r.z_hi), "true" if r.truncated else "false"])
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv(BUTTERFLY_HEADER, ([r.flux.p, r.flux.q, r.band_index, repr(r.z_lo),
+                                   repr(r.z_hi), "true" if r.truncated else "false"]
+                                  for r in rows)), args.out)
     for msg in diagnostics:
         print(f"butterfly diagnostic: {msg}", file=sys.stderr)
     print(f"butterfly: {len(diagnostics)} of {len(farey_fluxes(cfg.q_max))} "
@@ -246,12 +247,9 @@ def cmd_butterfly(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_dirichlet(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = dirichlet_eigenvalues(cfg.coupling.potential, cfg.k_max)
     if args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "mu", "tolerance"])
-        for k, (mu, tol) in enumerate(zip(spec.eigenvalues, spec.tolerances)):
-            writer.writerow([k, repr(mu), repr(tol)])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(["k", "mu", "tolerance"],
+                   ([k, repr(mu), repr(tol)] for k, (mu, tol)
+                    in enumerate(zip(spec.eigenvalues, spec.tolerances)))), args.out)
     else:
         doc = {"eigenvalues": list(spec.eigenvalues),
                "tolerances": list(spec.tolerances)}
@@ -263,12 +261,9 @@ def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
     flux, convergent = resolve_flux(_require(cfg.theta, THETA), cfg.q_max)
     bands = harper_spectrum(flux, cfg.coupling.beta)
     if args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["band_index", "e_lo", "e_hi"])
-        for j, (lo, hi) in enumerate(bands.bands):
-            writer.writerow([j, repr(lo), repr(hi)])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(["band_index", "e_lo", "e_hi"],
+                   ([j, repr(lo), repr(hi)] for j, (lo, hi) in enumerate(bands.bands))),
+              args.out)
     else:
         doc = {"theta": str(flux), "beta": cfg.coupling.beta,
                "convergent_used": convergent,

@@ -287,13 +287,15 @@ def band_windows(c: CouplingParams, z_min: float | None,
     # return (the window ended at an interior crossing even though eta came
     # back to the threshold exactly at mu_k); interior crossings are always
     # transversal (no extrema on the threshold), so their root finding is clean.
-    # Only the anchors on the threshold read the slope, so only they take it.
+    # Only the scanned anchors (seg is a run) on the threshold read the slope,
+    # so only they take it.
     on = ~escapes_threshold(c, eta_anchor)
+    ix = np.arange(seg[0], seg[-1] + 2)[on[seg[0]:seg[-1] + 2]]
     d_anchor = np.zeros(len(anchors))
-    if np.any(on):
-        dz = 1e-6 * np.maximum(1.0, np.abs(anchors[on]))
-        d_anchor[on] = (eta_many(c, anchors[on] + dz)
-                        - eta_many(c, anchors[on] - dz)) / (2.0 * dz)
+    if ix.size:
+        dz = 1e-6 * np.maximum(1.0, np.abs(anchors[ix]))
+        d_anchor[ix] = (eta_many(c, anchors[ix] + dz)
+                        - eta_many(c, anchors[ix] - dz)) / (2.0 * dz)
     slope_tol = 1e-4 * (1.0 + threshold)
     # Both edges of every window go into one solve: [left, center] with
     # s eta - threshold > 0 at its lower end, [center, right] with it < 0.

@@ -74,7 +74,7 @@ def _propagate(p: Potential, z: np.ndarray, u, du, n_steps: int | None):
     if p.is_piecewise:
         for c, dt in p.segments():
             w2 = z - c
-            arg = np.sqrt(w2.astype(complex)) * dt
+            arg = np.sqrt(w2 + 0j) * dt
             C = np.cos(arg).real
             S = (dt * np.sinc(arg / np.pi)).real  # sin(w dt)/w with exact w->0 limit
             u, du = u * C + du * S, du * C - (w2 * S) * u
@@ -101,8 +101,10 @@ def _propagate(p: Potential, z: np.ndarray, u, du, n_steps: int | None):
 # overflow far below the spectrum is reported by the isfinite guard, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
-    """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape."""
-    z = np.asarray(z, dtype=float)
+    """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape, in
+    double, or in long double for a long double z."""
+    z = np.asarray(z)
+    z = z.astype(np.promote_types(z.dtype, float), copy=False)
     u = np.stack([np.zeros_like(z), np.ones_like(z)])   # rows: u1, u2
     du = np.stack([np.ones_like(z), np.zeros_like(z)])
     for u, du, _ in _propagate(p, z, u, du, n_steps):
@@ -112,12 +114,6 @@ def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
             "edge propagation overflowed (z too far below the spectrum for "
             f"l={p.l}); rescale the scan range")
     return u[0], du[0], u[1], du[1]
-
-
-def _half_turns(u, du):
-    """floor(phi / pi) for the angle phi in (-pi, pi] of (u, u'), from the
-    signs alone: -1 when u < 0, 1 on the negative u' axis, else 0."""
-    return ((u == 0.0) & (du < 0.0)).astype(np.int64) - (u < 0.0)
 
 
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
@@ -142,7 +138,7 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     count = np.zeros(z.shape, dtype=np.int64)
     u = np.zeros_like(z)
     du = np.ones_like(z)
-    sign, half = np.sign(u), _half_turns(u, du)
+    sign = np.sign(u)
     for u_next, du_next, cell in _propagate(p, z, u, du, n):
         sign_next = np.sign(u_next)
         zeros = sign * (sign - sign_next) > 0  # u1 changes sign or becomes zero
@@ -153,13 +149,14 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
             # u = A sin(w t + delta) on oscillatory cells; zeros in (t0,t1]
             # sit where the phase passes a multiple of pi.  The end phase
             # delta + w dt is read in the half-turn of the computed end state,
-            # which the next cell starts from, so floor(phase / pi) is
-            # 2 turns + half_next and a zero on a breakpoint is counted once
+            # which the next cell starts from, so a zero on a breakpoint is
+            # counted once.  A state's half-turn floor(angle / pi), angle in
+            # (-pi, pi], is -1 for u < 0, 1 on the negative u' axis, else 0.
             delta = np.arctan2(u * w, du)
-            half_next = _half_turns(u_next, du_next)
+            half, half_next = (((a == 0.0) & (b < 0.0)).astype(np.int64) - (a < 0.0)
+                               for a, b in ((u, du), (u_next, du_next)))
             turns = np.round((delta + w * dt - (half_next + 0.5) * np.pi) / (2.0 * np.pi))
             zeros = np.where(osc, 2 * turns.astype(np.int64) + half_next - half, zeros)
-            half = half_next
         count += zeros
         u, du, sign = u_next, du_next, sign_next
     # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior
@@ -173,8 +170,9 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
 
     Isolation by the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
     mean(V); bisection on the count pins each root down, a safeguarded Newton
-    iteration on u1(l; z) polishes it, and a central difference of u1(l; .)
-    verifies simplicity.  One more batched propagation at the final mu_k
+    iteration on u1(l; z) polishes it, one last Newton step with u1(l; z) in
+    long double rounds it to the nearest double, and a central difference of
+    u1(l; .) verifies simplicity.  One more batched propagation at the final mu_k
     gives nu_k.
     """
     if k_max < 0:
@@ -229,6 +227,13 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
         last_step = np.abs(step)
         if np.all(last_step <= 1e-10 * np.maximum(1.0, np.abs(z))):
             break
+    # In double, u1(l; .) is known to a few ulps of z only, so Newton's last
+    # bits follow its start (mu_0 of the free edge: 1.0 from below, 1.0 + 1 ulp
+    # from above); one more step in long double ends on the nearest double.
+    f = _basis_many(p, z.astype(np.longdouble))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(slope != 0.0, f / slope, 0.0)
+    z = (z - np.clip(step, -step_cap, step_cap)).astype(float)
 
     if np.any(np.abs(slope) * np.maximum(1.0, np.abs(z)) < 1e-13):
         raise ConsistencyError("a Dirichlet root failed the simplicity check")

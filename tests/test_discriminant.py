@@ -64,12 +64,10 @@ def test_coupling_validation(free_pot):
 
 def test_windows_free_case(free_coupling):
     ws = band_windows(free_coupling, -1.0, 10.0)
-    mus = dirichlet_eigenvalues(free_coupling.potential, 2).eigenvalues
-    assert mus[:2] == pytest.approx([1.0, 4.0], rel=1e-15)
     assert [w.index for w in ws] == [0, 1, 2, 3]
     assert ws[0].a == pytest.approx(0.0, abs=1e-9)
-    assert ws[0].b == mus[0] and ws[1].a == mus[0]   # clamped exactly at mu_0
-    assert ws[1].b == mus[1] and ws[2].a == mus[1]
+    assert ws[0].b == 1.0 and ws[1].a == 1.0   # clamped exactly at mu_0
+    assert ws[1].b == 4.0 and ws[2].a == 4.0
     assert ws[2].b == pytest.approx(9.0, abs=1e-9)
     assert ws[3].b == 10.0 and ws[3].truncated_hi and ws[3].truncated
     assert [w.increasing for w in ws] == [False, True, False, True]

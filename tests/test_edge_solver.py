@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,21 @@ def test_dirichlet_free(free_pot):
 def test_dirichlet_constant_shift(const5_pot):
     spec = dirichlet_eigenvalues(const5_pot, 1)
     assert np.allclose(spec.eigenvalues, [6.0, 9.0], atol=1e-10)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("c, l", [(0.0, L), (5.0, L), (-2.7, 0.7)],
+                         ids=["free", "const5", "short"])
+def test_dirichlet_one_segment_correctly_rounded(c, l):
+    # mu_k = c + ((k+1) pi / l)^2, with pi = fl(pi) + (pi - fl(pi)) exact as a
+    # fraction.  In double, u1(l; .) hides a few ulps of z, so Newton alone
+    # read mu_0 on the free edge as 1.0 or 1.0000000000000002 by the side the
+    # count bisection came from; the long double step ends on the nearest double
+    pi = Fraction(L) + Fraction(1.2246467991473532e-16)
+    exact = [float(Fraction(c) + ((k + 1) * pi / Fraction(l)) ** 2) for k in range(13)]
+    p = make_potential({"l": l, "potential": {"kind": "constant", "c": c}})
+    assert dirichlet_eigenvalues(p, 12).eigenvalues == tuple(exact)
 
 
 def test_dirichlet_mathieu_vs_fd_oracle(mathieu_pot):

@@ -62,6 +62,13 @@ def test_missing_constant_value():
         make_potential({"l": 1.0, "potential": {"kind": "constant"}})
 
 
+def test_nonfinite_constant_value():
+    # the one segment's value is checked as potential.values, but the config
+    # spells it c, so the error names c
+    with pytest.raises(ConfigError, match=r"^potential\.c must be finite$"):
+        make_potential({"l": 1.0, "potential": {"kind": "constant", "c": float("inf")}})
+
+
 def test_bad_kind():
     with pytest.raises(ConfigError, match="kind"):
         make_potential({"l": 1.0, "potential": {"kind": "quartic"}})
