@@ -110,8 +110,9 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
     >= 2(1+beta^2) (Magnus-Winkler, Hill's Equation, 1966); and ||M(theta)||
     < 2(1+beta^2) unless theta is an integer, where spec M is the one band
     [-2(1+beta^2), 2(1+beta^2)].  "On" means within THRESHOLD_RTOL (1e-8,
-    relative), the tolerance that clamps window edges to mu_k.  eta_mu is
-    eta(mu_k) (`eta_on_pole`); it is read only at integer theta, so None may
+    relative), the tolerance under which `band_windows` reads the window
+    sides at mu_k from the monodromy.  eta_mu is eta(mu_k) from the Dirichlet
+    record (`poles_and_etas`); it is read only at integer theta, so None may
     stand for it at any other flux.
     """
     if f.q == 1 and not escapes_threshold(c, eta_mu):

@@ -40,7 +40,8 @@ from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
 from .harper import RationalFlux, harper_spectrum, make_rational
-from .potential import FieldSample, Potential, flux_from_field, make_potential
+from .potential import (FieldSample, Potential, convert_field, flux_from_field,
+                        make_potential)
 
 BUTTERFLY_HEADER = ["θ_num", "θ_den", "band_index", "z_lo", "z_hi", "truncated"]
 THETA = "theta (or a field sample)"  # the flux field that spectrum, harper and validate need
@@ -71,21 +72,20 @@ def parse_theta(raw) -> RationalFlux | float:
             raise ConfigError("theta denominator must be nonzero")
         return make_rational(p, q)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not np.isfinite(raw):
-            raise ConfigError(f"theta must be finite, got {raw!r}")
-        return float(raw)
+        message = f"theta must be finite, got {raw!r}"
+        theta = convert_field(float, raw, message)
+        if not np.isfinite(theta):
+            raise ConfigError(message)
+        return theta
     raise ConfigError(f"theta must be a number or 'p/q' string, got {raw!r}")
 
 
-def _number_array(raw, name: str) -> np.ndarray:
-    def has_bool(x):  # JSON true/false would convert as 1.0/0.0
-        return isinstance(x, bool) or (isinstance(x, list) and any(has_bool(v) for v in x))
-    try:
-        if not has_bool(raw):
-            return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be an array of numbers")
+def _number(name: str, val) -> float:
+    """A JSON number as a float, or a ConfigError naming the field."""
+    message = f"field {name} must be a finite number, got {val!r}"
+    if not isinstance(val, (int, float)):
+        raise ConfigError(message)
+    return convert_field(float, val, message)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -98,10 +98,8 @@ def parse_config(doc: dict) -> RunConfig:
     for name in ("alpha", "beta"):
         if name not in doc:
             raise ConfigError(f"missing field: {name}")
-        if not isinstance(doc[name], (int, float)) or isinstance(doc[name], bool):
-            raise ConfigError(f"field {name} must be a number, got {doc[name]!r}")
-    coupling = CouplingParams(alpha=float(doc["alpha"]), beta=float(doc["beta"]),
-                              potential=potential)
+    coupling = CouplingParams(alpha=_number("alpha", doc["alpha"]),
+                              beta=_number("beta", doc["beta"]), potential=potential)
     has_theta = "theta" in doc
     has_field = "field" in doc
     if has_theta and has_field:
@@ -116,7 +114,8 @@ def parse_config(doc: dict) -> RunConfig:
         for key in ("grid_x", "grid_y", "values"):
             if key not in fld:
                 raise ConfigError(f"missing field: field.{key}")
-        gx, gy, vals = (_number_array(fld[key], f"field.{key}")
+        gx, gy, vals = (convert_field(lambda v: np.asarray(v, dtype=float), fld[key],
+                                      f"field.{key} must be an array of numbers")
                         for key in ("grid_x", "grid_y", "values"))
         if vals.ndim == 1 and vals.size == gx.size * gy.size:
             vals = vals.reshape(gx.size, gy.size)  # row-major over grid_x
@@ -128,11 +127,10 @@ def parse_config(doc: dict) -> RunConfig:
     q_max = doc.get("q_max", 50)
     if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 1:
         raise ConfigError(f"q_max must be an integer >= 1, got {q_max!r}")
-    z_min = doc.get("z_min")
-    z_max = doc.get("z_max")
+    z_min, z_max = (None if doc.get(name) is None else _number(name, doc[name])
+                    for name in ("z_min", "z_max"))
     for name, val in (("z_min", z_min), ("z_max", z_max)):
-        if val is not None and (not isinstance(val, (int, float)) or isinstance(val, bool)
-                                or not np.isfinite(val)):
+        if val is not None and not np.isfinite(val):
             raise ConfigError(f"field {name} must be a finite number, got {val!r}")
     if z_min is not None and z_max is not None and z_min >= z_max:
         raise ConfigError(f"z_min must be below z_max, got [{z_min}, {z_max}]")
@@ -140,9 +138,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise ConfigError(f"k_max must be an integer >= 0, got {k_max!r}")
     return RunConfig(coupling=coupling, theta=theta, theta_repr=theta_repr, q_max=q_max,
-                     z_min=None if z_min is None else float(z_min),
-                     z_max=None if z_max is None else float(z_max),
-                     k_max=k_max)
+                     z_min=z_min, z_max=z_max, k_max=k_max)
 
 
 def load_config(path: str) -> RunConfig:

@@ -12,8 +12,14 @@ J_n on which eta is a strictly monotone homeomorphism onto
   * eta has no real root outside a window, so the root of eta inside each
     inter-eigenvalue segment is a certified interior point, and it brackets
     each window edge together with the segment's eigenvalue;
-  * windows may touch at mu_k (free lattice): an edge is clamped to mu_k
-    whenever `escapes_threshold` is false at eta(mu_k).
+  * windows may touch at mu_k (free lattice).  When `escapes_threshold` is
+    false at eta(mu_k), the Kronig-Penney monodromy M at mu_k (`kp_oracle`)
+    gives eta'(mu_k) = (1+beta^2) M_12 int_0^l u1^2 exactly, with
+    (1+beta^2) M_12 = (1+beta^2) u2'(l; mu_k) + alpha u2(l; mu_k) and u2(l;
+    mu_k) = sign eta(mu_k).  Its sign says on which side of mu_k a window
+    ends (its edge is mu_k) and on which a gap opens; M_12 = 0, i.e. M =
+    +-I, makes both windows touch.  u2'(l; mu_k) is in the Dirichlet record
+    (`DirichletSpectrum.du2s`).
 
 eta is always evaluated in its entire form, never through the
 Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
@@ -25,7 +31,11 @@ inversion are batched only (`eta_many`, `invert_eta_many`).
 Every root here (window centres, window edges, inversions) comes from one
 bracketed solver, `_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973)
 253), superlinear without eta', with bisection as the safeguard, ending each
-root with a sign change inside a bracket at most EDGE_TOL_Z wide.
+root with a sign change inside a bracket at most EDGE_TOL_Z wide.  The solver
+never evaluates its bracket ends: their values are known to the caller (eta
+at mu_k from the record, at the anchor below window 0 from its search, 0 at a
+window centre, -+2(1+beta^2) at a window's full edges), or NaN on the
+threshold, where only their sign would be needed and rounding decides it.
 """
 
 from __future__ import annotations
@@ -41,7 +51,8 @@ from .potential import Potential
 
 EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
 INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) of an inversion
-THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it
+THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it,
+                        # and M_12 at mu_k this small relative to its terms is 0
 EDGE_TARGET_RTOL = 1e-13  # an inversion target this close to -+threshold is an edge
 
 
@@ -119,32 +130,34 @@ def escapes_threshold(c: CouplingParams, y):
     return np.abs(y) - c.threshold > THRESHOLD_RTOL * c.threshold
 
 
-def _solve_batch(g, lo, hi, sign_lo):
+def _solve_batch(g, lo, hi, g_lo, g_hi):
     """Vectorized bracketed root finder for g(z) = 0, one bracket per lane.
 
-    Brackets require lo < hi with sign(g(lo)) = sign_lo != 0 and one sign
-    change inside; g(z, lanes) maps points z of the lanes `lanes` (an index
-    array) to values.  Each step is an Anderson-Bjorck regula falsi step; a
-    lane bisects when its bracket has not halved in three steps or an endpoint
-    value contradicts the bracket's signs.  When a lane's next point x lies
-    within EDGE_TOL_Z/2 of its last one, g is also taken at x -+ EDGE_TOL_Z/2
-    in the same call: a sign change among the three ends the lane at the one
-    of smallest |g|, three equal signs narrow the bracket past them.  A lane
-    whose bracket is at most EDGE_TOL_Z wide, or whose two ends are adjacent
-    doubles (|z| >= 2^19, where one ulp exceeds EDGE_TOL_Z), ends at its
-    endpoint of smaller |g|.  Every root thus comes with a sign change inside
-    a bracket at most max(EDGE_TOL_Z, one ulp) wide.
+    Brackets require lo < hi and one sign change inside; g_lo and g_hi are
+    g at the bracket ends, which the caller already holds, so g is never
+    evaluated there.  An end value may be NaN when its sign is unknown (a
+    value on the threshold, whose sign is rounding); the other end then sets
+    the orientation.  g(z, lanes) maps points z of the lanes `lanes` (an
+    index array) to values.  Each step is an Anderson-Bjorck regula falsi
+    step; a lane bisects when its bracket has not halved in three steps or an
+    endpoint value is NaN or contradicts the bracket's signs.  When a lane's
+    next point x lies within EDGE_TOL_Z/2 of its last one, g is also taken
+    at x -+ EDGE_TOL_Z/2 in the same call: a sign change among the three ends
+    the lane at the one of smallest |g|, three equal signs narrow the bracket
+    past them.  A lane whose bracket is at most EDGE_TOL_Z wide, or whose two
+    ends are adjacent doubles (|z| >= 2^19, where one ulp exceeds
+    EDGE_TOL_Z), ends at its endpoint of smaller |g|.  Every root thus comes
+    with a sign change inside a bracket at most max(EDGE_TOL_Z, one ulp) wide.
     """
     half = 0.5 * EDGE_TOL_Z
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     n = a.size
-    s = np.where(np.asarray(sign_lo, dtype=float) > 0, 1.0, -1.0) * np.ones(n)
+    g_lo, g_hi = np.asarray(g_lo, dtype=float), np.asarray(g_hi, dtype=float)
+    s = np.where((g_lo > 0) | (g_hi < 0), 1.0, -1.0)  # oriented: > 0 at a, < 0 at b
+    fa = np.where(s * g_lo > 0, s * g_lo, np.nan)  # NaN: unknown or contradicts
+    fb = np.where(s * g_hi < 0, s * g_hi, np.nan)
     lane = np.arange(n)
-    both = np.concatenate((lane, lane))
-    f = s[both] * g(np.concatenate((a, b)), both)  # oriented: > 0 at a, < 0 at b
-    fa = np.where(f[:n] > 0, f[:n], np.nan)  # NaN: contradicts the bracket
-    fb = np.where(f[n:] < 0, f[n:], np.nan)
     x = np.empty(n)
     side = np.zeros(n, dtype=int)  # end the last step replaced: -1 a, +1 b
     stall = np.zeros(n, dtype=int)
@@ -233,16 +246,18 @@ def _anchor_below(c: CouplingParams, z: float) -> tuple[float, float]:
     raise NumericalError("could not find eta > threshold below the lowest window")
 
 
-def lowest_window_edge(c: CouplingParams, mu_0: float) -> float:
-    """a_full of window 0, where the spectrum starts, from one edge solve.
+def lowest_window_edge(c: CouplingParams, mu_0: float, eta_0: float) -> float:
+    """a_full of window 0, where the spectrum starts, from one edge solve;
+    eta_0 = eta(mu_0), read from the caller's Dirichlet solve.
 
     On [anchor, mu_0] eta - 2(1+beta^2) changes sign exactly once: it is
     positive below window 0, and eta <= -2(1+beta^2) from the window's upper
     edge up to mu_0 (sign alternation), so no window centre is needed.
     """
-    lo, _ = _anchor_below(c, mu_0)
+    lo, eta_lo = _anchor_below(c, mu_0)
     return float(_solve_batch(lambda zz, _: eta_many(c, zz) - c.threshold,
-                              [lo], [mu_0], [1.0])[0])
+                              [lo], [mu_0], [eta_lo - c.threshold],
+                              [eta_0 - c.threshold])[0])
 
 
 def band_windows(c: CouplingParams, z_min: float | None,
@@ -258,8 +273,12 @@ def band_windows(c: CouplingParams, z_min: float | None,
     """
     require_range(z_min, z_max)
     threshold = c.threshold
-    # mu_0..mu_n with mu_n >= z_max, and eta at each from the same solve
-    mus, eta_mus = poles_and_etas(c, len(_mus_through(c.potential, z_max)) - 1)
+    # mu_0..mu_n with mu_n >= z_max, eta at each and u2'(l; mu_k), all from
+    # the same solve
+    k_max = len(_mus_through(c.potential, z_max)) - 1
+    mus, eta_mus = poles_and_etas(c, k_max)
+    du2 = np.asarray(
+        dirichlet_eigenvalues(c.potential, round_up_index(k_max)).du2s[:k_max + 1])
     start, eta_start = _anchor_below(c, float(mus[0]) if z_min is None
                                      else min(z_min, float(mus[0])))
     if z_min is None:
@@ -276,41 +295,40 @@ def band_windows(c: CouplingParams, z_min: float | None,
     left, right = anchors[seg], anchors[seg + 1]
     eta_left, eta_right = eta_anchor[seg], eta_anchor[seg + 1]
 
-    # interior anchor: the unique root of eta inside each segment (the solver
-    # evaluates eta at its bracket ends itself, the anchors included)
-    center = _solve_batch(lambda zz, _: eta_many(c, zz), left, right, eta_left)
+    # interior anchor: the unique root of eta inside each segment
+    center = _solve_batch(lambda zz, _: eta_many(c, zz), left, right, eta_left, eta_right)
 
     # Edges solve sign(eta_anchor) * eta = threshold between center and anchor.
-    # When |eta(mu_k)| sits on the threshold itself the slope of eta at mu_k
-    # separates two geometries: an extremum (touching window, edge = mu_k,
-    # where root finding would be sqrt(eps)-conditioned) versus a transversal
-    # return (the window ended at an interior crossing even though eta came
-    # back to the threshold exactly at mu_k); interior crossings are always
-    # transversal (no extrema on the threshold), so their root finding is clean.
-    # Only the scanned anchors (seg is a run) on the threshold read the slope,
-    # so only they take it.
-    on = ~escapes_threshold(c, eta_anchor)
-    ix = np.arange(seg[0], seg[-1] + 2)[on[seg[0]:seg[-1] + 2]]
-    d_anchor = np.zeros(len(anchors))
-    if ix.size:
-        dz = 1e-6 * np.maximum(1.0, np.abs(anchors[ix]))
-        d_anchor[ix] = (eta_many(c, anchors[ix] + dz)
-                        - eta_many(c, anchors[ix] - dz)) / (2.0 * dz)
-    slope_tol = 1e-4 * (1.0 + threshold)
+    # At a mu_k on the threshold the sign of m_k = (1+beta^2) M_12 (module
+    # docstring) says which window beside it ends on mu_k: with s = sign
+    # eta(mu_k), s m_k > 0 the lower one, and a gap opens above mu_k; s m_k < 0
+    # the upper one; both when m_k is 0 within THRESHOLD_RTOL of its terms'
+    # size.  The anchor below window 0 is no mu_k: window 0's lower edge is
+    # always solved.
+    on = np.concatenate([[False], ~escapes_threshold(c, eta_mus)])
+    m = np.concatenate([[0.0], (1.0 + c.beta**2) * du2 + c.alpha * np.sign(eta_mus)])
+    m_tol = THRESHOLD_RTOL * ((1.0 + c.beta**2) * np.sqrt(np.maximum(1.0, np.abs(anchors)))
+                              + abs(c.alpha))
     # Both edges of every window go into one solve: [left, center] with
     # s eta - threshold > 0 at its lower end, [center, right] with it < 0.
+    # The ends' values are known: -threshold at the centre, where eta = 0,
+    # and |eta| - threshold at an anchor, NaN on the threshold, where its
+    # sign is rounding, so that such a lane bisects first.
     s_l, s_r = np.sign(eta_left), np.sign(eta_right)
-    do_left = ~on[seg] | (s_l * d_anchor[seg] > slope_tol)
-    do_right = ~on[seg + 1] | (s_r * d_anchor[seg + 1] < -slope_tol)
+    do_left = ~on[seg] | (s_l * m[seg] > m_tol[seg])
+    do_right = ~on[seg + 1] | (s_r * m[seg + 1] < -m_tol[seg + 1])
+    g_anchor = np.where(on, np.nan, np.abs(eta_anchor) - threshold)
     a_edge, b_edge = np.array(left), np.array(right)
     n_left = int(np.count_nonzero(do_left))
     if n_left or np.any(do_right):
         s = np.concatenate([s_l[do_left], s_r[do_right]])
+        n_right = len(s) - n_left
         edges = _solve_batch(
             lambda zz, lanes: s[lanes] * eta_many(c, zz) - threshold,
             np.concatenate([left[do_left], center[do_right]]),
             np.concatenate([center[do_left], right[do_right]]),
-            np.concatenate([np.ones(n_left), -np.ones(len(s) - n_left)]))
+            np.concatenate([g_anchor[seg][do_left], np.full(n_right, -threshold)]),
+            np.concatenate([np.full(n_left, -threshold), g_anchor[seg + 1][do_right]]))
         a_edge[do_left], b_edge[do_right] = edges[:n_left], edges[n_left:]
     windows = []
     for j, i in enumerate(seg):
@@ -383,7 +401,7 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     interior = ~(at_top | at_bot)
     if np.any(interior):
         yv, lo, hi = ys[interior], a[interior], b[interior]
-        sign_lo = np.where(inc[interior], -1.0, 1.0)  # sign of eta(a_full) - y
+        eta_a = np.where(inc[interior], -c.threshold, c.threshold)  # eta(a_full)
         z[interior] = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
-                                   lo, hi, sign_lo)
+                                   lo, hi, eta_a - yv, -eta_a - yv)
     return z

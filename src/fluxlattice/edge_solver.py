@@ -44,12 +44,15 @@ _RK4_PHASE_TOL = 1e-10
 @dataclass(frozen=True)
 class DirichletSpectrum:
     """First eigenvalues of the Dirichlet edge operator, strictly increasing,
-    and nu_k = u1'(l; mu_k) + u2(l; mu_k) at each, so that eta(mu_k) =
-    (1+beta^2) nu_k (the alpha term drops since u1(l; mu_k) = 0)."""
+    and two endpoint values at each: nu_k = u1'(l; mu_k) + u2(l; mu_k), so
+    that eta(mu_k) = (1+beta^2) nu_k (the alpha term drops since u1(l; mu_k)
+    = 0), and u2'(l; mu_k).  Where |nu_k| = 2, u1' = u2 = nu_k / 2 by the
+    Wronskian, so with u1 = 0 they fix the edge's transfer matrix at mu_k."""
 
     eigenvalues: tuple[float, ...]
     tolerances: tuple[float, ...]  # achieved per-eigenvalue error estimates
     nus: tuple[float, ...]
+    du2s: tuple[float, ...]
 
 
 def _rk4_steps(p: Potential, z_scale: float) -> int:
@@ -173,7 +176,7 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     iteration on u1(l; z) polishes it, one last Newton step with u1(l; z) in
     long double rounds it to the nearest double, and a central difference of
     u1(l; .) verifies simplicity.  One more batched propagation at the final mu_k
-    gives nu_k.
+    gives nu_k and u2'(l; mu_k).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -240,10 +243,11 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     if np.any(np.diff(z) <= 0):
         raise ConsistencyError("Dirichlet eigenvalues not strictly increasing")
     achieved = np.maximum(last_step, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
-    _, du1, u2, _ = _basis_many(p, z)
+    _, du1, u2, du2 = _basis_many(p, z)
     return DirichletSpectrum(tuple(float(v) for v in z),
                              tuple(float(v) for v in achieved),
-                             tuple(float(v) for v in du1 + u2))
+                             tuple(float(v) for v in du1 + u2),
+                             tuple(float(v) for v in du2))
 
 
 def round_up_index(k: int) -> int:

@@ -188,25 +188,29 @@ def make_potential(spec: dict) -> Potential:
     raise ConfigError(f"potential.kind must be one of {KINDS}, got {kind!r}")
 
 
-def _as_float(x, name: str) -> float:
-    # JSON true/false would pass float() as 1.0/0.0
-    if isinstance(x, bool):
-        raise ConfigError(f"field {name} must be a number, got {x!r}")
+def convert_field(convert, x, message: str):
+    """convert(x) for a config value x, or ConfigError(message) when x holds
+    a JSON true/false (which float() reads as 1.0/0.0), is no number, or is
+    an integer beyond the double range (OverflowError)."""
+    def has_bool(v):
+        return isinstance(v, bool) or (isinstance(v, list) and any(map(has_bool, v)))
     try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {name} must be a number, got {x!r}") from None
+        if not has_bool(x):
+            return convert(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(message)
+
+
+def _as_float(x, name: str) -> float:
+    return convert_field(float, x, f"field {name} must be a finite number, got {x!r}")
 
 
 def _as_float_tuple(x, name: str) -> tuple[float, ...]:
     if x is None:
         raise ConfigError(f"missing field: {name}")
-    try:
-        if not any(isinstance(v, bool) for v in x):  # as in _as_float
-            return tuple(float(v) for v in x)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"field {name} must be a list of numbers")
+    return convert_field(lambda v: tuple(float(u) for u in v), x,
+                         f"field {name} must be a list of numbers")
 
 
 def flux_from_field(f: FieldSample, l: float) -> float:

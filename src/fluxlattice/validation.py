@@ -26,8 +26,8 @@ come from one Dirichlet solve (`discriminant.poles_and_etas`), which sign
 alternation reads at once.  Without a given z_min the Wronskian and
 Kronig-Penney samples start at the floor of the spectrum, the lower edge of
 band window 0, taken by one edge solve on [anchor, mu_0]
-(`discriminant.lowest_window_edge`); no band window is scanned and no
-spectrum is assembled.
+(`discriminant.lowest_window_edge`) that reads eta(mu_0) from the same
+Dirichlet solve; no band window is scanned and no spectrum is assembled.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
     flux, _ = resolve_flux(theta, q_max)
     require_range(z_min, z_max)
     if z_min is None:
-        mus, _ = poles_and_etas(c, k_max)
-        z_min = lowest_window_edge(c, float(mus[0]))
+        mus, etas = poles_and_etas(c, k_max)
+        z_min = lowest_window_edge(c, float(mus[0]), float(etas[0]))
         if z_max < z_min:
             raise below_spectrum(z_max)
     results = [

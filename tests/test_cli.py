@@ -183,8 +183,8 @@ def test_butterfly_unresolvable_window_fails_per_flux(tmp_path, capsys):
     cfg = write_config(tmp_path, {**doc, "alpha": -200.0, "q_max": 3})
     assert main(["butterfly", "--config", cfg]) == 0
     out, err = capsys.readouterr()
-    rows = ["-2500.0,-2500.0", "1.0,1.0259559033595889", "4.0,4.103780228606205",
-            "9.0,9.233343148790112"]
+    rows = ["-2500.0,-2500.0", "1.0,1.0259559033595889", "4.0,4.1037802286062055",
+            "9.0,9.23334314879011"]
     assert out.splitlines() == ["θ_num,θ_den,band_index,z_lo,z_hi,truncated"] + [
         f"{p},1,{i},{row},false" for p in (0, 1) for i, row in enumerate(rows)]
     window = "since no double lies strictly inside [-2500.0, -2500.0]"
@@ -272,6 +272,29 @@ def test_malformed_field_sample_rejected(tmp_path, capsys, field, name):
     assert main(["harper", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
+
+
+BEYOND_DOUBLE = 10**400  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"l": BEYOND_DOUBLE}, "field l "),
+    ({"alpha": BEYOND_DOUBLE}, "field alpha "),
+    ({"beta": BEYOND_DOUBLE}, "field beta "),
+    ({"theta": BEYOND_DOUBLE}, "theta "),
+    ({"z_max": BEYOND_DOUBLE}, "field z_max "),
+    ({"potential": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
+                    "values": [0.0, BEYOND_DOUBLE]}}, "potential.values"),
+    ({"field": {"grid_x": [0, L], "grid_y": [0, L],
+                "values": [[0, BEYOND_DOUBLE], [0, 0]]}, "theta": None}, "field.values"),
+], ids=["l", "alpha", "beta", "theta", "z_max", "potential_values", "field_values"])
+def test_number_beyond_double_range_rejected(tmp_path, capsys, override, field):
+    # float() raises OverflowError on such an integer; it is a config error
+    doc = {k: v for k, v in {**FREE_CFG, **override}.items() if v is not None}
+    cfg = write_config(tmp_path, doc)
+    assert main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 @pytest.mark.parametrize("key, flag", [("out", "--out"), ("format", "--format")],

@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import (ConsistencyError, CouplingParams, DomainError, band_windows,
-                         discriminant, dirichlet_eigenvalues, eta_on_pole,
-                         invert_eta_many)
+from fluxlattice import (ConsistencyError, CouplingParams, DomainError, RationalFlux,
+                         band_windows, discriminant, dirichlet_eigenvalues, eta_on_pole,
+                         gap_report, graph_spectrum, invert_eta_many, make_potential)
 from fluxlattice.discriminant import (EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many,
-                                      poles_and_etas)
+                                      lowest_window_edge, poles_and_etas)
 from fluxlattice.edge_solver import _mus_through
 from oracles import free_basis, free_eta, linear_basis, step_basis
 
@@ -233,7 +234,7 @@ def test_solver_certificates_against_closed_forms(free_pot, step_pot, kind, alph
     t = np.array([0.5 + 0.49 * t for _, _, _, t in picks])
     targets = e_lo + t * (e_hi - e_lo)
     roots = _solve_batch(lambda zz, lanes: oracle(zz) - targets[lanes], lo, hi,
-                         e_lo - targets)
+                         e_lo - targets, e_hi - targets)
     for z, y in zip(roots, targets):
         assert _sign_change_near(lambda zz: oracle(zz) - y, z, EDGE_TOL_Z)
 
@@ -273,38 +274,109 @@ def test_eta_call_budget_step_edge(step_pot, monkeypatch):
 @pytest.mark.parametrize("edge, alpha", [("free", 0.0), ("free", -15.0), ("step", 1.0),
                                          ("linear", -1.5)])
 def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edge, alpha):
-    # eta(mu_k) has one producer, the Dirichlet solve: outside the bracketed
-    # solver, which evaluates its own bracket ends, the scan passes no mu_k to
-    # eta_many, and the anchor values it judges are poles_and_etas' own
+    # eta(mu_k) has one producer, the Dirichlet solve: no mu_k reaches
+    # eta_many, inside the bracketed solver or outside it, neither in the
+    # window scan nor in the default floor's solve, and the values the scan
+    # judges are poles_and_etas' own
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=alpha, beta=1.3, potential=p)
-    solve, escapes = discriminant._solve_batch, discriminant.escapes_threshold
-    in_solve, points, judged = [], [], []
-
-    def solved(*args):
-        in_solve.append(True)
-        try:
-            return solve(*args)
-        finally:
-            in_solve.pop()
+    escapes = discriminant.escapes_threshold
+    points, judged = [], []
 
     def counted(c, z):
-        if not in_solve:
-            points.append(np.ravel(z))
+        points.append(np.ravel(z))
         return eta_many(c, z)
 
     def recorded(c, y):
         judged.append(np.array(y))
         return escapes(c, y)
 
-    monkeypatch.setattr(discriminant, "_solve_batch", solved)
     monkeypatch.setattr(discriminant, "eta_many", counted)
     monkeypatch.setattr(discriminant, "escapes_threshold", recorded)
     band_windows(c, None, 30.0)
     mus, etas = poles_and_etas(c, len(_mus_through(p, 30.0)) - 1)
+    lowest_window_edge(c, float(mus[0]), float(etas[0]))
     assert points and not np.any(np.isin(np.concatenate(points), mus))
-    (eta_anchor,) = judged  # eta at the anchor below window 0, then at each mu_k
-    assert np.array_equal(eta_anchor[1:], etas) and eta_anchor[0] > c.threshold
+    (judged_etas,) = judged
+    assert np.array_equal(judged_etas, etas)
+
+
+def _free_gap_top(alpha, n, threshold):
+    """Upper edge r of the gap above mu = n^2 on the free edge (l = pi, alpha
+    > 0): |eta(r)| = threshold gives tan(phi/2) = alpha / (threshold sqrt r)
+    with sqrt r = n + phi/pi, a contraction in phi."""
+    phi = 0.0
+    for _ in range(50):
+        phi = 2.0 * np.arctan(alpha / (threshold * (n + phi / np.pi)))
+    return (n + phi / np.pi) ** 2
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-4, 0.1])
+def test_free_edge_gap_beside_every_mu(free_pot, alpha):
+    # alpha > 0 opens a gap (mu_k, r_k) above each mu_k = n^2 of the free
+    # edge, where |eta(mu_k)| sits on the threshold and eta'(mu_k) = alpha pi /
+    # (2 mu_k) is small; the window below mu_k ends on it.  Near r_k |eta'| is
+    # alpha pi / (2 n^2), so eta's rounding (an ulp of the threshold) places
+    # the root no closer than 2 ulp / |eta'|: 1e-9 at alpha = 0.1, up to 4.5e-9
+    # at 1e-4 and 4.5e-7 at 1e-6 (n = 20)
+    c = CouplingParams(alpha=alpha, beta=1.0, potential=free_pot)
+    t = c.threshold
+    ns = np.arange(1, 21)
+    tops = np.array([_free_gap_top(alpha, n, t) for n in ns])
+    tol = np.maximum(1e-9, 2.0 * np.spacing(t) * 2.0 * ns**2 / (alpha * np.pi))
+    mus = poles_and_etas(c, 19)[0]
+    ws = band_windows(c, None, 410.0)
+    assert [w.index for w in ws] == list(range(21))
+    assert [w.b_full for w in ws[:20]] == mus.tolist()
+    assert np.all(np.abs([w.a_full for w in ws[1:]] - tops) <= tol)
+    gaps = gap_report(graph_spectrum(c, RationalFlux(0, 1), z_max=410.0)).gaps
+    assert [g.lo for g in gaps] == mus.tolist()
+    assert np.all(np.abs([g.hi for g in gaps] - tops) <= tol)
+
+
+@pytest.mark.parametrize("edge", ["three_segment", "mathieu"])
+def test_window_side_from_the_monodromy(request, edge):
+    # on a mirror-symmetric edge every mu_k is on the threshold (u1'(l; mu_k)
+    # = +-1), and there eta'(mu_k) = [(1+beta^2) u2' + alpha u2] int u1^2 with
+    # u2 = sign eta(mu_k): the sign of a central difference of eta matches
+    # the bracket read from the Dirichlet record, and their ratio does not
+    # depend on alpha or beta
+    p = request.getfixturevalue("mathieu_pot") if edge == "mathieu" else make_potential(
+        {"l": L, "potential": {"kind": "piecewise_constant", "values": [0.0, 10.0, 0.0],
+                               "breakpoints": [0.0, L / 3, 2 * L / 3, L]}})
+    spec = dirichlet_eigenvalues(p, 7)
+    mus, du2 = np.asarray(spec.eigenvalues), np.asarray(spec.du2s)
+    dz = 1e-6 * np.maximum(1.0, np.abs(mus))
+    ratios = []
+    for alpha, beta in itertools.product([-2.0, 0.0, 0.5], [0.7, 1.0, 1.3]):
+        c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+        _, etas = poles_and_etas(c, 7)
+        assert not np.any(discriminant.escapes_threshold(c, etas))
+        up, down = np.split(eta_many(c, np.concatenate([mus + dz, mus - dz])), 2)
+        slope = (up - down) / (2.0 * dz)
+        m = (1.0 + beta**2) * du2 + alpha * np.sign(etas)
+        assert np.array_equal(np.sign(slope), np.sign(m)), (alpha, beta, slope, m)
+        ratios.append(slope / m)
+    # m spans 5e-6 (Mathieu, k = 7, alpha = 0, where M is near +-I) to about
+    # 10; the ratio int u1^2 agrees to 7.5e-4 there, the difference's noise
+    assert np.allclose(ratios, ratios[0], rtol=1e-2)
+
+
+def test_mathieu_instability_intervals(mathieu_pot):
+    # at alpha = 0 the windows are the bands of Hill's equation y'' + (z -
+    # 2q cos 2t) y = 0, q = 5, and the gap beside mu_k = b_n (n = k + 1) is
+    # Mathieu's instability interval (b_n, a_n), 2.0e-3 and 7.2e-5 wide at
+    # n = 6 and 7, where |eta'(mu_k)| is 2.8e-4 and 7.3e-6 and a slope test
+    # read the windows as touching.  The 4097-node linear interpolation of V
+    # moves the edges by up to 2e-6
+    from scipy.special import mathieu_a, mathieu_b
+    c = CouplingParams(alpha=0.0, beta=1.0, potential=mathieu_pot)
+    ws = band_windows(c, None, 55.0)
+    assert [w.index for w in ws] == list(range(8))
+    for below, above in zip(ws, ws[1:]):
+        n = above.index
+        assert abs(below.b_full - mathieu_b(n, 5.0)) <= 5e-6
+        assert abs(above.a_full - mathieu_a(n, 5.0)) <= 5e-6
 
 
 def test_monotone_inside_windows(step_pot):
@@ -373,7 +445,7 @@ def test_solver_ends_at_adjacent_doubles(n):
         return f(z)
 
     lo, hi = float(n * n - n), float(n * n + n)  # the root n^2 alone inside
-    x = _solve_batch(g, [lo], [hi], np.sign(f(np.array([lo]))))[0]
+    x = _solve_batch(g, [lo], [hi], f(np.array([lo])), f(np.array([hi])))[0]
     near = f(np.array([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]))
     assert len(calls) <= 12, len(calls)
     assert near[1] == 0.0 or near[0] * near[1] < 0.0 or near[1] * near[2] < 0.0
@@ -391,5 +463,18 @@ def test_eta_call_budget_above_ulp_tolerance(step_pot, monkeypatch):
 
     monkeypatch.setattr(discriminant, "eta_many", counted)
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    assert len(band_windows(c, 1e6, 1e6 + 3000.0)) == 3
-    assert len(calls) <= 20, len(calls)
+    ws = band_windows(c, 1e6, 1e6 + 3000.0)
+    assert len(ws) == 3
+    assert len(calls) <= 30, len(calls)
+    # |eta(mu_k)| is on the threshold there, and a gap about 0.318 wide opens
+    # above each mu_k: every window's lower edge is a root of the closed-form
+    # |eta| - threshold, not mu_k.  |eta'| is about 1.6e-6 at the root, so
+    # eta's rounding (1e-15) hides it within about 1e-9; 1e-8 lies beyond that
+    oracle = _oracle_eta("step", 1.0, 1.0)
+    mus, _ = poles_and_etas(c, ws[-1].index)
+    for w in ws:
+        mu = mus[w.index - 1]
+        assert 0.3 < w.a_full - mu < 0.33 and w.b_full == mus[w.index]
+        assert abs(oracle([0.5 * (mu + w.a_full)])[0]) > c.threshold
+        assert _sign_change_near(lambda z: np.abs(oracle(z)) - c.threshold, w.a_full,
+                                 1e-8)

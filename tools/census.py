@@ -92,7 +92,8 @@ def main(argv=None) -> int:
     @cache
     def floor(c):
         """The default floor of `validate`: a_full of band window 0."""
-        return lowest_window_edge(c, float(poles_and_etas(c, K_MAX)[0][0]))
+        mus, etas = poles_and_etas(c, K_MAX)
+        return lowest_window_edge(c, float(mus[0]), float(etas[0]))
 
     edge_checks = {
         "wronskian": lambda c: check_wronskian(c, floor(c), Z_MAX),

@@ -14,6 +14,9 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
   * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
     bands are the cache entry of 2/5), `butterfly` at q_max 5, and
     `validate` at theta 1/3 and 2/5;
+  * on the free and const5 edges, `spectrum` at alpha 0.1, beta 1, theta
+    0/1 and z_max 410, where a gap of width 0.4 / (4 pi) opens above each of
+    the 20 mu_k in range;
   * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
     in json and in csv, with k_max 10;
   * per edge, at alpha 1 and beta 1.3, every subcommand under the rows of
@@ -104,6 +107,11 @@ def grid(edges, harper):
                {**doc, "theta": "0/1", "q_max": Q_MAX})
         for theta in VALIDATE_THETAS:
             yield f"validate {label} theta={theta}", ["validate"], {**doc, "theta": theta}
+    # on these mirror-symmetric edges every mu_k is on the threshold
+    gap_run = {"alpha": 0.1, "beta": 1.0, "theta": "0/1", "z_max": 410.0}
+    for edge in (e for e in edges if e in ("free", "const5")):
+        yield (f"spectrum {edge} {json.dumps(gap_run)}", ["spectrum"],
+               {"l": L, "potential": EDGES[edge], **gap_run})
     for edge, fmt in itertools.product(edges, ("json", "csv")):
         # dirichlet reads no theta either; older trees demand one all the same
         yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet", "--format", fmt],
