@@ -13,12 +13,10 @@ Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
 spectrum JSON: parameters (with the scan range z_min..z_max; z_min defaults to
 the lower edge of the lowest band window), point_spectrum, continuous, gaps,
 metadata {convergent_used[, generated_at]}.  validate samples [z_min, z_max]
-from the same lower window edge, and exits 2 when z_max lies below it; that
-floor is solved on [anchor, mu_0] (`lowest_window_edge`) and spectrum's on
-[anchor, window centre] (`band_windows`), so the two default z_min agree to
-about 1e-13 but not always bit for bit.  butterfly exits 0 when some fluxes
-fail, since the other rows still hold; stderr names each failure and ends
-with "butterfly: K of N fluxes failed".
+from the same lower window edge, taken by the same solve, and exits 2 when
+z_max lies below it; it prints a text report and refuses --format.
+butterfly exits 0 when some fluxes fail, since the other rows still hold;
+stderr names each failure and ends with "butterfly: K of N fluxes failed".
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
 from .harper import RationalFlux, harper_spectrum, make_rational
-from .potential import (FieldSample, Potential, convert_field, flux_from_field,
+from .potential import (FieldSample, Potential, as_float, convert_field, flux_from_field,
                         make_potential)
 
 BUTTERFLY_HEADER = ["θ_num", "θ_den", "band_index", "z_lo", "z_hi", "truncated"]
@@ -80,14 +78,6 @@ def parse_theta(raw) -> RationalFlux | float:
     raise ConfigError(f"theta must be a number or 'p/q' string, got {raw!r}")
 
 
-def _number(name: str, val) -> float:
-    """A JSON number as a float, or a ConfigError naming the field."""
-    message = f"field {name} must be a finite number, got {val!r}"
-    if not isinstance(val, (int, float)):
-        raise ConfigError(message)
-    return convert_field(float, val, message)
-
-
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -98,8 +88,8 @@ def parse_config(doc: dict) -> RunConfig:
     for name in ("alpha", "beta"):
         if name not in doc:
             raise ConfigError(f"missing field: {name}")
-    coupling = CouplingParams(alpha=_number("alpha", doc["alpha"]),
-                              beta=_number("beta", doc["beta"]), potential=potential)
+    coupling = CouplingParams(alpha=as_float(doc["alpha"], "alpha"),
+                              beta=as_float(doc["beta"], "beta"), potential=potential)
     has_theta = "theta" in doc
     has_field = "field" in doc
     if has_theta and has_field:
@@ -127,7 +117,7 @@ def parse_config(doc: dict) -> RunConfig:
     q_max = doc.get("q_max", 50)
     if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 1:
         raise ConfigError(f"q_max must be an integer >= 1, got {q_max!r}")
-    z_min, z_max = (None if doc.get(name) is None else _number(name, doc[name])
+    z_min, z_max = (None if doc.get(name) is None else as_float(doc[name], name)
                     for name in ("z_min", "z_max"))
     for name, val in (("z_min", z_min), ("z_max", z_max)):
         if val is not None and not np.isfinite(val):
@@ -269,6 +259,8 @@ def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.fmt is not None:
+        raise ConfigError("validate output is a text report; it takes no --format")
     theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
     results = validation.run_all(cfg.coupling, theta, cfg.z_min, z_max,
                                  q_max=cfg.q_max, k_max=cfg.k_max)

@@ -28,10 +28,12 @@ solve's record nu_k (`poles_and_etas`); the band scan, the eigenvalue
 classification and the sign alternation check all read it.  eta and its
 inversion are batched only (`eta_many`, `invert_eta_many`).
 
-Every root here (window centres, window edges, inversions) comes from one
-bracketed solver, `_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973)
-253), superlinear without eta', with bisection as the safeguard, ending each
-root with a sign change inside a bracket at most EDGE_TOL_Z wide.  The solver
+Every window edge, the floor of the spectrum included, comes from one
+function, `_window_edges`, and every root here (window centres, window
+edges, inversions) from one bracketed solver, `_solve_batch`:
+Anderson-Bjorck regula falsi (BIT 13 (1973) 253), superlinear without eta',
+with bisection as the safeguard, ending each root with a sign change inside
+a bracket at most EDGE_TOL_Z wide.  The solver
 never evaluates its bracket ends: their values are known to the caller (eta
 at mu_k from the record, at the anchor below window 0 from its search, 0 at a
 window centre, -+2(1+beta^2) at a window's full edges), or NaN on the
@@ -111,12 +113,19 @@ def eta_many(c: CouplingParams, z: np.ndarray) -> np.ndarray:
     return (1.0 + c.beta**2) * (du1 + u2) + c.alpha * u1
 
 
-def poles_and_etas(c: CouplingParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu_0..mu_{k_max} and eta(mu_k) = (1+beta^2) nu_k at each, from the one
-    cached Dirichlet solve that reaches k_max; alpha-independent."""
+def pole_record(c: CouplingParams,
+                k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu_0..mu_{k_max}, eta(mu_k) = (1+beta^2) nu_k and u2'(l; mu_k), from
+    the one cached Dirichlet solve that reaches k_max; alpha-independent."""
     spec = dirichlet_eigenvalues(c.potential, round_up_index(k_max))
     return (np.asarray(spec.eigenvalues[:k_max + 1]),
-            (1.0 + c.beta**2) * np.asarray(spec.nus[:k_max + 1]))
+            (1.0 + c.beta**2) * np.asarray(spec.nus[:k_max + 1]),
+            np.asarray(spec.du2s[:k_max + 1]))
+
+
+def poles_and_etas(c: CouplingParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu_0..mu_{k_max} and eta at each, from `pole_record`."""
+    return pole_record(c, k_max)[:2]
 
 
 def eta_on_pole(c: CouplingParams, k: int) -> float:
@@ -233,10 +242,11 @@ def require_range(z_min: float | None, z_max: float) -> None:
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
 
 
-def _anchor_below(c: CouplingParams, z: float) -> tuple[float, float]:
-    """A point below the lowest window and eta there: walk down from z - 1 in
-    doubling steps until eta > 2(1+beta^2).  z must not lie above mu_0."""
-    start, step = z - 1.0, 1.0
+def _anchor_below(c: CouplingParams, mu_0: float) -> tuple[float, float]:
+    """A point below the lowest window and eta there: walk down from mu_0 - 1
+    in doubling steps until eta > 2(1+beta^2).  It reads mu_0 only, so window
+    0, solved from it, is the same for every scan range."""
+    start, step = mu_0 - 1.0, 1.0
     for _ in range(80):
         y = float(eta_many(c, np.asarray([start]))[0])
         if y > c.threshold:
@@ -246,52 +256,22 @@ def _anchor_below(c: CouplingParams, z: float) -> tuple[float, float]:
     raise NumericalError("could not find eta > threshold below the lowest window")
 
 
-def lowest_window_edge(c: CouplingParams, mu_0: float, eta_0: float) -> float:
-    """a_full of window 0, where the spectrum starts, from one edge solve;
-    eta_0 = eta(mu_0), read from the caller's Dirichlet solve.
+def _window_edges(c: CouplingParams, mus: np.ndarray, eta_mus: np.ndarray,
+                  du2: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full edges (a_full, b_full) of the windows n in seg.
 
-    On [anchor, mu_0] eta - 2(1+beta^2) changes sign exactly once: it is
-    positive below window 0, and eta <= -2(1+beta^2) from the window's upper
-    edge up to mu_0 (sign alternation), so no window centre is needed.
+    Window n lies between mu_{n-1} and mu_n, window 0 between the anchor
+    below mu_0 (`_anchor_below`) and mu_0; eta_mus and du2 hold eta(mu_k) and
+    u2'(l; mu_k) from the Dirichlet record.  Every window edge comes from
+    here: one centre solve per window, then both edges of every window in
+    one solve.  Each lane reads only its own window's ends, so on a
+    piecewise-constant edge, where eta is evaluated pointwise, no edge
+    depends on the range or on the other windows solved with it.
     """
-    lo, eta_lo = _anchor_below(c, mu_0)
-    return float(_solve_batch(lambda zz, _: eta_many(c, zz) - c.threshold,
-                              [lo], [mu_0], [eta_lo - c.threshold],
-                              [eta_0 - c.threshold])[0])
-
-
-def band_windows(c: CouplingParams, z_min: float | None,
-                 z_max: float) -> list[BandWindow]:
-    """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
-
-    Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
-    windows share the eigenvalue as an endpoint and are kept distinct.
-    Full edges are always resolved; partial windows at the range boundary
-    come back clipped and flagged.  z_min None scans from below the lowest
-    window (eta > 2(1+beta^2) below its a_full, where the spectrum starts), so
-    none is clipped there.
-    """
-    require_range(z_min, z_max)
     threshold = c.threshold
-    # mu_0..mu_n with mu_n >= z_max, eta at each and u2'(l; mu_k), all from
-    # the same solve
-    k_max = len(_mus_through(c.potential, z_max)) - 1
-    mus, eta_mus = poles_and_etas(c, k_max)
-    du2 = np.asarray(
-        dirichlet_eigenvalues(c.potential, round_up_index(k_max)).du2s[:k_max + 1])
-    start, eta_start = _anchor_below(c, float(mus[0]) if z_min is None
-                                     else min(z_min, float(mus[0])))
-    if z_min is None:
-        z_min = start  # the lowest window lies above its anchor
-
+    start, eta_start = _anchor_below(c, float(mus[0]))
     anchors = np.concatenate([[start], mus])
     eta_anchor = np.concatenate([[eta_start], eta_mus])
-
-    # segments whose window could intersect [z_min, z_max]
-    seg = np.array([i for i in range(len(anchors) - 1)
-                    if anchors[i + 1] >= z_min and anchors[i] <= z_max], dtype=int)
-    if seg.size == 0:
-        return []
     left, right = anchors[seg], anchors[seg + 1]
     eta_left, eta_right = eta_anchor[seg], eta_anchor[seg + 1]
 
@@ -330,14 +310,47 @@ def band_windows(c: CouplingParams, z_min: float | None,
             np.concatenate([g_anchor[seg][do_left], np.full(n_right, -threshold)]),
             np.concatenate([np.full(n_left, -threshold), g_anchor[seg + 1][do_right]]))
         a_edge[do_left], b_edge[do_right] = edges[:n_left], edges[n_left:]
+    return a_edge, b_edge
+
+
+def lowest_window_edge(c: CouplingParams, mu_0: float, eta_0: float,
+                       du2_0: float) -> float:
+    """a_full of window 0, where the spectrum starts, by the solve that gives
+    band_windows(c, None, z)[0].a_full; eta_0 = eta(mu_0) and du2_0 = u2'(l;
+    mu_0) come from the caller's Dirichlet record (`pole_record`)."""
+    a_edge, _ = _window_edges(c, np.array([mu_0]), np.array([eta_0]),
+                              np.array([du2_0]), np.array([0]))
+    return float(a_edge[0])
+
+
+def band_windows(c: CouplingParams, z_min: float | None,
+                 z_max: float) -> list[BandWindow]:
+    """All maximal windows of |eta| <= 2(1+beta^2) meeting [z_min, z_max].
+
+    Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
+    windows share the eigenvalue as an endpoint and are kept distinct.
+    Full edges are always resolved (`_window_edges`) and do not depend on
+    the range; partial windows at the range boundary come back clipped and
+    flagged.  z_min None scans from below the lowest window (eta >
+    2(1+beta^2) below its a_full, where the spectrum starts), so none is
+    clipped there.
+    """
+    require_range(z_min, z_max)
+    # mu_0..mu_n with mu_n >= z_max, eta at each and u2'(l; mu_k)
+    mus, eta_mus, du2 = pole_record(c, len(_mus_through(c.potential, z_max)) - 1)
+    lo = -np.inf if z_min is None else z_min
+    # windows whose segment [mu_{n-1}, mu_n] could intersect [lo, z_max]
+    seg = np.array([n for n in range(len(mus))
+                    if mus[n] >= lo and (n == 0 or mus[n - 1] <= z_max)], dtype=int)
+    a_edge, b_edge = _window_edges(c, mus, eta_mus, du2, seg)
     windows = []
-    for j, i in enumerate(seg):
+    for j, n in enumerate(seg):
         a_f, b_f = float(a_edge[j]), float(b_edge[j])
-        if b_f < z_min or a_f > z_max:
+        if b_f < lo or a_f > z_max:
             continue
         windows.append(BandWindow(
-            index=int(i), a=max(a_f, z_min), b=min(b_f, z_max), a_full=a_f,
-            b_full=b_f, increasing=bool(eta_left[j] < 0), truncated_lo=a_f < z_min,
+            index=int(n), a=max(a_f, lo), b=min(b_f, z_max), a_full=a_f, b_full=b_f,
+            increasing=bool(n > 0 and eta_mus[n - 1] < 0), truncated_lo=a_f < lo,
             truncated_hi=b_f > z_max, coupling=c))
     return windows
 

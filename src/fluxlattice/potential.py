@@ -163,7 +163,7 @@ def make_potential(spec: dict) -> Potential:
         raise ConfigError("potential spec must be a mapping")
     if "l" not in spec:
         raise ConfigError("missing field: l")
-    l = _as_float(spec["l"], "l")
+    l = as_float(spec["l"], "l")
     pot = spec.get("potential", {"kind": "zero"})
     if not isinstance(pot, dict) or "kind" not in pot:
         raise ConfigError("field potential must be an object with a 'kind'")
@@ -173,7 +173,7 @@ def make_potential(spec: dict) -> Potential:
     if kind == "constant":
         if "c" not in pot:
             raise ConfigError("missing field: potential.c")
-        c = _as_float(pot["c"], "potential.c")
+        c = as_float(pot["c"], "potential.c")
         if not np.isfinite(c):
             raise ConfigError("potential.c must be finite")
         return Potential(l=l, kind="constant", breakpoints=(0.0, l), values=(c,))
@@ -190,19 +190,21 @@ def make_potential(spec: dict) -> Potential:
 
 def convert_field(convert, x, message: str):
     """convert(x) for a config value x, or ConfigError(message) when x holds
-    a JSON true/false (which float() reads as 1.0/0.0), is no number, or is
-    an integer beyond the double range (OverflowError)."""
-    def has_bool(v):
-        return isinstance(v, bool) or (isinstance(v, list) and any(map(has_bool, v)))
+    a JSON true/false or string (which float() reads as 1.0/0.0 or parses),
+    is no number, or is an integer beyond the double range (OverflowError)."""
+    def has_non_number(v):
+        return isinstance(v, (bool, str)) or (
+            isinstance(v, list) and any(map(has_non_number, v)))
     try:
-        if not has_bool(x):
+        if not has_non_number(x):
             return convert(x)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(message)
 
 
-def _as_float(x, name: str) -> float:
+def as_float(x, name: str) -> float:
+    """A JSON number as a float, or a ConfigError naming the field."""
     return convert_field(float, x, f"field {name} must be a finite number, got {x!r}")
 
 

@@ -22,12 +22,14 @@ c(k) = 2 cos(q k1) + 2 beta^{2q} cos(q k2), relative to 2(1 + beta^2) (see
 not that det(E I - H(k)) is linear in c.
 
 A run computes only what the checks read.  mu_0..mu_k and eta at each of them
-come from one Dirichlet solve (`discriminant.poles_and_etas`), which sign
+come from one Dirichlet solve (`discriminant.pole_record`), which sign
 alternation reads at once.  Without a given z_min the Wronskian and
 Kronig-Penney samples start at the floor of the spectrum, the lower edge of
-band window 0, taken by one edge solve on [anchor, mu_0]
-(`discriminant.lowest_window_edge`) that reads eta(mu_0) from the same
-Dirichlet solve; no band window is scanned and no spectrum is assembled.
+band window 0.  `discriminant.lowest_window_edge` takes it by the solve that
+gives `spectrum` and `butterfly` their window 0 (its centre, then its
+edges), reading eta(mu_0) and u2'(l; mu_0) from the same Dirichlet solve, so
+on a piecewise-constant edge both floors are one double; no other window is
+scanned and no spectrum is assembled.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembler import below_spectrum, resolve_flux
-from .discriminant import (CouplingParams, eta_many, lowest_window_edge, poles_and_etas,
-                           require_range)
+from .discriminant import (CouplingParams, eta_many, lowest_window_edge, pole_record,
+                           poles_and_etas, require_range)
 from .edge_solver import _basis_many
 from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
                      torus_oracle)
@@ -85,10 +87,15 @@ def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
 
 
 def check_kp_identity(c: CouplingParams, z_min: float, z_max: float) -> PropertyResult:
+    # defect measured relative to the size of eta's terms, as the Wronskian's
+    # to its solution scale: from a deep negative floor they reach 2e8, and
+    # both sides combine the same four endpoint values, so only rounding shows
     z = _z_samples(z_min, z_max, 100)
     factor = 1.0 + c.beta**2
     traces = kp_trace_many(c.potential, c.alpha / factor, z)
-    defect = float(np.max(np.abs(factor * traces - eta_many(c, z))))
+    u1, du1, u2, _ = _basis_many(c.potential, z)
+    scale = np.maximum(1.0, factor * (np.abs(du1) + np.abs(u2)) + abs(c.alpha) * np.abs(u1))
+    defect = float(np.max(np.abs(factor * traces - eta_many(c, z)) / scale))
     return PropertyResult("kp_trace_identity", defect, 1e-8)
 
 
@@ -117,16 +124,16 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
     """The six checks, in the order `validate` prints them.
 
     The Wronskian and Kronig-Penney samples span [z_min, z_max]; z_min None
-    starts them at the floor of the spectrum, window 0's a_full, taken by one
-    edge solve below mu_0 (ConfigError when z_max lies below it).  mu_0 and
-    every eta(mu_k) come from the one Dirichlet solve `poles_and_etas(c,
-    k_max)` makes; no band window is scanned.
+    starts them at the floor of the spectrum, window 0's a_full, solved as
+    `band_windows` solves it (ConfigError when z_max lies below it).  mu_0,
+    every eta(mu_k) and u2'(l; mu_0) come from the one Dirichlet solve
+    `pole_record(c, k_max)` makes; no other window is scanned.
     """
     flux, _ = resolve_flux(theta, q_max)
     require_range(z_min, z_max)
     if z_min is None:
-        mus, etas = poles_and_etas(c, k_max)
-        z_min = lowest_window_edge(c, float(mus[0]), float(etas[0]))
+        mus, etas, du2s = pole_record(c, k_max)
+        z_min = lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
         if z_max < z_min:
             raise below_spectrum(z_max)
     results = [

@@ -274,6 +274,28 @@ def test_malformed_field_sample_rejected(tmp_path, capsys, field, name):
     assert err.startswith("config error:") and name in err
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"l": str(L)}, "field l "),
+    ({"potential": {"kind": "constant", "c": "5.0"}}, "potential.c"),
+    ({"potential": {"kind": "piecewise_constant", "breakpoints": ["0", str(L / 2), str(L)],
+                    "values": [0.0, 10.0]}}, "potential.breakpoints"),
+    ({"potential": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
+                    "values": ["0", "10"]}}, "potential.values"),
+    ({"potential": {"kind": "sampled", "grid": ["0", str(L)], "values": [0.0, 1.0]}},
+     "potential.grid"),
+    ({"field": {"grid_x": ["0", str(L)], "grid_y": [0, L], "values": [[0, 0], [0, 0]]},
+      "theta": None}, "field.grid_x"),
+], ids=["l", "c", "breakpoints", "values", "grid", "field"])
+def test_string_where_number_expected_rejected(tmp_path, capsys, override, field):
+    # float() parses "3.14"; a JSON string is never a config number, as
+    # "alpha": "1.0" is not
+    doc = {k: v for k, v in {**FREE_CFG, **override}.items() if v is not None}
+    cfg = write_config(tmp_path, doc)
+    assert main(["dirichlet", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 BEYOND_DOUBLE = 10**400  # a JSON integer that float() cannot hold
 
 
@@ -386,6 +408,16 @@ def test_validate_failed_property_exits_1(tmp_path, capsys, monkeypatch):
     lines = _validate_lines(tmp_path, capsys, 1)
     assert [status for status, _, _ in lines] == ["PASS"] * 4 + ["FAIL", "PASS"]
     assert lines[4][1:] == (1.0, 1e-9)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_validate_refuses_format(tmp_path, capsys, fmt):
+    # validate prints a text report; a --format it cannot honour is refused,
+    # as spectrum refuses csv and butterfly json
+    cfg = write_config(tmp_path, FREE_CFG)
+    assert main(["validate", "--config", cfg, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
 
 
 def test_validate_out_writes_report(tmp_path, capsys):

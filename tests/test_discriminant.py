@@ -10,7 +10,7 @@ from fluxlattice import (ConsistencyError, CouplingParams, DomainError, Rational
                          band_windows, discriminant, dirichlet_eigenvalues, eta_on_pole,
                          gap_report, graph_spectrum, invert_eta_many, make_potential)
 from fluxlattice.discriminant import (EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many,
-                                      lowest_window_edge, poles_and_etas)
+                                      lowest_window_edge, pole_record, poles_and_etas)
 from fluxlattice.edge_solver import _mus_through
 from oracles import free_basis, free_eta, linear_basis, step_basis
 
@@ -277,7 +277,7 @@ def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edg
     # eta(mu_k) has one producer, the Dirichlet solve: no mu_k reaches
     # eta_many, inside the bracketed solver or outside it, neither in the
     # window scan nor in the default floor's solve, and the values the scan
-    # judges are poles_and_etas' own
+    # and the floor judge are poles_and_etas' own
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=alpha, beta=1.3, potential=p)
     escapes = discriminant.escapes_threshold
@@ -294,11 +294,43 @@ def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edg
     monkeypatch.setattr(discriminant, "eta_many", counted)
     monkeypatch.setattr(discriminant, "escapes_threshold", recorded)
     band_windows(c, None, 30.0)
-    mus, etas = poles_and_etas(c, len(_mus_through(p, 30.0)) - 1)
-    lowest_window_edge(c, float(mus[0]), float(etas[0]))
+    mus, etas, du2s = pole_record(c, len(_mus_through(p, 30.0)) - 1)
+    lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
     assert points and not np.any(np.isin(np.concatenate(points), mus))
-    (judged_etas,) = judged
-    assert np.array_equal(judged_etas, etas)
+    scan_etas, floor_etas = judged
+    assert np.array_equal(scan_etas, etas) and np.array_equal(floor_etas, etas[:1])
+
+
+@st.composite
+def piecewise_edges(draw):
+    """Piecewise-constant edges on [0, pi]: 1 to 4 segments, V in [-30, 30]."""
+    n = draw(st.integers(1, 4))
+    cuts = draw(st.lists(st.floats(0.05, L - 0.05), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    values = draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
+    return make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": [0.0, *sorted(cuts), L],
+        "values": values}})
+
+
+@settings(max_examples=30)
+@given(pot=piecewise_edges(), alpha=st.floats(-15.0, 15.0), beta=st.floats(0.5, 2.0),
+       z_min=st.none() | st.floats(-80.0, -10.0), z_max=st.floats(-10.0, 80.0),
+       cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_window_edges_do_not_depend_on_the_range(pot, alpha, beta, z_min, z_max, cut):
+    # window n is solved from mu_{n-1} and mu_n alone, window 0 from the
+    # anchor below mu_0, so a range nested in another gives every window the
+    # two share the same full edges, and validate's floor is spectrum's
+    # window 0, bit for bit
+    c = CouplingParams(alpha=alpha, beta=beta, potential=pot)
+    outer = {w.index: (w.a_full, w.b_full) for w in band_windows(c, z_min, z_max)}
+    lo = -80.0 if z_min is None else z_min
+    a, b = sorted(lo + np.asarray(cut) * (z_max - lo))
+    inner = band_windows(c, a, b) if a < b else []
+    assert all(outer.get(w.index) == (w.a_full, w.b_full) for w in inner)
+    mus, etas, du2s = pole_record(c, 10)
+    floor = lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
+    assert floor == band_windows(c, None, max(z_max, float(mus[0])))[0].a_full
 
 
 def _free_gap_top(alpha, n, threshold):

@@ -89,6 +89,26 @@ def test_sign_alternation_sees_a_late_violation(step_pot, monkeypatch):
     assert r.defect == poles_and_etas(c, 20)[1][13] + c.threshold
 
 
+def _kp_result(c):
+    (r,) = [r for r in validation.run_all(c, RationalFlux(1, 3), None, 40.0)
+            if r.name == "kp_trace_identity"]
+    return r
+
+
+def test_kp_identity_relative_to_its_terms(free_pot, monkeypatch):
+    # from the default floor at alpha = -15, beta = 0.5 eta's terms reach
+    # 2e8, where their rounding alone read 2.2e-8 against the absolute 1e-8;
+    # measured against the terms it is rounding, and a trace off by 1e-7
+    # relative still fails
+    c = CouplingParams(alpha=-15.0, beta=0.5, potential=free_pot)
+    r = _kp_result(c)
+    assert r.passed and r.defect < 1e-14
+    trace = validation.kp_trace_many
+    monkeypatch.setattr(validation, "kp_trace_many",
+                        lambda *args: trace(*args) * (1.0 + 1e-7))
+    assert not _kp_result(c).passed
+
+
 def test_run_all_rejects_z_max_below_spectrum(free_pot):
     c = CouplingParams(alpha=1.0, beta=1.0, potential=free_pot)
     with pytest.raises(ConfigError, match="below the lowest band window"):

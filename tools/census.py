@@ -12,7 +12,11 @@ With the package from TREE's `src` (default: this checkout), runs
     linear (V = t, 65 nodes) edges, alpha in {1, 0, -1.5, -15} and beta in
     {0.5, 1, 1.3, 2} (64 configs each), sampled as `validate` samples them:
     from the default floor, the lower edge of band window 0, up to z_max 40,
-    and k_max 10 (validate's default).
+    and k_max 10 (validate's default);
+  * per edge, how many of its 16 couplings give `validate` (which reads
+    window 0 through `lowest_window_edge` and its k_max-10 Dirichlet record)
+    and `spectrum` (window 0 of `band_windows` up to z_max 40) the same
+    default floor bit for bit.
 
 About a minute on one core (53 to 65 s): the Harper checks take about 40 s,
 and the default floor's edge solve on the sampled edge most of the rest.
@@ -72,7 +76,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     from fluxlattice import (ConfigError, CouplingParams, NumericalError, RationalFlux,
                              harper_spectrum, make_potential)
-    from fluxlattice.discriminant import lowest_window_edge, poles_and_etas
+    from fluxlattice.discriminant import band_windows, lowest_window_edge, pole_record
     from fluxlattice.validation import (check_chambers, check_kp_identity,
                                         check_sign_alternation, check_torus_containment,
                                         check_wronskian)
@@ -84,16 +88,18 @@ def main(argv=None) -> int:
         "chambers_independence": check_chambers,
         "torus_containment": lambda f, beta: check_torus_containment(harper_spectrum(f, beta)),
     }
-    couplings = [(f"{edge} alpha={alpha} beta={beta}",
-                  CouplingParams(alpha=alpha, beta=beta, potential=make_potential(
-                      {"l": L, "potential": CENSUS_EDGES[edge]})))
-                 for edge, alpha, beta in itertools.product(CENSUS_EDGES, ALPHAS, HARPER_BETAS)]
+    couplings = {edge: [(f"{edge} alpha={alpha} beta={beta}",
+                         CouplingParams(alpha=alpha, beta=beta, potential=make_potential(
+                             {"l": L, "potential": CENSUS_EDGES[edge]})))
+                        for alpha, beta in itertools.product(ALPHAS, HARPER_BETAS)]
+                 for edge in CENSUS_EDGES}
 
     @cache
     def floor(c):
-        """The default floor of `validate`: a_full of band window 0."""
-        mus, etas = poles_and_etas(c, K_MAX)
-        return lowest_window_edge(c, float(mus[0]), float(etas[0]))
+        """The default floor of `validate`: a_full of band window 0, read
+        from validate's Dirichlet record."""
+        mus, etas, du2s = pole_record(c, K_MAX)
+        return lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
 
     edge_checks = {
         "wronskian": lambda c: check_wronskian(c, floor(c), Z_MAX),
@@ -106,7 +112,11 @@ def main(argv=None) -> int:
                                 for label, f, beta in fluxes], typed)
     for name, check in edge_checks.items():
         failed += census(name, [(label, lambda c=c, check=check: check(c))
-                                for label, c in couplings], typed)
+                                for runs in couplings.values() for label, c in runs], typed)
+    for edge, runs in couplings.items():
+        same = sum(floor(c) == band_windows(c, None, Z_MAX)[0].a_full for _, c in runs)
+        print(f"default floor {edge}: validate and spectrum agree bit for bit "
+              f"at {same} of {len(runs)} couplings")
     return 1 if failed else 0
 
 

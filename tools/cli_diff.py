@@ -17,13 +17,17 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
   * on the free and const5 edges, `spectrum` at alpha 0.1, beta 1, theta
     0/1 and z_max 410, where a gap of width 0.4 / (4 pi) opens above each of
     the 20 mu_k in range;
+  * on the free and step edges, alpha in {1, -15}, beta in {0.5, 1, 1.3},
+    `spectrum` at theta 1/3 and `butterfly` at q_max 5 over [z_min, 10],
+    with z_min (DEEP_Z_MIN) at least 50 below the default floor, so a
+    window 0 that moved with z_min shows as a diff;
   * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
     in json and in csv, with k_max 10;
   * per edge, at alpha 1 and beta 1.3, every subcommand under the rows of
     FLAG_RUNS: --format and --out with config q_max 3 or the default, the
-    refused `spectrum --format csv` and config q_max 0, and the settings
-    that have no place, config out and format and the --q-max flag, which
-    the current command line refuses with exit 2;
+    refused `spectrum --format csv`, `validate --format` and config q_max 0,
+    and the settings that have no place, config out and format and the
+    --q-max flag, which the current command line refuses with exit 2;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
@@ -71,6 +75,10 @@ K_MAX = 10
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
+# per alpha, a z_min at least 50 below the default floor of the free and
+# step edges at every beta of BETAS (the deepest: -36.0 on the free edge at
+# alpha -15, beta 0.5)
+DEEP_Z_MIN = {1.0: -50.0, -15.0: -86.0}
 OUT = "<out>"  # stands for the output path in a run's arguments and config
 FLAG_RUNS = (  # (arguments after the subcommand, extra config) per edge
     (("--format", "csv"), {"q_max": 3}),
@@ -112,6 +120,14 @@ def grid(edges, harper):
     for edge in (e for e in edges if e in ("free", "const5")):
         yield (f"spectrum {edge} {json.dumps(gap_run)}", ["spectrum"],
                {"l": L, "potential": EDGES[edge], **gap_run})
+    for edge, alpha, beta in itertools.product(
+            (e for e in edges if e in ("free", "step")), DEEP_Z_MIN, BETAS):
+        doc = {"l": L, "potential": EDGES[edge], "alpha": alpha, "beta": beta,
+               "z_min": DEEP_Z_MIN[alpha], "z_max": 10.0}
+        label = f"{edge} alpha={alpha} beta={beta} z=[{DEEP_Z_MIN[alpha]}, 10.0]"
+        yield f"spectrum {label} theta=1/3", ["spectrum"], {**doc, "theta": "1/3"}
+        yield (f"butterfly {label} q_max={Q_MAX}", ["butterfly"],
+               {**doc, "theta": "0/1", "q_max": Q_MAX})
     for edge, fmt in itertools.product(edges, ("json", "csv")):
         # dirichlet reads no theta either; older trees demand one all the same
         yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet", "--format", fmt],
