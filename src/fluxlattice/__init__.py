@@ -14,8 +14,9 @@ classification of the eigenvalues, and Hofstadter-butterfly sweep data.  The
 Kronig-Penney trace, torus containment, flux periodicity) live in `validation`.
 The edge basis, the Pruefer count, eta, its inversion and the Bloch fiber have
 batched kernels only (`edge_solver._basis_many`, `_count_below_many`,
-`discriminant.eta_many`, `invert_eta_many`, `harper._fiber`); eta at the
-Dirichlet eigenvalues comes from their solve (`DirichletSpectrum.nus`).
+`discriminant.eta_many`, `invert_eta_many`, `harper._fiber`).  A request
+reads the mu_k and eta(mu_k) from the Dirichlet solve that reaches the top
+of its range (`discriminant.pole_record`).
 """
 
 from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
-                           invert_eta_many, poles_and_etas, require_resolvable)
-from .edge_solver import _mus_through
+                           invert_eta_many, pole_record, require_resolvable)
 from .errors import ConfigError, NumericalError
 from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
 
@@ -102,7 +101,7 @@ def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
 
 
 def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
-                        eta_mu: float | None) -> Classification:
+                        eta_mu: float) -> Classification:
     """BandEdge iff theta is an integer and |eta(mu_k)| is on 2(1+beta^2).
 
     Two facts make the Harper bands unnecessary: the Wronskian gives
@@ -112,8 +111,7 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
     [-2(1+beta^2), 2(1+beta^2)].  "On" means within THRESHOLD_RTOL (1e-8,
     relative), the tolerance under which `band_windows` reads the window
     sides at mu_k from the monodromy.  eta_mu is eta(mu_k) from the Dirichlet
-    record (`poles_and_etas`); it is read only at integer theta, so None may
-    stand for it at any other flux.
+    record (`pole_record`).
     """
     if f.q == 1 and not escapes_threshold(c, eta_mu):
         return Classification.BAND_EDGE
@@ -202,13 +200,12 @@ def graph_spectrum(c: CouplingParams, theta, z_min: float | None = None,
     if isinstance(res, NumericalError):
         raise res
     harper, intervals = res
-    mus = _mus_through(c.potential, z_max)  # the window scan's count, cached
-    # eta(mu_k) matters at integer flux only; read it from the scan's solve
-    etas = poles_and_etas(c, len(mus) - 1)[1] if flux.q == 1 else [None] * len(mus)
+    mus, etas, _ = pole_record(c, z_max)  # the record the window scan read
     return SpectralSet(
         point_spectrum=tuple(
-            PointEigenvalue(k, mu, classify_eigenvalue(c, flux, etas[k]))
-            for k, mu in enumerate(mus) if scan.z_min <= mu <= z_max),
+            PointEigenvalue(k, mu, classify_eigenvalue(c, flux, eta))
+            for k, (mu, eta) in enumerate(zip(mus.tolist(), etas.tolist()))
+            if scan.z_min <= mu <= z_max),
         continuous=intervals,
         z_min=scan.z_min, z_max=float(z_max),
         coupling=c, flux=flux,

@@ -4,7 +4,8 @@ Subcommands: spectrum (JSON SpectralSet), butterfly (CSV sweep table),
 dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
 Only spectrum, harper and validate need theta (or a field sample).
 Each setting has one place.  The JSON config holds what is computed: l and
-the potential, alpha, beta, theta or field, q_max, z_min, z_max and k_max.
+the potential, alpha, beta, theta or field, q_max, z_min, z_max, and k_max,
+which `dirichlet` alone reads.
 The command line holds where and how it is written: --out, --format and
 --stamp.  A config that sets out or format exits 2 and names the flag.
 Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
@@ -53,7 +54,7 @@ class RunConfig:
     q_max: int
     z_min: float | None
     z_max: float | None
-    k_max: int
+    k_max: int               # read by dirichlet only
 
 
 def parse_theta(raw) -> RationalFlux | float:
@@ -262,8 +263,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.fmt is not None:
         raise ConfigError("validate output is a text report; it takes no --format")
     theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
-    results = validation.run_all(cfg.coupling, theta, cfg.z_min, z_max,
-                                 q_max=cfg.q_max, k_max=cfg.k_max)
+    results = validation.run_all(cfg.coupling, theta, cfg.z_min, z_max, q_max=cfg.q_max)
     _emit("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                   f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), args.out)
     return 0 if all(r.passed for r in results) else 1

@@ -23,9 +23,9 @@ J_n on which eta is a strictly monotone homeomorphism onto
 
 eta is always evaluated in its entire form, never through the
 Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
-is no pole cancellation near mu_k.  eta(mu_k) has one producer, the Dirichlet
-solve's record nu_k (`poles_and_etas`); the band scan, the eigenvalue
-classification and the sign alternation check all read it.  eta and its
+is no pole cancellation near mu_k.  A request reads mu_k, eta(mu_k) and u2'(l;
+mu_k) from one Dirichlet record, keyed by its range's top (`pole_record`):
+the scan, the floor, the classification and sign alternation.  eta and its
 inversion are batched only (`eta_many`, `invert_eta_many`).
 
 Every window edge, the floor of the spectrum included, comes from one
@@ -43,16 +43,16 @@ threshold, where only their sign would be needed and rounding decides it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .edge_solver import (_basis_many, _mus_through, dirichlet_eigenvalues,
+from .edge_solver import (_basis_many, _count_below_many, dirichlet_eigenvalues,
                           round_up_index)
 from .errors import ConfigError, ConsistencyError, DomainError, NumericalError
 from .potential import Potential
 
 EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
-INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) of an inversion
 THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it,
                         # and M_12 at mu_k this small relative to its terms is 0
 EDGE_TARGET_RTOL = 1e-13  # an inversion target this close to -+threshold is an edge
@@ -113,24 +113,25 @@ def eta_many(c: CouplingParams, z: np.ndarray) -> np.ndarray:
     return (1.0 + c.beta**2) * (du1 + u2) + c.alpha * u1
 
 
-def pole_record(c: CouplingParams,
-                k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mu_0..mu_{k_max}, eta(mu_k) = (1+beta^2) nu_k and u2'(l; mu_k), from
-    the one cached Dirichlet solve that reaches k_max; alpha-independent."""
-    spec = dirichlet_eigenvalues(c.potential, round_up_index(k_max))
-    return (np.asarray(spec.eigenvalues[:k_max + 1]),
-            (1.0 + c.beta**2) * np.asarray(spec.nus[:k_max + 1]),
-            np.asarray(spec.du2s[:k_max + 1]))
+@lru_cache(maxsize=64)
+def _bucket_through(p: Potential, z: float) -> int:
+    """round_up_index of the Pruefer count below z, counted once per (p, z)."""
+    return round_up_index(int(_count_below_many(p, np.asarray([z]))[0]))
 
 
-def poles_and_etas(c: CouplingParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu_0..mu_{k_max} and eta at each, from `pole_record`."""
-    return pole_record(c, k_max)[:2]
+def pole_record(c: CouplingParams, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu_0..mu_K, eta(mu_k) = (1+beta^2) nu_k and u2'(l; mu_k) from the cached
+    Dirichlet solve of the bucket K = round_up_index(n), n the Pruefer count
+    below z, so that mu_K >= z; alpha-independent.  A request over a range
+    with top z reads every mu_k and eta(mu_k) from here."""
+    spec = dirichlet_eigenvalues(c.potential, _bucket_through(c.potential, z))
+    return (np.asarray(spec.eigenvalues), (1.0 + c.beta**2) * np.asarray(spec.nus),
+            np.asarray(spec.du2s))
 
 
 def eta_on_pole(c: CouplingParams, k: int) -> float:
-    """eta(mu_k), read from the solve that `poles_and_etas(c, k)` makes."""
-    return float(poles_and_etas(c, k)[1][k])
+    """eta(mu_k), read from the cached Dirichlet solve of k's bucket."""
+    return (1.0 + c.beta**2) * dirichlet_eigenvalues(c.potential, round_up_index(k)).nus[k]
 
 
 def escapes_threshold(c: CouplingParams, y):
@@ -313,13 +314,12 @@ def _window_edges(c: CouplingParams, mus: np.ndarray, eta_mus: np.ndarray,
     return a_edge, b_edge
 
 
-def lowest_window_edge(c: CouplingParams, mu_0: float, eta_0: float,
-                       du2_0: float) -> float:
+def lowest_window_edge(c: CouplingParams, z_max: float) -> float:
     """a_full of window 0, where the spectrum starts, by the solve that gives
-    band_windows(c, None, z)[0].a_full; eta_0 = eta(mu_0) and du2_0 = u2'(l;
-    mu_0) come from the caller's Dirichlet record (`pole_record`)."""
-    a_edge, _ = _window_edges(c, np.array([mu_0]), np.array([eta_0]),
-                              np.array([du2_0]), np.array([0]))
+    band_windows(c, None, z_max)[0].a_full, from the same record
+    (`pole_record(c, z_max)`)."""
+    mus, eta_mus, du2 = pole_record(c, z_max)
+    a_edge, _ = _window_edges(c, mus[:1], eta_mus[:1], du2[:1], np.array([0]))
     return float(a_edge[0])
 
 
@@ -336,12 +336,12 @@ def band_windows(c: CouplingParams, z_min: float | None,
     clipped there.
     """
     require_range(z_min, z_max)
-    # mu_0..mu_n with mu_n >= z_max, eta at each and u2'(l; mu_k)
-    mus, eta_mus, du2 = pole_record(c, len(_mus_through(c.potential, z_max)) - 1)
+    # mu_0..mu_n, mu_n the first mu_k >= z_max, eta at each and u2'(l; mu_k)
+    mus, eta_mus, du2 = pole_record(c, z_max)
+    top = int(np.searchsorted(mus, z_max)) + 1
+    mus, eta_mus, du2 = mus[:top], eta_mus[:top], du2[:top]
     lo = -np.inf if z_min is None else z_min
-    # windows whose segment [mu_{n-1}, mu_n] could intersect [lo, z_max]
-    seg = np.array([n for n in range(len(mus))
-                    if mus[n] >= lo and (n == 0 or mus[n - 1] <= z_max)], dtype=int)
+    seg = np.flatnonzero(mus >= lo)  # windows n whose segment [mu_{n-1}, mu_n] reaches lo
     a_edge, b_edge = _window_edges(c, mus, eta_mus, du2, seg)
     windows = []
     for j, n in enumerate(seg):
@@ -356,14 +356,16 @@ def band_windows(c: CouplingParams, z_min: float | None,
 
 
 def require_resolvable(c: CouplingParams, ws, ys: np.ndarray) -> None:
-    """ConsistencyError if a target off -+threshold lies on a window with no
-    double strictly between a_full and b_full (free edge, alpha = -200), where
-    any inversion ends at an edge; ws holds one BandWindow per target.  It
-    names the target of largest relative residual |eta - y| / (1 + |y|)."""
+    """ConsistencyError if a target off -+threshold lies on a window at most
+    EDGE_TOL_Z wide, where `_solve_batch` ends every lane at an edge at once;
+    ws holds one BandWindow per target.  With no double strictly inside the
+    window (free edge, alpha = -200) it names the target of largest relative
+    residual |eta - y| / (1 + |y|), else the window's width."""
     a = np.array([w.a_full for w in ws])
     b = np.array([w.b_full for w in ws])
     off = np.abs(np.abs(ys) - c.threshold) > EDGE_TARGET_RTOL * c.threshold
     missed = np.flatnonzero(off & (np.nextafter(a, b) >= b))
+    narrow = np.flatnonzero(off & (b - a <= EDGE_TOL_Z))
     if missed.size:
         y = ys[missed]
         res = np.min(np.abs(eta_many(c, np.stack((a[missed], b[missed]))) - y),
@@ -374,6 +376,12 @@ def require_resolvable(c: CouplingParams, ws, ys: np.ndarray) -> None:
             f"eta inversion on window {w.index} missed target {float(y[i])!r}: "
             f"relative residual {float(res[i]):.3e}, since no double lies "
             f"strictly inside [{w.a_full!r}, {w.b_full!r}]")
+    if narrow.size:
+        i, w = int(narrow[0]), ws[int(narrow[0])]
+        raise ConsistencyError(
+            f"eta inversion on window {w.index} cannot resolve target {float(ys[i])!r}: "
+            f"the window [{w.a_full!r}, {w.b_full!r}] is {w.b_full - w.a_full:.3e} "
+            f"wide, within EDGE_TOL_Z = {EDGE_TOL_Z:.0e}")
 
 
 def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
@@ -386,8 +394,8 @@ def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
     bracket [a_full, b_full] and only unfinished targets are evaluated, so on
     a piecewise-constant edge no answer depends on the other targets of its
     batch.  Each z is certified to EDGE_TOL_Z or one ulp, not by its
-    residual: on a steep window |eta - y| at the nearest double, |eta'| ulp /
-    2 plus eta's own rounding, can exceed INVERT_RESIDUAL.
+    residual: on a steep window |eta - y| at the nearest double is |eta'| ulp
+    / 2 plus eta's own rounding, so no fixed residual bound holds.
     Targets that `require_resolvable` refuses raise its ConsistencyError.
     """
     ys = np.asarray(ys, dtype=float)

@@ -257,10 +257,3 @@ def round_up_index(k: int) -> int:
         k_round = 2 * k_round + 1
     return k_round
 
-
-@lru_cache(maxsize=64)
-def _mus_through(p: Potential, z: float) -> tuple[float, ...]:
-    """mu_0..mu_n, n the Pruefer count below z, so mu_n >= z; cached so a
-    request's window scan and its pole list share one count."""
-    n = int(_count_below_many(p, np.asarray([z]))[0])
-    return dirichlet_eigenvalues(p, round_up_index(n)).eigenvalues[:n + 1]

@@ -21,15 +21,15 @@ c(k) = 2 cos(q k1) + 2 beta^{2q} cos(q k2), relative to 2(1 + beta^2) (see
 `harper.chambers_defect`): it shows that spec H(k) depends on c(k) only,
 not that det(E I - H(k)) is linear in c.
 
-A run computes only what the checks read.  mu_0..mu_k and eta at each of them
-come from one Dirichlet solve (`discriminant.pole_record`), which sign
-alternation reads at once.  Without a given z_min the Wronskian and
-Kronig-Penney samples start at the floor of the spectrum, the lower edge of
-band window 0.  `discriminant.lowest_window_edge` takes it by the solve that
-gives `spectrum` and `butterfly` their window 0 (its centre, then its
-edges), reading eta(mu_0) and u2'(l; mu_0) from the same Dirichlet solve, so
-on a piecewise-constant edge both floors are one double; no other window is
-scanned and no spectrum is assembled.
+A run computes only what the checks read.  Every mu_k and eta(mu_k) comes
+from the Dirichlet record that `spectrum` reads for the same z_max
+(`discriminant.pole_record`), and sign alternation checks all of it.
+Without a given z_min the Wronskian and Kronig-Penney samples start at the
+floor of the spectrum, the lower edge of band window 0.
+`discriminant.lowest_window_edge` takes it by the solve that gives
+`spectrum` and `butterfly` their window 0 (its centre, then its edges), from
+that record, so both floors are one double; no other window is scanned and
+no spectrum is assembled.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .assembler import below_spectrum, resolve_flux
 from .discriminant import (CouplingParams, eta_many, lowest_window_edge, pole_record,
-                           poles_and_etas, require_range)
+                           require_range)
 from .edge_solver import _basis_many
 from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
                      torus_oracle)
@@ -74,10 +74,10 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyRe
     return PropertyResult("wronskian", defect, 1e-8)
 
 
-def check_sign_alternation(c: CouplingParams, k_max: int = 10) -> PropertyResult:
-    signs = (-1.0) ** np.arange(k_max + 1)
-    _, etas = poles_and_etas(c, k_max)
-    worst = float(np.max(signs * etas + c.threshold))
+def check_sign_alternation(c: CouplingParams, z_max: float) -> PropertyResult:
+    """(-1)^k eta(mu_k) <= -2(1+beta^2) at every mu_k of `pole_record(c, z_max)`."""
+    _, etas, _ = pole_record(c, z_max)
+    worst = float(np.max((-1.0) ** np.arange(etas.size) * etas + c.threshold))
     return PropertyResult("sign_alternation", max(worst, 0.0), SIGN_ALTERNATION_SLACK)
 
 
@@ -120,25 +120,24 @@ def check_flux_periodicity(bands: HarperBands) -> PropertyResult:
 
 
 def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
-            q_max: int = 50, k_max: int = 10) -> list[PropertyResult]:
+            q_max: int = 50) -> list[PropertyResult]:
     """The six checks, in the order `validate` prints them.
 
     The Wronskian and Kronig-Penney samples span [z_min, z_max]; z_min None
     starts them at the floor of the spectrum, window 0's a_full, solved as
     `band_windows` solves it (ConfigError when z_max lies below it).  mu_0,
-    every eta(mu_k) and u2'(l; mu_0) come from the one Dirichlet solve
-    `pole_record(c, k_max)` makes; no other window is scanned.
+    every eta(mu_k) and u2'(l; mu_0) come from the one Dirichlet record
+    `pole_record(c, z_max)`; no other window is scanned.
     """
     flux, _ = resolve_flux(theta, q_max)
     require_range(z_min, z_max)
     if z_min is None:
-        mus, etas, du2s = pole_record(c, k_max)
-        z_min = lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
+        z_min = lowest_window_edge(c, z_max)
         if z_max < z_min:
             raise below_spectrum(z_max)
     results = [
         check_wronskian(c, z_min, z_max),
-        check_sign_alternation(c, k_max),
+        check_sign_alternation(c, z_max),
         check_chambers(flux, c.beta),
         check_kp_identity(c, z_min, z_max),
     ]

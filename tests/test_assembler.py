@@ -8,8 +8,8 @@ from fluxlattice import (Classification, ConfigError, ConsistencyError,
                          butterfly_sweep, classify_eigenvalue,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
                          graph_spectrum, harper, make_potential, resolve_flux)
-from fluxlattice.discriminant import (EDGE_TOL_Z, THRESHOLD_RTOL, band_windows, eta_many,
-                                      eta_on_pole)
+from fluxlattice.discriminant import (EDGE_TOL_Z, THRESHOLD_RTOL, _bucket_through,
+                                      band_windows, eta_many, eta_on_pole)
 from oracles import merged_intervals
 
 L = np.pi
@@ -175,8 +175,7 @@ def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
 def test_integer_flux_classifies_from_the_scan_solve(step_pot, theta):
     # eta(mu_k) at every pole comes from the solve that found the poles, so
     # integer flux costs no Dirichlet solve beyond it
-    from fluxlattice.edge_solver import _mus_through
-    for cached in (dirichlet_eigenvalues, _mus_through):
+    for cached in (dirichlet_eigenvalues, _bucket_through):
         cached.cache_clear()
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     s = graph_spectrum(c, theta, None, 200.0)

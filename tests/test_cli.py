@@ -9,6 +9,7 @@ import pytest
 from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler,
                          discriminant, harper_spectrum, make_potential, validation)
 from fluxlattice.cli import main
+from fluxlattice.edge_solver import dirichlet_eigenvalues
 from fluxlattice.harper import _harper_bands
 
 L = np.pi
@@ -382,6 +383,35 @@ def test_spectrum_unresolvable_window_exits_3(tmp_path, capsys):
     assert "eta inversion on window 0 missed target" in capsys.readouterr().err
 
 
+STEP = {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L], "values": [0.0, 10.0]}
+# window 0 of these couplings holds doubles but is 2.6e-13 to 9.5e-12 wide,
+# within EDGE_TOL_Z, so every root the solver finds in it is one of its edges
+NARROW = [("zero", -25.0, 0.5), ("zero", -40.0, 1.0), ("zero", -60.0, 1.3),
+          ("step", -25.0, 0.5), ("step", -40.0, 1.0), ("step", -60.0, 1.3)]
+
+
+def _edge_cfg(tmp_path, edge, alpha, beta, theta):
+    potential = STEP if edge == "step" else {"kind": edge}
+    return write_config(tmp_path, {"l": L, "potential": potential, "alpha": alpha,
+                                   "beta": beta, "theta": theta, "z_max": 10.0})
+
+
+@pytest.mark.parametrize("edge, alpha, beta", NARROW)
+def test_spectrum_narrow_window_exits_3(tmp_path, capsys, edge, alpha, beta):
+    # an interior target there would come back as an edge, collapsing its
+    # band; a flux whose targets are the window's edges still returns it
+    cfg = _edge_cfg(tmp_path, edge, alpha, beta, "1/3")
+    assert main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: eta inversion on window 0 cannot resolve "
+                        r"target \S+: the window \[\S+, \S+\] is \S+e-1[23] wide, "
+                        r"within EDGE_TOL_Z = 1e-10\n", err), err
+    cfg = _edge_cfg(tmp_path, edge, alpha, beta, "0/1")
+    assert main(["spectrum", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["continuous"][0]["window"] == 0
+
+
 # the report line the benchmark's validate gate parses, in run_all's order
 VALIDATE_LINE = re.compile(r"^(PASS|FAIL) (\w+): defect=(\S+) tol=(\S+)$")
 VALIDATE_ORDER = ["wronskian", "sign_alternation", "chambers_independence",
@@ -395,6 +425,42 @@ def _validate_lines(tmp_path, capsys, expected_exit):
     assert all(matches)
     assert [m.group(2) for m in matches] == VALIDATE_ORDER
     return [(m.group(1), float(m.group(3)), float(m.group(4))) for m in matches]
+
+
+@pytest.mark.parametrize("flip", [None, 5])
+def test_validate_ignores_k_max(tmp_path, capsys, monkeypatch, flip):
+    # k_max is the dirichlet command's setting: validate checks the record of
+    # its range's top, whatever k_max says, so eta(mu_5) flipped in the
+    # Dirichlet solve fails sign alternation at k_max 0 as at 10
+    solve = discriminant.dirichlet_eigenvalues
+
+    def flipped(p, k_max):
+        spec = solve(p, k_max)
+        nus = list(spec.nus)
+        nus[flip] = -nus[flip]
+        return dataclasses.replace(spec, nus=tuple(nus))
+
+    if flip is not None:
+        monkeypatch.setattr(discriminant, "dirichlet_eigenvalues", flipped)
+    reports = []
+    for extra in ({}, {"k_max": 0}, {"k_max": 6}, {"k_max": 10}):
+        cfg = write_config(tmp_path, {**FREE_CFG, "z_max": 400.0, **extra})
+        assert main(["validate", "--config", cfg]) == (0 if flip is None else 1)
+        reports.append(capsys.readouterr().out)
+    assert len(reports[0].splitlines()) == 6 and reports == reports[:1] * 4
+    assert ("FAIL sign_alternation" in reports[0]) == (flip is not None)
+
+
+def test_spectrum_then_validate_make_one_dirichlet_solve(tmp_path, capsys):
+    doc = {k: v for k, v in FREE_CFG.items() if k != "z_min"}
+    cfg = write_config(tmp_path, {**doc, "potential": STEP, "alpha": 1.0, "theta": "1/3",
+                                  "z_max": 40.0})
+    for cached in (dirichlet_eigenvalues, discriminant._bucket_through):
+        cached.cache_clear()
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert main(["validate", "--config", cfg]) == 0
+    assert dirichlet_eigenvalues.cache_info().misses == 1
+    assert discriminant._bucket_through.cache_info().misses == 1
 
 
 def test_validate_free_defaults(tmp_path, capsys):
@@ -466,7 +532,7 @@ def test_validate_computes_harper_bands_once_per_flux(monkeypatch):
     monkeypatch.setattr(validation, "harper_spectrum", counted, raising=False)
     p = make_potential({"l": L, "potential": {"kind": "zero"}})
     c = CouplingParams(alpha=0.0, beta=1.0, potential=p)
-    results = validation.run_all(c, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
+    results = validation.run_all(c, RationalFlux(2, 5), 0.0, 10.0)
     assert all(r.passed for r in results)
     assert seen == ["2/5", "7/5"]
 
@@ -474,7 +540,7 @@ def test_validate_computes_harper_bands_once_per_flux(monkeypatch):
 def test_validate_computes_each_residue_once(free_coupling):
     # 7/5 shares 2/5's fiber, so flux_periodicity reads the cached bands
     _harper_bands.cache_clear()
-    validation.run_all(free_coupling, RationalFlux(2, 5), 0.0, 10.0, k_max=6)
+    validation.run_all(free_coupling, RationalFlux(2, 5), 0.0, 10.0)
     info = _harper_bands.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 

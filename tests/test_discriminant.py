@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from fluxlattice import (ConsistencyError, CouplingParams, DomainError, RationalFlux,
                          band_windows, discriminant, dirichlet_eigenvalues, eta_on_pole,
                          gap_report, graph_spectrum, invert_eta_many, make_potential)
-from fluxlattice.discriminant import (EDGE_TOL_Z, INVERT_RESIDUAL, _solve_batch, eta_many,
-                                      lowest_window_edge, pole_record, poles_and_etas)
-from fluxlattice.edge_solver import _mus_through
+from fluxlattice.discriminant import (EDGE_TOL_Z, _solve_batch, eta_many,
+                                      lowest_window_edge, pole_record)
 from oracles import free_basis, free_eta, linear_basis, step_basis
 
 L = np.pi
+INVERT_RESIDUAL = 1e-9  # relative residual |eta - y| / (1 + |y|) an inversion meets
 
 # closed-form bisection on free_eta (dev oracle): first window edges
 ALPHA_PLUS2_WINDOW0 = (0.25, 1.0)                    # alpha=+2: eta(1/4)=+4, touches mu_0
@@ -180,7 +180,7 @@ def _sign_change_near(f, z, tol):
 
 
 @pytest.mark.parametrize("kind, alpha, beta", [("free", -15.0, 0.5), ("free", -25.0, 1.0),
-                                               ("linear", -15.0, 0.5)])
+                                               ("step", -15.0, 0.5), ("linear", -15.0, 0.5)])
 def test_steep_window_still_inverts(request, kind, alpha, beta):
     # window 0 near z = -36 is about 1e-6 wide and eta is about 1e6 steep
     # there, so no double z meets INVERT_RESIDUAL; each root is still within
@@ -277,7 +277,7 @@ def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edg
     # eta(mu_k) has one producer, the Dirichlet solve: no mu_k reaches
     # eta_many, inside the bracketed solver or outside it, neither in the
     # window scan nor in the default floor's solve, and the values the scan
-    # and the floor judge are poles_and_etas' own
+    # and the floor judge are the record's own
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=alpha, beta=1.3, potential=p)
     escapes = discriminant.escapes_threshold
@@ -294,11 +294,12 @@ def test_band_windows_read_eta_on_poles_from_the_solve(request, monkeypatch, edg
     monkeypatch.setattr(discriminant, "eta_many", counted)
     monkeypatch.setattr(discriminant, "escapes_threshold", recorded)
     band_windows(c, None, 30.0)
-    mus, etas, du2s = pole_record(c, len(_mus_through(p, 30.0)) - 1)
-    lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
+    lowest_window_edge(c, 30.0)
+    mus, etas, _ = pole_record(c, 30.0)
+    top = int(np.searchsorted(mus, 30.0)) + 1  # the scan reads mu_0 up to the first >= 30
     assert points and not np.any(np.isin(np.concatenate(points), mus))
     scan_etas, floor_etas = judged
-    assert np.array_equal(scan_etas, etas) and np.array_equal(floor_etas, etas[:1])
+    assert np.array_equal(scan_etas, etas[:top]) and np.array_equal(floor_etas, etas[:1])
 
 
 @st.composite
@@ -321,16 +322,17 @@ def test_window_edges_do_not_depend_on_the_range(pot, alpha, beta, z_min, z_max,
     # window n is solved from mu_{n-1} and mu_n alone, window 0 from the
     # anchor below mu_0, so a range nested in another gives every window the
     # two share the same full edges, and validate's floor is spectrum's
-    # window 0, bit for bit
+    # window 0, bit for bit, whatever record it reads
     c = CouplingParams(alpha=alpha, beta=beta, potential=pot)
     outer = {w.index: (w.a_full, w.b_full) for w in band_windows(c, z_min, z_max)}
     lo = -80.0 if z_min is None else z_min
     a, b = sorted(lo + np.asarray(cut) * (z_max - lo))
     inner = band_windows(c, a, b) if a < b else []
     assert all(outer.get(w.index) == (w.a_full, w.b_full) for w in inner)
-    mus, etas, du2s = pole_record(c, 10)
-    floor = lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
-    assert floor == band_windows(c, None, max(z_max, float(mus[0])))[0].a_full
+    top = max(z_max, float(pole_record(c, z_max)[0][0]))
+    floor = lowest_window_edge(c, top)
+    assert floor == band_windows(c, None, top)[0].a_full
+    assert floor == lowest_window_edge(c, 400.0)  # bucket 31, not that of z_max
 
 
 def _free_gap_top(alpha, n, threshold):
@@ -356,7 +358,7 @@ def test_free_edge_gap_beside_every_mu(free_pot, alpha):
     ns = np.arange(1, 21)
     tops = np.array([_free_gap_top(alpha, n, t) for n in ns])
     tol = np.maximum(1e-9, 2.0 * np.spacing(t) * 2.0 * ns**2 / (alpha * np.pi))
-    mus = poles_and_etas(c, 19)[0]
+    mus = pole_record(c, 410.0)[0][:20]
     ws = band_windows(c, None, 410.0)
     assert [w.index for w in ws] == list(range(21))
     assert [w.b_full for w in ws[:20]] == mus.tolist()
@@ -382,7 +384,7 @@ def test_window_side_from_the_monodromy(request, edge):
     ratios = []
     for alpha, beta in itertools.product([-2.0, 0.0, 0.5], [0.7, 1.0, 1.3]):
         c = CouplingParams(alpha=alpha, beta=beta, potential=p)
-        _, etas = poles_and_etas(c, 7)
+        etas = (1.0 + beta**2) * np.asarray(spec.nus)
         assert not np.any(discriminant.escapes_threshold(c, etas))
         up, down = np.split(eta_many(c, np.concatenate([mus + dz, mus - dz])), 2)
         slope = (up - down) / (2.0 * dz)
@@ -503,7 +505,7 @@ def test_eta_call_budget_above_ulp_tolerance(step_pot, monkeypatch):
     # |eta| - threshold, not mu_k.  |eta'| is about 1.6e-6 at the root, so
     # eta's rounding (1e-15) hides it within about 1e-9; 1e-8 lies beyond that
     oracle = _oracle_eta("step", 1.0, 1.0)
-    mus, _ = poles_and_etas(c, ws[-1].index)
+    mus = pole_record(c, 1e6 + 3000.0)[0]
     for w in ws:
         mu = mus[w.index - 1]
         assert 0.3 < w.a_full - mu < 0.33 and w.b_full == mus[w.index]

@@ -10,14 +10,14 @@ import pytest
 
 from fluxlattice import (ConfigError, CouplingParams, RationalFlux, graph_spectrum,
                          validation)
-from fluxlattice.discriminant import EDGE_TOL_Z, eta_on_pole, poles_and_etas
-from fluxlattice.edge_solver import _mus_through, dirichlet_eigenvalues
+from fluxlattice.discriminant import EDGE_TOL_Z, _bucket_through, eta_on_pole, pole_record
+from fluxlattice.edge_solver import dirichlet_eigenvalues
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _clear_edge_caches():
-    for cached in (dirichlet_eigenvalues, _mus_through):
+    for cached in (dirichlet_eigenvalues, _bucket_through):
         cached.cache_clear()
 
 
@@ -31,7 +31,7 @@ def _floor_of_run(c, z_max, monkeypatch):
         return wronskian(c, z_min, z_max)
 
     monkeypatch.setattr(validation, "check_wronskian", recorded)
-    validation.run_all(c, RationalFlux(1, 3), None, z_max, k_max=6)
+    validation.run_all(c, RationalFlux(1, 3), None, z_max)
     return seen[0]
 
 
@@ -61,32 +61,48 @@ def test_run_all_makes_one_dirichlet_solve(step_pot, monkeypatch, z_min):
 
 @pytest.mark.parametrize("edge", ["step", "free"])
 def test_sign_alternation_reads_one_solve(request, edge):
-    # k_max = 20 spans the solves of eta_on_pole's three cache keys (7, 15, 31)
+    # z_max 400 reads the record of bucket 31, mu_0..mu_31, which spans the
+    # solves of eta_on_pole's three cache keys (7, 15, 31); the check reads
+    # every value of it
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=0.0, beta=1.3, potential=p)
-    _, one = poles_and_etas(c, 20)
-    per_k = np.array([eta_on_pole(c, k) for k in range(21)])
-    assert one.shape == (21,)
+    _, one, _ = pole_record(c, 400.0)
+    per_k = np.array([eta_on_pole(c, k) for k in range(32)])
+    assert one.shape == (32,)
     assert np.all(np.abs(one - per_k) <= 1e-9 * np.abs(per_k))
-    margin = (-1.0) ** np.arange(21) * per_k + c.threshold
-    r = validation.check_sign_alternation(c, 20)
+    margin = (-1.0) ** np.arange(32) * per_k + c.threshold
+    r = validation.check_sign_alternation(c, 400.0)
     assert r.passed
     assert r.defect == pytest.approx(max(float(np.max(margin)), 0.0), abs=1e-9)
 
 
-def test_sign_alternation_sees_a_late_violation(step_pot, monkeypatch):
-    c = CouplingParams(alpha=0.0, beta=1.0, potential=step_pot)
+def _flipped_check(c, k, monkeypatch):
+    """sign_alternation at z_max 400 with eta(mu_k) flipped in the record."""
+    def flipped(c, z):
+        mus, etas, du2s = pole_record(c, z)
+        etas = etas.copy()
+        etas[k] = -etas[k]
+        return mus, etas, du2s
 
-    def flipped(c, k_max):
-        mus, etas = poles_and_etas(c, k_max)
-        etas[13] = -etas[13]
-        return mus, etas
-
-    monkeypatch.setattr(validation, "poles_and_etas", flipped)
-    r = validation.check_sign_alternation(c, 20)
+    monkeypatch.setattr(validation, "pole_record", flipped)
+    r = validation.check_sign_alternation(c, 400.0)
     assert not r.passed
-    # (-1)^13 (-eta(mu_13)) + threshold = eta(mu_13) + threshold
-    assert r.defect == poles_and_etas(c, 20)[1][13] + c.threshold
+    # (-1)^k (-eta(mu_k)) + threshold = (-1)^(k+1) eta(mu_k) + threshold
+    assert r.defect == (-1) ** (k + 1) * pole_record(c, 400.0)[1][k] + c.threshold
+    return r
+
+
+def test_sign_alternation_sees_a_late_violation(step_pot, monkeypatch):
+    _flipped_check(CouplingParams(alpha=0.0, beta=1.0, potential=step_pot), 13, monkeypatch)
+
+
+def test_sign_alternation_reads_the_whole_record(free_pot, monkeypatch):
+    # at z_max 400 the scan reads mu_0..mu_19 and the record holds mu_0..mu_31;
+    # a flipped eta(mu_15), past mu_10 where a k_max of 10 stopped, must fail,
+    # in validate's run as in the check alone
+    c = CouplingParams(alpha=0.0, beta=1.0, potential=free_pot)
+    r = _flipped_check(c, 15, monkeypatch)
+    assert r in validation.run_all(c, RationalFlux(1, 3), None, 400.0)
 
 
 def _kp_result(c):

@@ -12,11 +12,10 @@ With the package from TREE's `src` (default: this checkout), runs
     linear (V = t, 65 nodes) edges, alpha in {1, 0, -1.5, -15} and beta in
     {0.5, 1, 1.3, 2} (64 configs each), sampled as `validate` samples them:
     from the default floor, the lower edge of band window 0, up to z_max 40,
-    and k_max 10 (validate's default);
+    with sign alternation over the Dirichlet record that z_max 40 reads;
   * per edge, how many of its 16 couplings give `validate` (which reads
-    window 0 through `lowest_window_edge` and its k_max-10 Dirichlet record)
-    and `spectrum` (window 0 of `band_windows` up to z_max 40) the same
-    default floor bit for bit.
+    window 0 through `lowest_window_edge`) and `spectrum` (window 0 of
+    `band_windows`), both up to z_max 40, the same default floor bit for bit.
 
 About a minute on one core (53 to 65 s): the Harper checks take about 40 s,
 and the default floor's edge solve on the sampled edge most of the rest.
@@ -35,7 +34,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from cli_diff import ALPHAS, EDGES, HARPER_BETAS, HARPER_Q_MAX, K_MAX, L, farey
+from cli_diff import ALPHAS, EDGES, HARPER_BETAS, HARPER_Q_MAX, L, farey
 
 CENSUS_EDGES = {"free": EDGES["free"], "constant5": {"kind": "constant", "c": 5.0},
                 "step": EDGES["step"], "linear65": EDGES["linear65"]}
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     from fluxlattice import (ConfigError, CouplingParams, NumericalError, RationalFlux,
                              harper_spectrum, make_potential)
-    from fluxlattice.discriminant import band_windows, lowest_window_edge, pole_record
+    from fluxlattice.discriminant import band_windows, lowest_window_edge
     from fluxlattice.validation import (check_chambers, check_kp_identity,
                                         check_sign_alternation, check_torus_containment,
                                         check_wronskian)
@@ -96,14 +95,12 @@ def main(argv=None) -> int:
 
     @cache
     def floor(c):
-        """The default floor of `validate`: a_full of band window 0, read
-        from validate's Dirichlet record."""
-        mus, etas, du2s = pole_record(c, K_MAX)
-        return lowest_window_edge(c, float(mus[0]), float(etas[0]), float(du2s[0]))
+        """The default floor of `validate`: a_full of band window 0."""
+        return lowest_window_edge(c, Z_MAX)
 
     edge_checks = {
         "wronskian": lambda c: check_wronskian(c, floor(c), Z_MAX),
-        "sign_alternation": lambda c: check_sign_alternation(c, K_MAX),
+        "sign_alternation": lambda c: check_sign_alternation(c, Z_MAX),
         "kp_trace_identity": lambda c: check_kp_identity(c, floor(c), Z_MAX),
     }
     failed = 0

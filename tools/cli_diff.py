@@ -16,7 +16,8 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     `validate` at theta 1/3 and 2/5;
   * on the free and const5 edges, `spectrum` at alpha 0.1, beta 1, theta
     0/1 and z_max 410, where a gap of width 0.4 / (4 pi) opens above each of
-    the 20 mu_k in range;
+    the 20 mu_k in range, and `validate` there at theta 1/3, whose sign
+    alternation reads the Dirichlet record of that z_max;
   * on the free and step edges, alpha in {1, -15}, beta in {0.5, 1, 1.3},
     `spectrum` at theta 1/3 and `butterfly` at q_max 5 over [z_min, 10],
     with z_min (DEEP_Z_MIN) at least 50 below the default floor, so a
@@ -120,6 +121,9 @@ def grid(edges, harper):
     for edge in (e for e in edges if e in ("free", "const5")):
         yield (f"spectrum {edge} {json.dumps(gap_run)}", ["spectrum"],
                {"l": L, "potential": EDGES[edge], **gap_run})
+        run = {**gap_run, "theta": "1/3"}
+        yield (f"validate {edge} {json.dumps(run)}", ["validate"],
+               {"l": L, "potential": EDGES[edge], **run})
     for edge, alpha, beta in itertools.product(
             (e for e in edges if e in ("free", "step")), DEEP_Z_MIN, BETAS):
         doc = {"l": L, "potential": EDGES[edge], "alpha": alpha, "beta": beta,
