@@ -9,7 +9,8 @@ anisotropy beta and flux theta per plaquette has spectrum
 where eta is the entire discriminant of the associated Kronig-Penney operator
 and M(theta, beta) is the discrete magnetic Laplacian (Harper operator) on
 Z^2.  The package computes all ingredients and assembles band/gap structure,
-classification of the eigenvalues, and Hofstadter-butterfly sweep data.  The
+classification of the eigenvalues, and Hofstadter-butterfly sweep data at
+exact fluxes p/q; `resolve_flux` turns a decimal theta into one.  The
 `validate` checks (Wronskian, sign alternation, Chambers independence, the
 Kronig-Penney trace, torus containment, flux periodicity) live in `validation`.
 The edge basis, the Pruefer count, eta, its inversion and the Bloch fiber have
@@ -22,7 +23,7 @@ of its range (`discriminant.pole_record`).
 from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
                         GapReport, PointEigenvalue, SpectralSet, butterfly_sweep,
                         classify_eigenvalue, farey_fluxes, gap_report,
-                        graph_spectrum, resolve_flux)
+                        graph_spectrum)
 from .discriminant import (BandWindow, CouplingParams, band_windows, eta_on_pole,
                            invert_eta_many)
 from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
@@ -30,7 +31,7 @@ from .errors import (BracketingError, ConfigError, ConsistencyError, DomainError
                      IntegrationOverflowError, NumericalError, TorusSizeError)
 from .harper import (HarperBands, RationalFlux, approximate_irrational,
                      best_convergent, chambers_defect, harper_spectrum,
-                     make_rational, torus_oracle)
+                     make_rational, resolve_flux, torus_oracle)
 from .kp_oracle import kp_trace_many
 from .potential import FieldSample, Potential, flux_from_field, make_potential
 

@@ -5,9 +5,10 @@ degenerate point spectrum) union Sigma = eta^{-1}(spec M(theta, beta)).  Each
 mu_k is BandEdge when theta is an integer and |eta(mu_k)| sits on the
 threshold 2(1+beta^2), and Isolated otherwise (`classify_eigenvalue`).
 
+Fluxes come in exact; the CLI resolves a decimal theta once (`resolve_flux`).
 The windows do not depend on the flux, so a request scans them once (`_scan`)
 and `_assemble` serves any number of fluxes in one collect, invert, clip pass
-with one eta inversion: one flux for `graph_spectrum`, all for `butterfly_sweep`.
+with one eta inversion: one flux for `graph_spectrum`, a list for `butterfly_sweep`.
 The flux enters only through its Harper bands, and spec M(theta) is even and
 1-periodic in theta (M(-theta) = conj M(theta), and the fiber depends on
 p mod q only), so the spectrum is symmetric about theta = 1/2.  Fluxes with
@@ -24,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import (BandWindow, CouplingParams, band_windows, escapes_threshold,
-                           invert_eta_many, pole_record, require_resolvable)
+from .discriminant import (BandWindow, CouplingParams, band_windows, below_spectrum,
+                           escapes_threshold, invert_eta_many, pole_record,
+                           require_resolvable)
 from .errors import ConfigError, NumericalError
-from .harper import HarperBands, RationalFlux, best_convergent, harper_spectrum
+from .harper import HarperBands, RationalFlux, harper_spectrum
 
 
 class Classification(enum.Enum):
@@ -64,7 +66,6 @@ class SpectralSet:
     z_max: float
     coupling: CouplingParams = field(repr=False)
     flux: RationalFlux = RationalFlux(0, 1)
-    convergent_used: str | None = None  # "p/q" when a decimal theta was resolved
     harper: HarperBands | None = field(default=None, repr=False)
     windows: tuple[BandWindow, ...] = field(default=(), repr=False)
 
@@ -81,23 +82,6 @@ class GapReport:
     z_min: float
     z_max: float
     gaps: tuple[Gap, ...]
-
-
-def resolve_flux(theta, q_max: int = 50) -> tuple[RationalFlux, str | None]:
-    """Map a flux input to a RationalFlux.
-
-    RationalFlux passes through; floats resolve to their best continued-
-    fraction convergent with denominator <= q_max, and the substitution is
-    reported (None when the float already equals the convergent).
-    """
-    if isinstance(theta, RationalFlux):
-        return theta, None
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ConfigError(f"theta must be finite, got {theta!r}")
-    flux = best_convergent(theta, q_max)
-    exact = abs(flux.theta - theta) < 1e-12 * max(1.0, abs(theta))
-    return flux, (None if exact else str(flux))
 
 
 def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
@@ -127,12 +111,6 @@ class _Scan:
     coupling: CouplingParams
     z_min: float
     windows: tuple[BandWindow, ...]
-
-
-def below_spectrum(z_max: float) -> ConfigError:
-    """The error for a default range whose z_max lies below the spectrum."""
-    return ConfigError(f"z_max = {z_max} lies below the lowest band window, "
-                       "so there is no spectrum up to it; give z_min")
 
 
 def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
@@ -185,16 +163,14 @@ def _assemble(scan: _Scan, fluxes) -> list:
     return [r if isinstance(r, NumericalError) else (r, shared[r.bands]) for r in out]
 
 
-def graph_spectrum(c: CouplingParams, theta, z_min: float | None = None,
-                   z_max: float = 100.0, q_max: int = 50) -> SpectralSet:
-    """The lattice spectrum over [z_min, z_max] for the coupling c, whose
-    potential is the edge's.
+def graph_spectrum(c: CouplingParams, flux: RationalFlux, z_min: float | None,
+                   z_max: float) -> SpectralSet:
+    """The lattice spectrum at the exact flux over [z_min, z_max] for the
+    coupling c, whose potential is the edge's.
 
-    theta may be a RationalFlux or a float (resolved to its best convergent
-    with denominator <= q_max, recorded in the result).  z_min defaults to the
-    lowest band window's a_full (ConfigError if z_max lies below it).
+    z_min None starts the range at the lowest band window's a_full
+    (ConfigError if z_max lies below it).
     """
-    flux, convergent_used = resolve_flux(theta, q_max)
     scan = _scan(c, z_min, z_max)
     (res,) = _assemble(scan, [flux])
     if isinstance(res, NumericalError):
@@ -209,7 +185,6 @@ def graph_spectrum(c: CouplingParams, theta, z_min: float | None = None,
         continuous=intervals,
         z_min=scan.z_min, z_max=float(z_max),
         coupling=c, flux=flux,
-        convergent_used=convergent_used,
         harper=harper,
         windows=scan.windows,
     )
@@ -255,19 +230,20 @@ class ButterflyRow:
     truncated: bool
 
 
-def butterfly_sweep(c: CouplingParams, q_max: int, z_min: float | None = None,
-                    z_max: float = 100.0) -> tuple[list[ButterflyRow], list[str]]:
-    """Continuous spectrum intervals for every Farey flux with q' <= q_max,
-    for the coupling c and its potential.
+def butterfly_sweep(c: CouplingParams, fluxes: list[RationalFlux], z_min: float | None,
+                    z_max: float) -> tuple[list[ButterflyRow], list[str]]:
+    """Continuous spectrum intervals at each exact flux, such as
+    `farey_fluxes(q_max)` or `approximate_irrational(theta, q_max)`, for the
+    coupling c and its potential.
 
     One scan and one `_assemble` pass serve every flux, so the sweep makes
-    one eta inversion in all and builds no SpectralSet; z_min defaults as in
-    graph_spectrum.  The mirror fluxes p'/q' and (q' - p')/q' share one Harper
-    solve and one set of pullbacks (M(-theta) = conj M(theta)), so their rows
-    are equal.  Rows come back ordered by (q', p') then z; a flux that fails
-    is reported as a diagnostic and the others keep their rows.
+    one eta inversion in all and builds no SpectralSet; each flux's rows are
+    graph_spectrum's intervals.  The mirror fluxes p/q and (q - p)/q share
+    one Harper solve and one set of pullbacks (M(-theta) = conj M(theta)),
+    so their rows are equal.  Rows come back in the order of the fluxes,
+    then by z; a flux that fails is reported as a diagnostic and the others
+    keep their rows.
     """
-    fluxes = farey_fluxes(q_max)
     rows: list[ButterflyRow] = []
     diagnostics: list[str] = []
     for flux, res in zip(fluxes, _assemble(_scan(c, z_min, z_max), fluxes)):

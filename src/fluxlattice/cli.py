@@ -5,7 +5,10 @@ dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
 Only spectrum, harper and validate need theta (or a field sample).
 Each setting has one place.  The JSON config holds what is computed: l and
 the potential, alpha, beta, theta or field, q_max, z_min, z_max, and k_max,
-which `dirichlet` alone reads.
+which `dirichlet` alone reads; q_max defaults to 50.  `parse_config` resolves
+theta once: 'p/q' stays exact, a number or a field's flux becomes its best
+convergent with q <= q_max; the commands pass that flux on, and butterfly
+builds its Farey list once.
 The command line holds where and how it is written: --out, --format and
 --stamp.  A config that sets out or format exits 2 and names the flag.
 Exit codes: 0 success, 1 validation-property failure, 2 invalid config,
@@ -33,12 +36,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import validation
-from .assembler import (butterfly_sweep, farey_fluxes, gap_report, graph_spectrum,
-                        resolve_flux)
+from .assembler import butterfly_sweep, farey_fluxes, gap_report, graph_spectrum
 from .discriminant import CouplingParams
 from .edge_solver import dirichlet_eigenvalues
 from .errors import ConfigError, NumericalError
-from .harper import RationalFlux, harper_spectrum, make_rational
+from .harper import RationalFlux, harper_spectrum, make_rational, resolve_flux
 from .potential import (FieldSample, Potential, as_float, convert_field, flux_from_field,
                         make_potential)
 
@@ -49,7 +51,8 @@ THETA = "theta (or a field sample)"  # the flux field that spectrum, harper and 
 @dataclass(frozen=True)
 class RunConfig:
     coupling: CouplingParams  # alpha, beta and the edge potential
-    theta: object            # RationalFlux (exact "p/q"), float (resolved later) or None
+    flux: RationalFlux | None  # theta resolved to an exact flux; None without theta
+    convergent_used: str | None  # "p/q" when a number was replaced by its convergent
     theta_repr: object       # value echoed into outputs, as given in the config
     q_max: int
     z_min: float | None
@@ -58,7 +61,7 @@ class RunConfig:
 
 
 def parse_theta(raw) -> RationalFlux | float:
-    """Numbers resolve through continued fractions later; 'p/q' stays exact."""
+    """'p/q' as an exact flux; a number as a finite float, resolved later."""
     if isinstance(raw, str):
         parts = raw.split("/")
         if len(parts) != 2:
@@ -111,13 +114,13 @@ def parse_config(doc: dict) -> RunConfig:
         if vals.ndim == 1 and vals.size == gx.size * gy.size:
             vals = vals.reshape(gx.size, gy.size)  # row-major over grid_x
         sample = FieldSample(grid_x=gx, grid_y=gy, values=vals)
-        theta = flux_from_field(sample, potential.l)
-        theta_repr = theta
+        theta = theta_repr = parse_theta(flux_from_field(sample, potential.l))
     else:
         theta = theta_repr = None
     q_max = doc.get("q_max", 50)
     if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 1:
         raise ConfigError(f"q_max must be an integer >= 1, got {q_max!r}")
+    flux, convergent_used = (None, None) if theta is None else resolve_flux(theta, q_max)
     z_min, z_max = (None if doc.get(name) is None else as_float(doc[name], name)
                     for name in ("z_min", "z_max"))
     for name, val in (("z_min", z_min), ("z_max", z_max)):
@@ -128,8 +131,9 @@ def parse_config(doc: dict) -> RunConfig:
     k_max = doc.get("k_max", 10)
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise ConfigError(f"k_max must be an integer >= 0, got {k_max!r}")
-    return RunConfig(coupling=coupling, theta=theta, theta_repr=theta_repr, q_max=q_max,
-                     z_min=z_min, z_max=z_max, k_max=k_max)
+    return RunConfig(coupling=coupling, flux=flux, convergent_used=convergent_used,
+                     theta_repr=theta_repr, q_max=q_max, z_min=z_min, z_max=z_max,
+                     k_max=k_max)
 
 
 def load_config(path: str) -> RunConfig:
@@ -180,9 +184,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         raise ConfigError("spectrum output is JSON; use butterfly for CSV tables")
-    theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
-    s = graph_spectrum(cfg.coupling, theta, z_min=cfg.z_min, z_max=z_max,
-                       q_max=cfg.q_max)
+    flux, z_max = _require(cfg.flux, THETA), _require(cfg.z_max, "z_max")
+    s = graph_spectrum(cfg.coupling, flux, cfg.z_min, z_max)
     gaps = gap_report(s)
     doc = {
         "parameters": {
@@ -207,7 +210,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
             {"lo": g.lo, "hi": g.hi, "contains_mu": list(g.contains_mu)}
             for g in gaps.gaps],
         "metadata": {
-            "convergent_used": s.convergent_used,
+            "convergent_used": cfg.convergent_used,
         },
     }
     if args.stamp:
@@ -220,14 +223,14 @@ def cmd_butterfly(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.fmt == "json":
         raise ConfigError("butterfly output is CSV")
     z_max = _require(cfg.z_max, "z_max")
-    rows, diagnostics = butterfly_sweep(cfg.coupling, cfg.q_max, z_min=cfg.z_min, z_max=z_max)
+    fluxes = farey_fluxes(cfg.q_max)
+    rows, diagnostics = butterfly_sweep(cfg.coupling, fluxes, cfg.z_min, z_max)
     _emit(_csv(BUTTERFLY_HEADER, ([r.flux.p, r.flux.q, r.band_index, repr(r.z_lo),
                                    repr(r.z_hi), "true" if r.truncated else "false"]
                                   for r in rows)), args.out)
     for msg in diagnostics:
         print(f"butterfly diagnostic: {msg}", file=sys.stderr)
-    print(f"butterfly: {len(diagnostics)} of {len(farey_fluxes(cfg.q_max))} "
-          "fluxes failed", file=sys.stderr)
+    print(f"butterfly: {len(diagnostics)} of {len(fluxes)} fluxes failed", file=sys.stderr)
     return 0
 
 
@@ -245,7 +248,7 @@ def cmd_dirichlet(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
-    flux, convergent = resolve_flux(_require(cfg.theta, THETA), cfg.q_max)
+    flux = _require(cfg.flux, THETA)
     bands = harper_spectrum(flux, cfg.coupling.beta)
     if args.fmt == "csv":
         _emit(_csv(["band_index", "e_lo", "e_hi"],
@@ -253,7 +256,7 @@ def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
               args.out)
     else:
         doc = {"theta": str(flux), "beta": cfg.coupling.beta,
-               "convergent_used": convergent,
+               "convergent_used": cfg.convergent_used,
                "bands": [[lo, hi] for lo, hi in bands.bands]}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -262,8 +265,8 @@ def cmd_harper(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.fmt is not None:
         raise ConfigError("validate output is a text report; it takes no --format")
-    theta, z_max = _require(cfg.theta, THETA), _require(cfg.z_max, "z_max")
-    results = validation.run_all(cfg.coupling, theta, cfg.z_min, z_max, q_max=cfg.q_max)
+    flux, z_max = _require(cfg.flux, THETA), _require(cfg.z_max, "z_max")
+    results = validation.run_all(cfg.coupling, flux, cfg.z_min, z_max)
     _emit("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                   f"defect={r.defect:.3e} tol={r.tolerance:.1e}\n" for r in results), args.out)
     return 0 if all(r.passed for r in results) else 1

@@ -243,6 +243,12 @@ def require_range(z_min: float | None, z_max: float) -> None:
         raise ConfigError(f"invalid scan range [{z_min}, {z_max}]")
 
 
+def below_spectrum(z_max: float) -> ConfigError:
+    """The error for a default range whose z_max lies below the spectrum."""
+    return ConfigError(f"z_max = {z_max} lies below the lowest band window, "
+                       "so there is no spectrum up to it; give z_min")
+
+
 def _anchor_below(c: CouplingParams, mu_0: float) -> tuple[float, float]:
     """A point below the lowest window and eta there: walk down from mu_0 - 1
     in doubling steps until eta > 2(1+beta^2).  It reads mu_0 only, so window

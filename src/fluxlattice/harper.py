@@ -425,3 +425,13 @@ def approximate_irrational(theta: float, q_max: int) -> list[RationalFlux]:
 def best_convergent(theta: float, q_max: int) -> RationalFlux:
     """The last continued-fraction convergent with denominator <= q_max."""
     return approximate_irrational(theta, q_max)[-1]
+
+
+def resolve_flux(theta, q_max: int) -> tuple[RationalFlux, str | None]:
+    """theta (a RationalFlux or a float) as an exact flux: a float becomes its
+    best convergent with q <= q_max, reported as "p/q" unless equal to it."""
+    if isinstance(theta, RationalFlux):
+        return theta, None
+    flux = best_convergent(theta, q_max)
+    exact = abs(flux.theta - theta) < 1e-12 * max(1.0, abs(theta))
+    return flux, (None if exact else str(flux))

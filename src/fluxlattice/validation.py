@@ -21,9 +21,10 @@ c(k) = 2 cos(q k1) + 2 beta^{2q} cos(q k2), relative to 2(1 + beta^2) (see
 `harper.chambers_defect`): it shows that spec H(k) depends on c(k) only,
 not that det(E I - H(k)) is linear in c.
 
-A run computes only what the checks read.  Every mu_k and eta(mu_k) comes
-from the Dirichlet record that `spectrum` reads for the same z_max
-(`discriminant.pole_record`), and sign alternation checks all of it.
+A run takes an exact flux, as `graph_spectrum` does, and computes only what
+the checks read.  Every mu_k and eta(mu_k) comes from the Dirichlet record
+that `spectrum` reads for the same z_max (`discriminant.pole_record`), and
+sign alternation checks all of it and reports its signed worst margin.
 Without a given z_min the Wronskian and Kronig-Penney samples start at the
 floor of the spectrum, the lower edge of band window 0.
 `discriminant.lowest_window_edge` takes it by the solve that gives
@@ -38,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import below_spectrum, resolve_flux
-from .discriminant import (CouplingParams, eta_many, lowest_window_edge, pole_record,
-                           require_range)
+from .discriminant import (CouplingParams, below_spectrum, eta_many, lowest_window_edge,
+                           pole_record, require_range)
 from .edge_solver import _basis_many
 from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum,
                      torus_oracle)
@@ -61,8 +61,9 @@ class PropertyResult:
 
 
 def _z_samples(z_min: float, z_max: float, n: int) -> np.ndarray:
-    # keep samples off the Dirichlet poles: interior points of a uniform grid
-    return np.linspace(z_min, z_max, n + 2)[1:-1] + 1e-3
+    """n interior points of a uniform grid on [z_min, z_max]."""
+    return np.linspace(z_min, z_max, n + 2)[1:-1]
+
 
 def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyResult:
     # defect measured relative to the solution scale: below the spectral
@@ -75,10 +76,11 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyRe
 
 
 def check_sign_alternation(c: CouplingParams, z_max: float) -> PropertyResult:
-    """(-1)^k eta(mu_k) <= -2(1+beta^2) at every mu_k of `pole_record(c, z_max)`."""
+    """(-1)^k eta(mu_k) <= -2(1+beta^2) at every mu_k of `pole_record(c, z_max)`;
+    the defect is the signed worst margin max_k (-1)^k eta(mu_k) + 2(1+beta^2)."""
     _, etas, _ = pole_record(c, z_max)
     worst = float(np.max((-1.0) ** np.arange(etas.size) * etas + c.threshold))
-    return PropertyResult("sign_alternation", max(worst, 0.0), SIGN_ALTERNATION_SLACK)
+    return PropertyResult("sign_alternation", worst, SIGN_ALTERNATION_SLACK)
 
 
 def check_chambers(flux: RationalFlux, beta: float) -> PropertyResult:
@@ -119,9 +121,9 @@ def check_flux_periodicity(bands: HarperBands) -> PropertyResult:
     return PropertyResult("flux_periodicity", defect, 1e-9)
 
 
-def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
-            q_max: int = 50) -> list[PropertyResult]:
-    """The six checks, in the order `validate` prints them.
+def run_all(c: CouplingParams, flux: RationalFlux, z_min: float | None,
+            z_max: float) -> list[PropertyResult]:
+    """The six checks at the exact flux, in the order `validate` prints them.
 
     The Wronskian and Kronig-Penney samples span [z_min, z_max]; z_min None
     starts them at the floor of the spectrum, window 0's a_full, solved as
@@ -129,7 +131,6 @@ def run_all(c: CouplingParams, theta, z_min: float | None, z_max: float,
     every eta(mu_k) and u2'(l; mu_0) come from the one Dirichlet record
     `pole_record(c, z_max)`; no other window is scanned.
     """
-    flux, _ = resolve_flux(theta, q_max)
     require_range(z_min, z_max)
     if z_min is None:
         z_min = lowest_window_edge(c, z_max)

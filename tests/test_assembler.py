@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlattice import (Classification, ConfigError, ConsistencyError,
-                         CouplingParams, RationalFlux, assembler,
+                         CouplingParams, RationalFlux, approximate_irrational, assembler,
                          butterfly_sweep, classify_eigenvalue,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
                          graph_spectrum, harper, make_potential, resolve_flux)
@@ -55,8 +57,8 @@ def test_integer_flux_periodicity_exact(free_coupling):
 
 @pytest.mark.parametrize("theta", [0.0, 1.0 / 3.0, 0.4142])
 def test_flux_periodicity_spectral_sets(free_coupling, theta):
-    s0 = graph_spectrum(free_coupling, theta, z_min=0.0, z_max=10.0)
-    s1 = graph_spectrum(free_coupling, theta + 1.0, z_min=0.0, z_max=10.0)
+    s0, s1 = (graph_spectrum(free_coupling, resolve_flux(t, 50)[0], z_min=0.0, z_max=10.0)
+              for t in (theta, theta + 1.0))
     a = np.asarray([(iv.z_lo, iv.z_hi) for iv in s0.continuous])
     b = np.asarray([(iv.z_lo, iv.z_hi) for iv in s1.continuous])
     assert a.shape == b.shape
@@ -226,7 +228,7 @@ def test_default_floor_is_lowest_window_edge(free_pot, alpha):
     # attractive coupling pushes window 0 far below zero (near z = -6.26 at
     # alpha = -10); the default floor must still start the scan there
     c = CouplingParams(alpha=alpha, beta=1.0, potential=free_pot)
-    s = graph_spectrum(c, RationalFlux(1, 3), z_max=5.0)
+    s = graph_spectrum(c, RationalFlux(1, 3), None, 5.0)
     assert s.z_min == pytest.approx(s.windows[0].a_full, abs=1e-9)
     assert s.windows[0].index == 0
     assert not any(w.truncated_lo for w in s.windows)
@@ -238,7 +240,7 @@ def test_default_floor_is_lowest_window_edge(free_pot, alpha):
 
 def test_default_floor_rejects_z_max_below_spectrum(free_coupling):
     with pytest.raises(ConfigError, match="below the lowest band window"):
-        graph_spectrum(free_coupling, RationalFlux(0, 1), z_max=-5.0)
+        graph_spectrum(free_coupling, RationalFlux(0, 1), None, -5.0)
 
 
 @settings(max_examples=25)
@@ -249,7 +251,7 @@ def test_default_floor_rejects_z_max_below_spectrum(free_coupling):
 def test_default_floor_loses_nothing(free_pot, step_pot, alpha, beta, edge, flux):
     p = free_pot if edge == "free" else step_pot
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
-    s = graph_spectrum(c, flux, z_max=12.0)
+    s = graph_spectrum(c, flux, None, 12.0)
     far = graph_spectrum(c, flux, z_min=s.z_min - 50.0, z_max=12.0)
     assert _ends(s).shape == _ends(far).shape
     assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
@@ -270,7 +272,7 @@ def test_pullbacks_in_band_order_and_mu_in_gaps(free_pot, step_pot, alpha, beta,
     # range lies in a gap
     p = free_pot if edge == "free" else step_pot
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
-    s = graph_spectrum(c, flux, z_max=z_max)
+    s = graph_spectrum(c, flux, None, z_max)
     assert {iv.window for iv in s.continuous} <= {w.index for w in s.windows}
     for w in s.windows:
         ivs = sorted((iv for iv in s.continuous if iv.window == w.index),
@@ -292,7 +294,7 @@ def test_farey_enumeration():
 
 
 def test_butterfly_qmax1_identical_rows(free_coupling):
-    rows, diags = butterfly_sweep(free_coupling, 1, z_min=0.0, z_max=10.0)
+    rows, diags = butterfly_sweep(free_coupling, farey_fluxes(1), z_min=0.0, z_max=10.0)
     assert diags == []
     r0 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(0, 1)]
     r1 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(1, 1)]
@@ -300,7 +302,7 @@ def test_butterfly_qmax1_identical_rows(free_coupling):
 
 
 def test_butterfly_halfflux_gap_vs_integer(free_coupling):
-    rows, _ = butterfly_sweep(free_coupling, 2, z_min=0.0, z_max=2.0)
+    rows, _ = butterfly_sweep(free_coupling, farey_fluxes(2), z_min=0.0, z_max=2.0)
     by_flux = {}
     for r in rows:
         by_flux.setdefault(r.flux, []).append((r.z_lo, r.z_hi))
@@ -312,7 +314,7 @@ def test_butterfly_halfflux_gap_vs_integer(free_coupling):
 
 
 def test_butterfly_row_ordering(free_coupling):
-    rows, _ = butterfly_sweep(free_coupling, 3, z_min=0.0, z_max=4.0)
+    rows, _ = butterfly_sweep(free_coupling, farey_fluxes(3), z_min=0.0, z_max=4.0)
     keys = [(r.flux.q, r.flux.p, r.band_index) for r in rows]
     assert keys == sorted(keys)
 
@@ -330,7 +332,7 @@ def test_one_inversion_per_request(step_pot, monkeypatch):
     graph_spectrum(c, RationalFlux(2, 5), z_min=0.3, z_max=7.7)
     assert len(calls) == 1
     calls.clear()
-    butterfly_sweep(c, 5, z_min=0.3, z_max=7.7)
+    butterfly_sweep(c, farey_fluxes(5), z_min=0.3, z_max=7.7)
     assert len(calls) == 1
 
 
@@ -339,13 +341,29 @@ def test_butterfly_rows_are_graph_spectra(step_pot, z_min, z_max):
     # 7.7 cuts window 1 = [7.29, 7.84], 2.07 window 0 = [2.048, 2.092] and 12
     # window 2 = [11.6, 14.5], so some pullbacks are clipped and truncated
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    rows, diags = butterfly_sweep(c, 5, z_min=z_min, z_max=z_max)
+    rows, diags = butterfly_sweep(c, farey_fluxes(5), z_min=z_min, z_max=z_max)
     assert diags == []
     assert any(r.truncated for r in rows)
     for flux in farey_fluxes(5):
         s = graph_spectrum(c, flux, z_min=z_min, z_max=z_max)
         assert [(r.z_lo, r.z_hi, r.truncated) for r in rows if r.flux == flux] == [
             (iv.z_lo, iv.z_hi, iv.truncated) for iv in s.continuous]
+
+
+def test_butterfly_over_convergents_is_graph_spectra(step_pot):
+    # a walk towards the golden mean is a sweep over its convergents: rows
+    # come back in their order, each equal to graph_spectrum at its flux
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    fluxes = approximate_irrational((np.sqrt(5.0) - 1.0) / 2.0, 34)
+    assert [f.q for f in fluxes] == [1, 2, 3, 5, 8, 13, 21, 34]
+    rows, diags = butterfly_sweep(c, fluxes, 0.3, 7.7)
+    assert diags == []
+    assert [f for f, _ in itertools.groupby(r.flux for r in rows)] == fluxes
+    for flux in fluxes:
+        s = graph_spectrum(c, flux, 0.3, 7.7)
+        assert [(r.band_index, r.z_lo, r.z_hi, r.truncated) for r in rows
+                if r.flux == flux] == [(i, iv.z_lo, iv.z_hi, iv.truncated)
+                                       for i, iv in enumerate(s.continuous)]
 
 
 def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
@@ -363,7 +381,7 @@ def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
         return real(ws, ys)
 
     monkeypatch.setattr(assembler, "invert_eta_many", recorded)
-    rows, diags = butterfly_sweep(c, 8, z_min=0.3, z_max=7.7)
+    rows, diags = butterfly_sweep(c, farey_fluxes(8), z_min=0.3, z_max=7.7)
     assert diags == [] and len(batches) == 1
     n_windows = len(band_windows(c, 0.3, 7.7))
     classes = {(min(f.p, f.q - f.p), f.q) for f in farey_fluxes(8)}

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler,
+from fluxlattice import (ConsistencyError, CouplingParams, RationalFlux, assembler, cli,
                          discriminant, harper_spectrum, make_potential, validation)
 from fluxlattice.cli import main
 from fluxlattice.edge_solver import dirichlet_eigenvalues
@@ -117,6 +117,53 @@ def test_spectrum_from_field_sample(tmp_path, capsys):
     assert out["parameters"]["theta_resolved"] == "1/1"
 
 
+FIELD_GRID = list(np.linspace(0.0, L, 11))
+
+
+def _run(tmp_path, capsys, command, doc):
+    """(exit code, stdout) of one run on the config doc."""
+    rc = main([command, "--config", write_config(tmp_path, doc, f"{command}.json")])
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("given", [
+    {"theta": 0.4142},
+    # uniform b over the cell carries 0.4142 flux quanta, up to rounding
+    {"field": {"grid_x": FIELD_GRID, "grid_y": FIELD_GRID,
+               "values": [[0.4142 * 2 * np.pi / L**2] * 11] * 11}},
+], ids=["decimal", "field"])
+def test_theta_is_resolved_once_for_every_command(tmp_path, capsys, given):
+    # the config resolves 0.4142 to 12/29 at q_max 50; spectrum, harper and
+    # validate read that flux and match the config that gives "12/29"
+    base = {k: v for k, v in FREE_CFG.items() if k not in ("theta", "z_min")}
+    docs = ({**base, "alpha": 1.0, "beta": 1.3, "theta": "12/29"},
+            {**base, "alpha": 1.0, "beta": 1.3, **given})
+    exact, resolved = (json.loads(_run(tmp_path, capsys, "spectrum", d)[1]) for d in docs)
+    assert exact["parameters"]["theta_resolved"] == "12/29"
+    assert resolved["parameters"]["theta_resolved"] == "12/29"
+    assert exact["metadata"] == {"convergent_used": None}
+    assert resolved["metadata"] == {"convergent_used": "12/29"}
+    for key in ("point_spectrum", "continuous", "gaps"):
+        assert resolved[key] == exact[key]
+    exact, resolved = (json.loads(_run(tmp_path, capsys, "harper", d)[1]) for d in docs)
+    assert (exact["theta"], exact["convergent_used"]) == ("12/29", None)
+    assert (resolved["theta"], resolved["convergent_used"]) == ("12/29", "12/29")
+    assert resolved["bands"] == exact["bands"]
+    exact, resolved = (_run(tmp_path, capsys, "validate", d) for d in docs)
+    assert resolved == exact and exact[1].count("\n") == 6
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["spectrum", "butterfly", "dirichlet"])
+def test_field_of_infinite_flux_refused_by_every_command(tmp_path, capsys, command):
+    # finite values whose flux integral overflows: the config resolves its
+    # flux, so every command refuses it, as it refuses a theta of inf
+    doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}
+    doc["field"] = {"grid_x": [0, L], "grid_y": [0, L], "values": [[1e308] * 2] * 2}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "config error: theta must be finite, got inf\n"
+
+
 def test_butterfly_counts_and_header(tmp_path):
     cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 5, "z_max": 4.0})
     out = str(tmp_path / "b.csv")
@@ -174,6 +221,20 @@ def test_butterfly_counts_failed_fluxes(tmp_path, capsys, monkeypatch):
                    "butterfly: 1 of 5 fluxes failed"]
     fluxes = {tuple(row[:2]) for row in csv.reader(open(out, encoding="utf-8"))}
     assert ("1", "2") not in fluxes and ("1", "3") in fluxes
+
+
+def test_butterfly_builds_one_farey_list(tmp_path, capsys, monkeypatch):
+    # the CLI builds the list, the sweep takes it, and the failure count
+    # reads the same list
+    calls = []
+    for module in (cli, assembler):
+        real = module.farey_fluxes
+        monkeypatch.setattr(module, "farey_fluxes",
+                            lambda q, real=real: calls.append(q) or real(q))
+    cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 3, "z_max": 4.0})
+    assert main(["butterfly", "--config", cfg]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().err == "butterfly: 0 of 5 fluxes failed\n"
 
 
 def test_butterfly_unresolvable_window_fails_per_flux(tmp_path, capsys):

@@ -363,7 +363,7 @@ def test_free_edge_gap_beside_every_mu(free_pot, alpha):
     assert [w.index for w in ws] == list(range(21))
     assert [w.b_full for w in ws[:20]] == mus.tolist()
     assert np.all(np.abs([w.a_full for w in ws[1:]] - tops) <= tol)
-    gaps = gap_report(graph_spectrum(c, RationalFlux(0, 1), z_max=410.0)).gaps
+    gaps = gap_report(graph_spectrum(c, RationalFlux(0, 1), None, 410.0)).gaps
     assert [g.lo for g in gaps] == mus.tolist()
     assert np.all(np.abs([g.hi for g in gaps] - tops) <= tol)
 

@@ -73,7 +73,24 @@ def test_sign_alternation_reads_one_solve(request, edge):
     margin = (-1.0) ** np.arange(32) * per_k + c.threshold
     r = validation.check_sign_alternation(c, 400.0)
     assert r.passed
-    assert r.defect == pytest.approx(max(float(np.max(margin)), 0.0), abs=1e-9)
+    assert r.defect == pytest.approx(float(np.max(margin)), abs=1e-9)
+
+
+def test_sign_alternation_reports_the_signed_margin(step_pot):
+    # the defect is max_k (-1)^k eta(mu_k) + 2(1+beta^2) over the record,
+    # negative where the bound holds with room, so it tells records apart:
+    # on the step edge the worst is at k = 7 up to z_max 40 and at k = 31
+    # up to 400
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    defects = []
+    for z_max in (40.0, 400.0):
+        _, etas, _ = pole_record(c, z_max)
+        margin = (-1.0) ** np.arange(etas.size) * etas + c.threshold
+        r = validation.check_sign_alternation(c, z_max)
+        assert r.passed and r.defect == float(np.max(margin)) < 0.0
+        defects.append(r.defect)
+    assert defects[0] == pytest.approx(-5.972e-4, rel=1e-3)
+    assert defects[1] == pytest.approx(-1.071e-8, rel=1e-3)
 
 
 def _flipped_check(c, k, monkeypatch):

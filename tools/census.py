@@ -45,7 +45,7 @@ def census(name: str, runs, typed: tuple[type, ...]) -> int:
     """Run one check over (label, thunk) pairs and print its summary; return
     the number of FAILs and untyped exceptions."""
     fails = raised = errors = 0
-    worst, where = -1.0, None
+    worst, where = float("-inf"), None
     for label, run in runs:
         try:
             r = run()

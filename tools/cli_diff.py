@@ -29,6 +29,11 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     refused `spectrum --format csv`, `validate --format` and config q_max 0,
     and the settings that have no place, config out and format and the
     --q-max flag, which the current command line refuses with exit 2;
+  * per edge, at alpha 1, beta 1.3 and z_max 10, `spectrum`, `harper` and
+    `validate` at each flux of FLUX_RUNS that the config resolves to its
+    convergent: theta 0.41 (16/39 at the default q_max 50), theta
+    0.6180339887 with q_max 13 (8/13), and a uniform field b = 1 sampled on
+    a 5 x 5 grid, whose flux l^2 / (2 pi) = pi/2 resolves to 11/7;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
     free and step grid takes about 40 s a tree).
@@ -91,6 +96,13 @@ FLAG_RUNS = (  # (arguments after the subcommand, extra config) per edge
     ((), {"format": "csv"}),
     (("--q-max", "3"), {}),
 )
+FIELD_GRID = np.linspace(0.0, L, 5).tolist()
+FLUX_RUNS = (  # (label, config) of the flux settings resolved to a convergent
+    ("theta=0.41", {"theta": 0.41}),
+    ("theta=0.6180339887 q_max=13", {"theta": 0.6180339887, "q_max": 13}),
+    ("field b=1", {"field": {"grid_x": FIELD_GRID, "grid_y": FIELD_GRID,
+                             "values": [[1.0] * 5] * 5}}),
+)
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 FLAG = re.compile(r"\b(?:true|false)\b")
@@ -143,6 +155,11 @@ def grid(edges, harper):
                "theta": "1/3", "z_max": 10.0, "q_max": Q_MAX, "k_max": K_MAX, **extra}
         yield (f"{command} {edge} {' '.join(flags)} {json.dumps(extra)}",
                [command, *flags], doc)
+    for edge, command, (label, extra) in itertools.product(
+            edges, ("spectrum", "harper", "validate"), FLUX_RUNS):
+        yield (f"{command} {edge} {label}", [command],
+               {"l": L, "potential": EDGES[edge], "alpha": 1.0, "beta": 1.3,
+                "z_max": 10.0, **extra})
     if harper:
         for beta, (p, q) in itertools.product(HARPER_BETAS, farey(HARPER_Q_MAX)):
             yield (f"harper beta={beta} theta={p}/{q}", ["harper"],
