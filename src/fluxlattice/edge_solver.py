@@ -9,22 +9,23 @@ with Wronskian u1'*u2 - u1*u2' identically 1.  Everything downstream (the
 discriminant eta, the Kronig-Penney trace) is a combination of the four
 endpoint values (u1(l), u1'(l), u2(l), u2'(l)).
 
-Propagation: one walk, `_propagate`, carries (u, u') from t=0 to t=l cell by
-cell and yields the state at the right end of each cell.  For zero / constant /
-piecewise-constant potentials every segment of constant V = c is one cell,
-crossed with the exact transfer
+Propagation: one formula crosses every cell of the edge, the fourth-order
+Magnus exponential (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151).
+On a cell [t, t+h] on which V is linear, with Gauss nodes t-/+ = t + h (1/2
+-/+ sqrt(3)/6), it is exp [[d, h], [h (vbar - z), -d]], where vbar is the
+mean of V at t-/+ and d = (sqrt(3)/12) h^2 (V(t-) - V(t+)) the commutator
+term, diagonal and free of z.  The exponent is traceless, so with e = d / h
+and w^2 = z - vbar - e^2
 
-    [u ]  ->  [ cos(w d)           sin(w d)/w ] [u ]      w^2 = z - c
-    [u']      [ -(z-c) sin(w d)/w  cos(w d)   ] [u']
+    [u ]  ->  [ C + e S           S      ] [u ]     C = cos(w h)
+    [u']      [ -(z - vbar) S     C - e S ] [u']     S = sin(w h) / w
 
-(trigonometric above the segment, hyperbolic below; one code path via complex
-sqrt).  A sampled potential is cut into n equal cells, each crossed by one
-classical RK4 step on the linearly interpolated V; n is at least 2048 (a step
-of at most l/2048) and grows like (|z| - inf V)^(5/8) so the accumulated phase
-error stays below ~1e-10 across the scan range.  The basis and the Pruefer count
-are both loops over this walk.  All propagation is vectorized over a batch of z
-values, so the bracketed root finder downstream advances every root in one
-call per step.
+(trigonometric for w^2 > 0, hyperbolic below; one code path via complex
+sqrt), with determinant 1.  A constant segment is the exact cell d = 0, so a
+piecewise-constant potential is one cell per segment; a sampled potential is
+max(sample cells, 2048) cells, fixed by the potential, never by z, so no
+number depends on the batch.  The basis and the Pruefer count both read the
+cell products of `_propagate`, vectorized over a batch of z values.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ import numpy as np
 from .errors import BracketingError, ConsistencyError, IntegrationOverflowError
 from .potential import Potential
 
-DEFAULT_STEPS = 2048
-_RK4_PHASE_TOL = 1e-10
+_MIN_CELLS = 2048   # cells of a sampled potential with fewer sample cells
+_BLOCK = 64         # cells per block of the product in `_propagate`
+_CHUNK = 1 << 18    # cells x z values per chunk of a batch
+_BISECT_DEPTHS = (5, 5, 5, 5, 6)  # count-bisection steps per batched count
 
 
 @dataclass(frozen=True)
@@ -55,116 +58,112 @@ class DirichletSpectrum:
     du2s: tuple[float, ...]
 
 
-def _rk4_steps(p: Potential, z_scale: float) -> int:
-    # RK4 phase error on u'' = -w^2 u accumulates like l * w^5 h^4 / 120;
-    # choose n = l/h to keep it under _RK4_PHASE_TOL, never below the default.
-    # Steps must not straddle interpolation kinks of a sampled potential,
-    # otherwise RK4 drops below fourth order: n is a multiple of the cells.
-    w = np.sqrt(max(abs(z_scale) - p.infimum(), 1.0))
-    n = int(max(DEFAULT_STEPS, np.ceil(p.l * (p.l * w**5 / (120.0 * _RK4_PHASE_TOL)) ** 0.25)))
-    cells = p.uniform_cells
-    return n if cells is None else cells * int(np.ceil(n / cells))
-
-
-def _propagate(p: Potential, z: np.ndarray, u, du, n_steps: int | None):
-    """Walk (u, u') from t=0 across [0, l]; yield (u, du, cell) at the right
-    end of each cell.
-
-    A constant segment is one cell, crossed exactly, with cell = (z - V,
-    width); a sampled potential is n_steps RK4 cells (None: `_rk4_steps` at
-    the largest |z|), each with cell = None.  u and du broadcast against z.
-    """
+@lru_cache(maxsize=64)
+def _cells(p: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vbar, e, h) of every cell: the mean of V at its Gauss nodes, d / h
+    and its width.  A segment is one cell with e = 0; a sample interval is
+    ceil(2048 / sample cells) equal cells, on which V is linear."""
     if p.is_piecewise:
-        for c, dt in p.segments():
-            w2 = z - c
-            arg = np.sqrt(w2 + 0j) * dt
-            C = np.cos(arg).real
-            S = (dt * np.sinc(arg / np.pi)).real  # sin(w dt)/w with exact w->0 limit
-            u, du = u * C + du * S, du * C - (w2 * S) * u
-            yield u, du, (w2, dt)
-        return
-    n = n_steps or _rk4_steps(p, float(np.max(np.abs(z))) if z.size else 1.0)
-    h = p.l / n
-    h2, h6 = 0.5 * h, h / 6.0
-    vg = p.values_on(np.linspace(0.0, p.l, 2 * n + 1)).tolist()
-    for v0, vh, v1 in zip(vg[0:-1:2], vg[1::2], vg[2::2]):
-        v0, vh, v1 = v0 - z, vh - z, v1 - z
-        k1u, k1d = du, v0 * u
-        yu, yd = u + h2 * k1u, du + h2 * k1d
-        k2u, k2d = yd, vh * yu
-        yu, yd = u + h2 * k2u, du + h2 * k2d
-        k3u, k3d = yd, vh * yu
-        yu, yd = u + h * k3u, du + h * k3d
-        k4u, k4d = yd, v1 * yu
-        u, du = (u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
-                 du + h6 * (k1d + 2.0 * (k2d + k3d) + k4d))
-        yield u, du, None
+        vbar, h = (np.asarray(x, dtype=float) for x in zip(*p.segments()))
+        return vbar, np.zeros_like(vbar), h
+    g = np.asarray(p.grid, dtype=float)
+    parts = -(-_MIN_CELLS // (len(g) - 1))
+    t = np.append(g[:-1, None] + np.diff(g)[:, None] * (np.arange(parts) / parts), g[-1])
+    h = np.diff(t)
+    r = np.sqrt(3.0) / 6.0
+    v_minus, v_plus = p.values_on(t[:-1] + h * (0.5 - r)), p.values_on(t[:-1] + h * (0.5 + r))
+    return 0.5 * (v_minus + v_plus), (r / 2.0) * h * (v_minus - v_plus), h
+
+
+def _propagate(p: Potential, z: np.ndarray):
+    """Transfer matrices [[a, b], [c, d]] from t=0 to the right end of every
+    cell, as (a, b, c, d) of shape (cells, z.size) for a flat z in double or
+    long double, and the cells' (w^2, e, h) for the Pruefer count.
+
+    A left fold inside every block of `_BLOCK` cells (all blocks at once),
+    then one across the blocks.  Applied to (0, 1) or (1, 0), a left fold is
+    the cell-by-cell walk bit for bit, and on at most `_BLOCK` cells the
+    whole product is one left fold.
+    """
+    vbar, e, h = (x[:, None] for x in _cells(p))
+    zv = z - vbar
+    w2 = zv - e * e
+    arg = np.sqrt(w2 + 0j) * h
+    C = np.cos(arg).real
+    S = (h * np.sinc(arg / np.pi)).real  # sin(w h)/w with exact w->0 limit
+    eS = e * S
+    n = len(h)
+    blocks = -(-n // _BLOCK)
+    size = -(-n // blocks)
+    m = [np.concatenate([x, np.full((blocks * size - n, len(z)), fill, dtype=x.dtype)])
+         .reshape(blocks, size, len(z))  # identity cells pad the last block
+         for x, fill in ((C + eS, 1.0), (S, 0.0), (-(zv * S), 0.0), (C - eS, 1.0))]
+    folds = [(np.s_[:, i], np.s_[:, i - 1]) for i in range(1, size)]
+    folds += [(np.s_[j], np.s_[j - 1, -1]) for j in range(1, blocks)]
+    for cell, before in folds:
+        a, b, c, d = (x[cell] for x in m)
+        pa, pb, pc, pd = (x[before] for x in m)
+        for x, y in zip(m, (a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd)):
+            x[cell] = y
+    return tuple(x.reshape(-1, len(z))[:n] for x in m), (w2, e, h)
+
+
+def _chunked(kernel, p: Potential, z: np.ndarray) -> np.ndarray:
+    """kernel(p, part) over parts of the flattened z of about `_CHUNK` cells x
+    values each, joined along the last axis, which takes the shape of z."""
+    flat = z.reshape(-1)
+    size = max(1, _CHUNK // len(_cells(p)[2]))
+    out = np.concatenate([kernel(p, flat[i:i + size])
+                          for i in range(0, max(flat.size, 1), size)], axis=-1)
+    return out.reshape(out.shape[:-1] + z.shape)
 
 
 # overflow far below the spectrum is reported by the isfinite guard, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _basis_many(p: Potential, z: np.ndarray, n_steps: int | None = None):
+def _basis_many(p: Potential, z: np.ndarray):
     """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape, in
     double, or in long double for a long double z."""
     z = np.asarray(z)
     z = z.astype(np.promote_types(z.dtype, float), copy=False)
-    u = np.stack([np.zeros_like(z), np.ones_like(z)])   # rows: u1, u2
-    du = np.stack([np.ones_like(z), np.zeros_like(z)])
-    for u, du, _ in _propagate(p, z, u, du, n_steps):
-        pass
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
+    a, b, c, d = ends = _chunked(
+        lambda p, part: np.stack([x[-1] for x in _propagate(p, part)[0]]), p, z)
+    if not np.all(np.isfinite(ends)):
         raise IntegrationOverflowError(
             "edge propagation overflowed (z too far below the spectrum for "
             f"l={p.l}); rescale the scan range")
-    return u[0], du[0], u[1], du[1]
+    return b, d, a, c
+
+
+def _count_chunk(p: Potential, z: np.ndarray) -> np.ndarray:
+    (_, u, _, du), (w2, e, h) = _propagate(p, z)
+    u = np.concatenate([np.zeros((1, len(z))), u])   # u1 at t=0 and every cell end
+    du = np.concatenate([np.ones((1, len(z))), du])
+    sign = np.sign(u)
+    zeros = sign[:-1] * (sign[:-1] - sign[1:]) > 0  # u1 changes sign or becomes zero
+    osc = w2 > 1e-14
+    w = np.sqrt(np.where(osc, w2, 1.0))
+    # a state's half-turn floor(angle / pi), angle of (w u, e u + u') in
+    # (-pi, pi], is -1 for u < 0, 1 on the negative u' axis, else 0
+    delta = np.arctan2(u[:-1] * w, du[:-1] + e * u[:-1])
+    half = ((u == 0.0) & (du < 0.0)).astype(np.int64) - (u < 0.0)
+    turns = np.round((delta + w * h - (half[1:] + 0.5) * np.pi) / (2.0 * np.pi))
+    zeros = np.where(osc, 2 * turns.astype(np.int64) + half[1:] - half[:-1], zeros)
+    return zeros.sum(axis=0) - (u[-1] == 0.0)
 
 
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues below each z (Pruefer oscillation count).
 
-    Counts zeros of u1(.; z) on (t0, t1] of each cell of `_propagate`: the
-    multiples of pi that the phase of (u, u'/w) passes on a constant cell
-    with z > V, read from the computed end state so that a zero on a
-    breakpoint falls in one cell only, else 1 if u1 changes sign or becomes
-    zero; a zero exactly at t=l is removed after the walk.  Sampled V takes
-    max(2048, 4 w_max l) RK4 cells, which resolves every half-wave; the ~1e-6
-    uncertainty this leaves in the count transition point is removed by the
-    Newton polish of the eigenvalue search.
+    Counts zeros of u1(.; z) on (t0, t1] of each cell of `_propagate`: on a
+    cell with w^2 > 0, where u = A sin(w t + delta), the multiples of pi that
+    the phase of (w u, e u + u') passes, with the end phase delta + w h read
+    in the half-turn of the computed end state, which the next cell starts
+    from, so a zero on a cell boundary is counted once; else 1 if u1 changes
+    sign or becomes zero.  A zero exactly at t=l is not interior.  A cell is
+    a constant-coefficient Hamiltonian system, so the count is exact for the
+    cells, and it changes where the basis's u1(l; z) changes sign.
     """
-    z = np.asarray(z, dtype=float)
-    n = None
-    if not p.is_piecewise:
-        # counting tolerates the small kink bias of unaligned steps (integer
-        # output; the transition shift is cleaned up by the Newton polish)
-        wmax = np.sqrt(max(float(np.max(z)) - p.infimum(), 1.0)) if z.size else 1.0
-        n = int(max(DEFAULT_STEPS, 4 * wmax * p.l))  # >= ~12 steps per half-wave
-    count = np.zeros(z.shape, dtype=np.int64)
-    u = np.zeros_like(z)
-    du = np.ones_like(z)
-    sign = np.sign(u)
-    for u_next, du_next, cell in _propagate(p, z, u, du, n):
-        sign_next = np.sign(u_next)
-        zeros = sign * (sign - sign_next) > 0  # u1 changes sign or becomes zero
-        if cell is not None:
-            w2, dt = cell
-            osc = w2 > 1e-14
-            w = np.sqrt(np.where(osc, w2, 1.0))
-            # u = A sin(w t + delta) on oscillatory cells; zeros in (t0,t1]
-            # sit where the phase passes a multiple of pi.  The end phase
-            # delta + w dt is read in the half-turn of the computed end state,
-            # which the next cell starts from, so a zero on a breakpoint is
-            # counted once.  A state's half-turn floor(angle / pi), angle in
-            # (-pi, pi], is -1 for u < 0, 1 on the negative u' axis, else 0.
-            delta = np.arctan2(u * w, du)
-            half, half_next = (((a == 0.0) & (b < 0.0)).astype(np.int64) - (a < 0.0)
-                               for a, b in ((u, du), (u_next, du_next)))
-            turns = np.round((delta + w * dt - (half_next + 0.5) * np.pi) / (2.0 * np.pi))
-            zeros = np.where(osc, 2 * turns.astype(np.int64) + half_next - half, zeros)
-        count += zeros
-        u, du, sign = u_next, du_next, sign_next
-    # zeros were counted on (t0, t1]; one sitting exactly at t=l is not interior
-    count -= u == 0.0
-    return count
+    return _chunked(_count_chunk, p, np.asarray(z, dtype=float))
 
 
 @lru_cache(maxsize=64)
@@ -187,8 +186,7 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     width = np.maximum(1.5 * spacing * (ks + 1), 2.0 * spacing)
     lo, hi = seeds - width, seeds + width
     for attempt in range(64):
-        c_lo = _count_below_many(p, lo)
-        c_hi = _count_below_many(p, hi)
+        c_lo, c_hi = _count_below_many(p, np.stack([lo, hi]))
         bad_lo = c_lo > ks
         bad_hi = c_hi < ks + 1
         if not (np.any(bad_lo) or np.any(bad_hi)):
@@ -202,18 +200,27 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
             f"could not bracket mu_{k_bad} from asymptotic seed {seeds[k_bad]:.6g}",
             (float(lo[k_bad]), float(hi[k_bad])))
 
-    # bisection on the count predicate [count(z) >= k+1] converges to mu_k
-    for _ in range(26):
-        mid = 0.5 * (lo + hi)
-        above = _count_below_many(p, mid) >= ks + 1
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    # bisection on the count predicate [count(z) >= k+1] converges to mu_k.
+    # One count takes every midpoint the next `depth` steps could visit, in
+    # heap order (the halves of node i are 2i+1 and 2i+2), and the walk down
+    # that tree is the one-midpoint-a-count path bit for bit
+    for depth in _BISECT_DEPTHS:
+        los, his, mids = lo[None], hi[None], []
+        for _ in range(depth):
+            mids.append(0.5 * (los + his))
+            los, his = (np.stack(x, axis=1).reshape(-1, len(ks))
+                        for x in ((los, mids[-1]), (mids[-1], his)))
+        mids = np.concatenate(mids)
+        above, node = _count_below_many(p, mids) >= ks + 1, np.zeros_like(ks)
+        for _ in range(depth):
+            hi = np.where(above[node, ks], mids[node, ks], hi)
+            lo = np.where(above[node, ks], lo, mids[node, ks])
+            node = 2 * node + 2 - above[node, ks]
     z = 0.5 * (lo + hi)
     coarse = 0.5 * (hi - lo)
 
-    # Newton polish on u1(l; z) at full integration accuracy; the bracket from
-    # the count phase may be offset by the coarse-grid bias, so steps are
-    # safeguarded against the seed spacing instead of the bracket.
+    # Newton polish on u1(l; z), each step capped at the larger of a quarter
+    # of the seed spacing and 1e4 times the bisection bracket
     B = k_max + 1
     step_cap = np.maximum(spacing * 0.25, 1e4 * coarse)
     last_step = np.full(B, np.inf)

@@ -94,20 +94,6 @@ class Potential:
         idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(self.values) - 1)
         return self._values_arr[idx]
 
-    @cached_property
-    def uniform_cells(self) -> int | None:
-        """Number of equal sample cells for uniformly gridded sampled data.
-
-        RK4 steps aligned with the interpolation cells keep the integrand
-        smooth inside every step; None for non-sampled or non-uniform grids.
-        """
-        if self.kind != "sampled":
-            return None
-        dg = np.diff(self._grid_arr)
-        if np.max(np.abs(dg - dg[0])) > 1e-12 * self.l:
-            return None
-        return len(dg)
-
     def mean(self) -> float:
         """Cell average of V, used to seed eigenvalue asymptotics."""
         if self.is_piecewise:
@@ -226,5 +212,8 @@ def flux_from_field(f: FieldSample, l: float) -> float:
     for name, g in (("grid_x", f.grid_x), ("grid_y", f.grid_y)):
         if abs(g[0]) > 1e-9 * l or abs(g[-1] - l) > 1e-9 * l:
             raise ConfigError(f"field.{name} must span [0, l] = [0, {l}]")
-    integral = np.trapezoid(np.trapezoid(f.values, f.grid_y, axis=1), f.grid_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = np.trapezoid(np.trapezoid(f.values, f.grid_y, axis=1), f.grid_x)
+    if not np.isfinite(integral):
+        raise ConfigError("field.values integrate to a flux beyond the double range")
     return float(integral / (2.0 * np.pi))

@@ -46,5 +46,13 @@ def linear_pot():
 
 
 @pytest.fixture(scope="session")
+def linear65_pot():
+    # V(t) = t again, sampled at 65 nodes: 64 sample cells of 32 cells each
+    grid = np.linspace(0.0, L, 65)
+    return make_potential({"l": L, "potential": {
+        "kind": "sampled", "grid": list(grid), "values": list(grid)}})
+
+
+@pytest.fixture(scope="session")
 def free_coupling(free_pot):
     return CouplingParams(alpha=0.0, beta=1.0, potential=free_pot)

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,15 +156,29 @@ def test_theta_is_resolved_once_for_every_command(tmp_path, capsys, given):
     assert resolved == exact and exact[1].count("\n") == 6
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "butterfly", "dirichlet"])
 def test_field_of_infinite_flux_refused_by_every_command(tmp_path, capsys, command):
     # finite values whose flux integral overflows: the config resolves its
-    # flux, so every command refuses it, as it refuses a theta of inf
+    # flux, so every command refuses it, naming the field, with no numpy
+    # overflow warning (an error under this suite's warning filter)
     doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}
     doc["field"] = {"grid_x": [0, L], "grid_y": [0, L], "values": [[1e308] * 2] * 2}
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
-    assert capsys.readouterr().err == "config error: theta must be finite, got inf\n"
+    assert capsys.readouterr().err == (
+        "config error: field.values integrate to a flux beyond the double range\n")
+
+
+def test_field_overflow_prints_no_warning(tmp_path):
+    # a fresh interpreter keeps Python's default warning filters, under
+    # which numpy's overflow warning would reach stderr with a source line
+    doc = {k: v for k, v in FREE_CFG.items() if k != "theta"}
+    doc["field"] = {"grid_x": [0, L], "grid_y": [0, L], "values": [[1e308] * 2] * 2}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-m", "fluxlattice.cli", "spectrum", "--config",
+                          write_config(tmp_path, doc)], capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr == "config error: field.values integrate to a flux beyond the double range\n"
 
 
 def test_butterfly_counts_and_header(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import IntegrationOverflowError, dirichlet_eigenvalues, make_potential
+from fluxlattice import IntegrationOverflowError, dirichlet_eigenvalues, edge_solver, make_potential
 from fluxlattice.edge_solver import _basis_many, _count_below_many
 from oracles import fd_dirichlet, free_basis, linear_basis
 
@@ -65,14 +65,38 @@ def test_free_closed_forms_over_range(free_pot):
             assert g == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-def test_linear_rk4_against_airy(linear_pot):
-    # the sampled (RK4) path against an exact answer: V = t is represented
-    # exactly by two-node interpolation, so only the integration error shows.
-    # One z a call: the RK4 step count follows the batch's largest |z|
-    for z in np.linspace(-10.0, 120.0, 53):
-        got = basis_at(linear_pot, float(z))
-        for g, ref in zip(got, linear_basis(float(z))):
-            assert abs(g - ref) <= 1e-8 * max(1.0, abs(ref)), (z, g, ref)
+def test_linear_cells_against_airy(linear_pot):
+    # the sampled path against an exact answer: V = t is represented exactly
+    # by two-node interpolation, so only the error of the Magnus cells shows
+    zs = np.linspace(-10.0, 120.0, 53)
+    got = _basis_many(linear_pot, zs)
+    for i, z in enumerate(zs):
+        for g, ref in zip((x[i] for x in got), linear_basis(float(z))):
+            assert abs(g - ref) <= 1e-11 * max(1.0, abs(ref)), (z, g, ref)
+
+
+def test_sampled_basis_does_not_depend_on_batch(mathieu_pot):
+    # the cells are fixed by the potential, not by the batch's z
+    zs = np.linspace(-5.0, 1e4, 66)
+    batch = _basis_many(mathieu_pot, zs)
+    for i in range(len(zs)):
+        assert [x[i] for x in batch] == [x[0] for x in _basis_many(mathieu_pot, zs[i:i + 1])]
+
+
+@pytest.mark.parametrize("fixture", ["linear_pot", "linear65_pot", "mathieu_pot"])
+def test_dirichlet_prefix_does_not_depend_on_k_max(fixture, request):
+    p = request.getfixturevalue(fixture)
+    assert dirichlet_eigenvalues(p, 10).eigenvalues == dirichlet_eigenvalues(p, 15).eigenvalues[:11]
+
+
+@pytest.mark.parametrize("fixture", ["step_pot", "linear_pot"])
+def test_batched_bisection_takes_the_sequential_path(fixture, request, monkeypatch):
+    # every nested midpoint in one count call walks to the record that one
+    # midpoint a call gives
+    p = request.getfixturevalue(fixture)
+    batched = dirichlet_eigenvalues.__wrapped__(p, 15)
+    monkeypatch.setattr(edge_solver, "_BISECT_DEPTHS", (1,) * 26)
+    assert dirichlet_eigenvalues.__wrapped__(p, 15) == batched
 
 
 @pytest.mark.parametrize("fixture", ["free_pot", "const5_pot", "step_pot",

@@ -1,14 +1,18 @@
 """Compare the output of every CLI subcommand between two source trees.
 
-    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65] [--harper]
+    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65 mathieu] [--harper]
 
 OLD and NEW are checkouts of the repository (for example the parent commit,
 made with `git worktree add` or `git archive`).  Each tree runs the whole
 config grid in one worker process of its own, with PYTHONPATH at its `src`:
 
   * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
-    on request const5 (V = 5) and linear65 (V = t sampled at 65 nodes; about
-    15 minutes a tree on one core, against seconds for a piecewise edge);
+    on request const5 (V = 5) and the sampled edges linear65 (V = t at 65
+    nodes) and mathieu (V = 10 cos 2t at 4097 nodes, the edge of the
+    `spectrum-mathieu` benchmark workload).  A piecewise edge takes seconds
+    a tree; linear65 about 1 minute and mathieu about 1.5 minutes on one
+    core of a 2 vCPU machine (trees before the Magnus cells, with RK4:
+    about 15 minutes for linear65);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
   * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
@@ -64,6 +68,7 @@ import numpy as np
 
 L = float(np.pi)
 LINEAR65 = np.linspace(0.0, L, 65)
+MATHIEU = np.linspace(0.0, L, 4097)
 EDGES = {
     "free": {"kind": "zero"},
     "step": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
@@ -71,6 +76,8 @@ EDGES = {
     "const5": {"kind": "constant", "c": 5.0},
     "linear65": {"kind": "sampled", "grid": LINEAR65.tolist(),
                  "values": LINEAR65.tolist()},
+    "mathieu": {"kind": "sampled", "grid": MATHIEU.tolist(),
+                "values": (10.0 * np.cos(2.0 * MATHIEU)).tolist()},
 }
 ALPHAS = (1.0, 0.0, -1.5, -15.0)
 BETAS = (0.5, 1.0, 1.3)
