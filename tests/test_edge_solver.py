@@ -83,6 +83,22 @@ def test_sampled_basis_does_not_depend_on_batch(mathieu_pot):
         assert [x[i] for x in batch] == [x[0] for x in _basis_many(mathieu_pot, zs[i:i + 1])]
 
 
+def test_blocked_product_matches_a_walk_over_the_cells():
+    # 3001 sample cells fill 46 blocks of 64 and part of a 47th; the blocked
+    # product against the walk over the same cells, one at a time
+    grid = np.linspace(0.0, L, 3002)
+    p = make_potential({"l": L, "potential": {
+        "kind": "sampled", "grid": list(grid), "values": list(5.0 * np.sin(3.0 * grid))}})
+    zs = np.array([-20.0, 0.5, 7.0, 300.0])
+    u, du = np.stack([np.zeros_like(zs), np.ones_like(zs)]), np.stack([np.ones_like(zs), np.zeros_like(zs)])
+    for vbar, e, h in zip(*edge_solver._cells(p)):
+        w = np.sqrt(zs - vbar - e * e + 0j)
+        C, S = np.cos(w * h).real, (np.sin(w * h) / w).real
+        u, du = (C + e * S) * u + S * du, (C - e * S) * du - (zs - vbar) * S * u
+    for got, ref in zip(_basis_many(p, zs), (u[0], du[0], u[1], du[1])):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 @pytest.mark.parametrize("fixture", ["linear_pot", "linear65_pot", "mathieu_pot"])
 def test_dirichlet_prefix_does_not_depend_on_k_max(fixture, request):
     p = request.getfixturevalue(fixture)
