@@ -30,14 +30,12 @@ inversion are batched only (`eta_many`, `invert_eta_many`).
 
 Every window edge, the floor of the spectrum included, comes from one
 function, `_window_edges`, and every root here (window centres, window
-edges, inversions) from one bracketed solver, `_solve_batch`:
-Anderson-Bjorck regula falsi (BIT 13 (1973) 253), superlinear without eta',
-with bisection as the safeguard, ending each root with a sign change inside
-a bracket at most EDGE_TOL_Z wide.  The solver
-never evaluates its bracket ends: their values are known to the caller (eta
-at mu_k from the record, at the anchor below window 0 from its search, 0 at a
-window centre, -+2(1+beta^2) at a window's full edges), or NaN on the
-threshold, where only their sign would be needed and rounding decides it.
+edges, inversions) from the bracketed solver of the Dirichlet eigenvalues,
+`edge_solver._solve_batch`, which takes the values at its bracket ends from
+the caller: eta at mu_k from the record, at the anchor below window 0 from
+its search, 0 at a window centre, -+2(1+beta^2) at a window's full edges, or
+NaN on the threshold, where only their sign would be needed and rounding
+decides it.
 """
 
 from __future__ import annotations
@@ -47,12 +45,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .edge_solver import (_basis_many, _count_below_many, dirichlet_eigenvalues,
-                          round_up_index)
+from .edge_solver import (EDGE_TOL_Z, _basis_many, _count_below_many, _solve_batch,
+                          dirichlet_eigenvalues, round_up_index)
 from .errors import ConfigError, ConsistencyError, DomainError, NumericalError
 from .potential import Potential
 
-EDGE_TOL_Z = 1e-10      # width of the bracket certifying each root, absolute in z
 THRESHOLD_RTOL = 1e-8   # |eta| within this fraction above 2(1+beta^2) is on it,
                         # and M_12 at mu_k this small relative to its terms is 0
 EDGE_TARGET_RTOL = 1e-13  # an inversion target this close to -+threshold is an edge
@@ -138,102 +135,6 @@ def escapes_threshold(c: CouplingParams, y):
     """Elementwise |y| - 2(1+beta^2) > THRESHOLD_RTOL * 2(1+beta^2): y lies off
     the threshold by more than rounding."""
     return np.abs(y) - c.threshold > THRESHOLD_RTOL * c.threshold
-
-
-def _solve_batch(g, lo, hi, g_lo, g_hi):
-    """Vectorized bracketed root finder for g(z) = 0, one bracket per lane.
-
-    Brackets require lo < hi and one sign change inside; g_lo and g_hi are
-    g at the bracket ends, which the caller already holds, so g is never
-    evaluated there.  An end value may be NaN when its sign is unknown (a
-    value on the threshold, whose sign is rounding); the other end then sets
-    the orientation.  g(z, lanes) maps points z of the lanes `lanes` (an
-    index array) to values.  Each step is an Anderson-Bjorck regula falsi
-    step; a lane bisects when its bracket has not halved in three steps or an
-    endpoint value is NaN or contradicts the bracket's signs.  When a lane's
-    next point x lies within EDGE_TOL_Z/2 of its last one, g is also taken
-    at x -+ EDGE_TOL_Z/2 in the same call: a sign change among the three ends
-    the lane at the one of smallest |g|, three equal signs narrow the bracket
-    past them.  A lane whose bracket is at most EDGE_TOL_Z wide, or whose two
-    ends are adjacent doubles (|z| >= 2^19, where one ulp exceeds
-    EDGE_TOL_Z), ends at its endpoint of smaller |g|.  Every root thus comes
-    with a sign change inside a bracket at most max(EDGE_TOL_Z, one ulp) wide.
-    """
-    half = 0.5 * EDGE_TOL_Z
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    n = a.size
-    g_lo, g_hi = np.asarray(g_lo, dtype=float), np.asarray(g_hi, dtype=float)
-    s = np.where((g_lo > 0) | (g_hi < 0), 1.0, -1.0)  # oriented: > 0 at a, < 0 at b
-    fa = np.where(s * g_lo > 0, s * g_lo, np.nan)  # NaN: unknown or contradicts
-    fb = np.where(s * g_hi < 0, s * g_hi, np.nan)
-    lane = np.arange(n)
-    x = np.empty(n)
-    side = np.zeros(n, dtype=int)  # end the last step replaced: -1 a, +1 b
-    stall = np.zeros(n, dtype=int)
-    ref = b - a                    # width when the bracket last halved
-    done = np.zeros(n, dtype=bool)
-    for _ in range(300):
-        narrow = ~done & ((b - a <= EDGE_TOL_Z) | (np.nextafter(a, b) >= b))
-        if np.any(narrow):
-            ga = np.where(np.isnan(fa), np.inf, np.abs(fa))
-            gb = np.where(np.isnan(fb), np.inf, np.abs(fb))
-            end = np.where(gb < ga, b, np.where(ga < np.inf, a, 0.5 * (a + b)))
-            x[lane[narrow]] = end[narrow]
-            done |= narrow
-        if np.any(done):
-            lane, s, a, b, fa, fb, side, stall, ref = (
-                v[~done] for v in (lane, s, a, b, fa, fb, side, stall, ref))
-        if not lane.size:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = b - fb * (b - a) / (fb - fa)
-        # a secant step that rounds onto its last point is ready, not stuck
-        ready = (side != 0) & (c >= a) & (c <= b) & (
-            np.abs(c - np.where(side > 0, b, a)) <= half)
-        bis = ~ready & (~((c > a) & (c < b)) | (stall >= 3))  # NaN secant: bisect
-        c = np.where(bis, 0.5 * (a + b), c)
-        r = np.flatnonzero(ready)
-        if r.size:
-            c_lo, c_hi = np.maximum(c[r] - half, a[r]), np.minimum(c[r] + half, b[r])
-            at = np.concatenate((np.arange(lane.size), r, r))
-            f = s[at] * g(np.concatenate((c, c_lo, c_hi)), lane[at])
-            f_lo, f_hi = f[lane.size:lane.size + r.size], f[lane.size + r.size:]
-        else:
-            f = s * g(c, lane)
-        fc = f[:lane.size]
-        # Anderson-Bjorck: when c replaces the same end as the last step did,
-        # the kept end's value is scaled by m = 1 - f(c)/f(replaced end), or
-        # by 1/2 when that is not positive
-        up = fc > 0  # c replaces a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = 1.0 - fc / np.where(up, fa, fb)
-        repeat = (side == np.where(up, -1, 1)) & ~bis
-        m = np.where(repeat, np.where(m > 0, m, 0.5), 1.0)
-        a, fa = np.where(up, c, a), np.where(up, fc, m * fa)
-        b, fb = np.where(up, b, c), np.where(up, m * fb, fc)
-        side = np.where(up, -1, 1)
-        done = fc == 0.0
-        x[lane[done]] = c[done]
-        if r.size:
-            above = (f_lo > 0) & (fc[r] > 0) & (f_hi > 0)  # root above all three
-            below = (f_lo < 0) & (fc[r] < 0) & (f_hi < 0)
-            sure = ~(above | below)
-            p3 = np.stack((c[r], c_lo, c_hi))
-            f3 = np.abs(np.stack((fc[r], f_lo, f_hi)))
-            best = p3[np.argmin(f3, axis=0), np.arange(r.size)]  # ties keep c
-            x[lane[r[sure]]] = best[sure]
-            done[r[sure]] = True
-            a[r[above]], fa[r[above]] = c_hi[above], f_hi[above]
-            b[r[below]], fb[r[below]] = c_lo[below], f_lo[below]
-            side[r] = 0
-        width = b - a
-        halved = width <= 0.5 * ref
-        ref = np.where(halved, width, ref)
-        stall = np.where(halved, 0, stall + 1)
-    else:  # iteration cap: the lanes left end at their brackets' midpoints
-        x[lane[~done]] = 0.5 * (a + b)[~done]
-    return x
 
 
 def require_range(z_min: float | None, z_max: float) -> None:

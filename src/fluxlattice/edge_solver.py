@@ -26,6 +26,15 @@ piecewise-constant potential is one cell per segment; a sampled potential is
 max(sample cells, 2048) cells, fixed by the potential, never by z, so no
 number depends on the batch.  The basis and the Pruefer count both read the
 cell products of `_propagate`, vectorized over a batch of z values.
+
+The Dirichlet eigenvalues here and every root of eta in `discriminant`
+(window centres, window edges, inversions) come from one bracketed solver,
+`_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973) 253),
+superlinear without a derivative, with bisection as the safeguard, ending
+each root with a sign change inside a bracket at most EDGE_TOL_Z wide.  The
+solver never evaluates its bracket ends: the caller passes their values,
+which it already holds, or NaN where only their sign would be needed and
+rounding decides it.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from .potential import Potential
 _MIN_CELLS = 2048   # cells of a sampled potential with fewer sample cells
 _BLOCK = 64         # cells per block of the product in `_propagate`
 _CHUNK = 1 << 18    # cells x z values per chunk of a batch
-_BISECT_DEPTHS = (5, 5, 5, 5, 6)  # count-bisection steps per batched count
+EDGE_TOL_Z = 1e-10  # width of the bracket certifying each root, absolute in z
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,12 @@ class DirichletSpectrum:
     and two endpoint values at each: nu_k = u1'(l; mu_k) + u2(l; mu_k), so
     that eta(mu_k) = (1+beta^2) nu_k (the alpha term drops since u1(l; mu_k)
     = 0), and u2'(l; mu_k).  Where |nu_k| = 2, u1' = u2 = nu_k / 2 by the
-    Wronskian, so with u1 = 0 they fix the edge's transfer matrix at mu_k."""
+    Wronskian, so with u1 = 0 they fix the edge's transfer matrix at mu_k.
+    tolerances holds each mu_k's error estimate: the size of the final
+    long-double Newton step, floored at eps * max(1, |mu_k|)."""
 
     eigenvalues: tuple[float, ...]
-    tolerances: tuple[float, ...]  # achieved per-eigenvalue error estimates
+    tolerances: tuple[float, ...]
     nus: tuple[float, ...]
     du2s: tuple[float, ...]
 
@@ -118,24 +129,30 @@ def _chunked(kernel, p: Potential, z: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + z.shape)
 
 
-# overflow far below the spectrum is reported by the isfinite guard, not as warnings
+# overflow far below the spectrum is reported by `_finite`, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _basis_many(p: Potential, z: np.ndarray):
     """Vectorized endpoint values: (u1, du1, u2, du2) arrays of z.shape, in
     double, or in long double for a long double z."""
     z = np.asarray(z)
     z = z.astype(np.promote_types(z.dtype, float), copy=False)
-    a, b, c, d = ends = _chunked(
-        lambda p, part: np.stack([x[-1] for x in _propagate(p, part)[0]]), p, z)
-    if not np.all(np.isfinite(ends)):
+    a, b, c, d = _chunked(
+        lambda p, part: _finite(p, np.stack([x[-1] for x in _propagate(p, part)[0]])), p, z)
+    return b, d, a, c
+
+
+def _finite(p: Potential, x: np.ndarray) -> np.ndarray:
+    """x, or IntegrationOverflowError if any of it is not finite."""
+    if not np.all(np.isfinite(x)):
         raise IntegrationOverflowError(
             "edge propagation overflowed (z too far below the spectrum for "
             f"l={p.l}); rescale the scan range")
-    return b, d, a, c
+    return x
 
 
 def _count_chunk(p: Potential, z: np.ndarray) -> np.ndarray:
     (_, u, _, du), (w2, e, h) = _propagate(p, z)
+    u, du = _finite(p, u), _finite(p, du)
     u = np.concatenate([np.zeros((1, len(z))), u])   # u1 at t=0 and every cell end
     du = np.concatenate([np.ones((1, len(z))), du])
     sign = np.sign(u)
@@ -151,6 +168,7 @@ def _count_chunk(p: Potential, z: np.ndarray) -> np.ndarray:
     return zeros.sum(axis=0) - (u[-1] == 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     """Number of Dirichlet eigenvalues below each z (Pruefer oscillation count).
 
@@ -166,32 +184,134 @@ def _count_below_many(p: Potential, z: np.ndarray) -> np.ndarray:
     return _chunked(_count_chunk, p, np.asarray(z, dtype=float))
 
 
+def _solve_batch(g, lo, hi, g_lo, g_hi):
+    """Vectorized bracketed root finder for g(z) = 0, one bracket per lane.
+
+    Brackets require lo < hi and one sign change inside; g_lo and g_hi are
+    g at the bracket ends, which the caller already holds, so g is never
+    evaluated there.  An end value may be NaN when its sign is unknown (a
+    value on the threshold, whose sign is rounding); the other end then sets
+    the orientation.  g(z, lanes) maps points z of the lanes `lanes` (an
+    index array) to values.  Each step is an Anderson-Bjorck regula falsi
+    step; a lane bisects when its bracket has not halved in three steps or an
+    endpoint value is NaN or contradicts the bracket's signs.  When a lane's
+    next point x lies within EDGE_TOL_Z/2 of its last one, g is also taken
+    at x -+ EDGE_TOL_Z/2 in the same call: a sign change among the three ends
+    the lane at the one of smallest |g|, three equal signs narrow the bracket
+    past them.  A lane whose bracket is at most EDGE_TOL_Z wide, or whose two
+    ends are adjacent doubles (|z| >= 2^19, where one ulp exceeds
+    EDGE_TOL_Z), ends at its endpoint of smaller |g|.  Every root thus comes
+    with a sign change inside a bracket at most max(EDGE_TOL_Z, one ulp) wide.
+    """
+    half = 0.5 * EDGE_TOL_Z
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    n = a.size
+    g_lo, g_hi = np.asarray(g_lo, dtype=float), np.asarray(g_hi, dtype=float)
+    s = np.where((g_lo > 0) | (g_hi < 0), 1.0, -1.0)  # oriented: > 0 at a, < 0 at b
+    fa = np.where(s * g_lo > 0, s * g_lo, np.nan)  # NaN: unknown or contradicts
+    fb = np.where(s * g_hi < 0, s * g_hi, np.nan)
+    lane = np.arange(n)
+    x = np.empty(n)
+    side = np.zeros(n, dtype=int)  # end the last step replaced: -1 a, +1 b
+    stall = np.zeros(n, dtype=int)
+    ref = b - a                    # width when the bracket last halved
+    done = np.zeros(n, dtype=bool)
+    for _ in range(300):
+        narrow = ~done & ((b - a <= EDGE_TOL_Z) | (np.nextafter(a, b) >= b))
+        if np.any(narrow):
+            ga = np.where(np.isnan(fa), np.inf, np.abs(fa))
+            gb = np.where(np.isnan(fb), np.inf, np.abs(fb))
+            end = np.where(gb < ga, b, np.where(ga < np.inf, a, 0.5 * (a + b)))
+            x[lane[narrow]] = end[narrow]
+            done |= narrow
+        if np.any(done):
+            lane, s, a, b, fa, fb, side, stall, ref = (
+                v[~done] for v in (lane, s, a, b, fa, fb, side, stall, ref))
+        if not lane.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        # a secant step that rounds onto its last point is ready, not stuck
+        ready = (side != 0) & (c >= a) & (c <= b) & (
+            np.abs(c - np.where(side > 0, b, a)) <= half)
+        bis = ~ready & (~((c > a) & (c < b)) | (stall >= 3))  # NaN secant: bisect
+        c = np.where(bis, 0.5 * (a + b), c)
+        r = np.flatnonzero(ready)
+        if r.size:
+            c_lo, c_hi = np.maximum(c[r] - half, a[r]), np.minimum(c[r] + half, b[r])
+            at = np.concatenate((np.arange(lane.size), r, r))
+            f = s[at] * g(np.concatenate((c, c_lo, c_hi)), lane[at])
+            f_lo, f_hi = f[lane.size:lane.size + r.size], f[lane.size + r.size:]
+        else:
+            f = s * g(c, lane)
+        fc = f[:lane.size]
+        # Anderson-Bjorck: when c replaces the same end as the last step did,
+        # the kept end's value is scaled by m = 1 - f(c)/f(replaced end), or
+        # by 1/2 when that is not positive
+        up = fc > 0  # c replaces a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fc / np.where(up, fa, fb)
+        repeat = (side == np.where(up, -1, 1)) & ~bis
+        m = np.where(repeat, np.where(m > 0, m, 0.5), 1.0)
+        a, fa = np.where(up, c, a), np.where(up, fc, m * fa)
+        b, fb = np.where(up, b, c), np.where(up, m * fb, fc)
+        side = np.where(up, -1, 1)
+        done = fc == 0.0
+        x[lane[done]] = c[done]
+        if r.size:
+            above = (f_lo > 0) & (fc[r] > 0) & (f_hi > 0)  # root above all three
+            below = (f_lo < 0) & (fc[r] < 0) & (f_hi < 0)
+            sure = ~(above | below)
+            p3 = np.stack((c[r], c_lo, c_hi))
+            f3 = np.abs(np.stack((fc[r], f_lo, f_hi)))
+            best = p3[np.argmin(f3, axis=0), np.arange(r.size)]  # ties keep c
+            x[lane[r[sure]]] = best[sure]
+            done[r[sure]] = True
+            a[r[above]], fa[r[above]] = c_hi[above], f_hi[above]
+            b[r[below]], fb[r[below]] = c_lo[below], f_lo[below]
+            side[r] = 0
+        width = b - a
+        halved = width <= 0.5 * ref
+        ref = np.where(halved, width, ref)
+        stall = np.where(halved, 0, stall + 1)
+    else:  # iteration cap: the lanes left end at their brackets' midpoints
+        x[lane[~done]] = 0.5 * (a + b)[~done]
+    return x
+
+
 @lru_cache(maxsize=64)
 def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     """First k_max+1 zeros of z -> u1(l; z).
 
-    Isolation by the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
-    mean(V); bisection on the count pins each root down, a safeguarded Newton
-    iteration on u1(l; z) polishes it, one last Newton step with u1(l; z) in
-    long double rounds it to the nearest double, and a central difference of
-    u1(l; .) verifies simplicity.  One more batched propagation at the final mu_k
+    Brackets from the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
+    mean(V) and never below inf V, under which no mu_k lies; bisection on
+    the count, one midpoint a call, until each bracket holds mu_k alone
+    (count k at its lower end, k+1 at its upper end); then `_solve_batch` on
+    u1(l; .) in every bracket at once, from the end values of one batched
+    propagation.  In double, u1(l; .) is known to a few
+    ulps of z only, so the solver's last bits follow its path (mu_0 of the
+    free edge: 1.0 from below, 1.0 + 1 ulp from above); one Newton step with
+    u1(l; z) in long double ends on the double nearest the root of the
+    computed u1(l; .).  Its slope, a central difference of u1(l; .), also
+    verifies simplicity.  One more batched propagation at the final mu_k
     gives nu_k and u2'(l; mu_k).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     ks = np.arange(k_max + 1)
-    vbar = p.mean()
     spacing = (np.pi / p.l) ** 2
-    seeds = ((ks + 1) * np.pi / p.l) ** 2 + vbar
+    seeds = ((ks + 1) * np.pi / p.l) ** 2 + p.mean()
     width = np.maximum(1.5 * spacing * (ks + 1), 2.0 * spacing)
-    lo, hi = seeds - width, seeds + width
+    floor = p.infimum()
+    lo, hi = np.maximum(seeds - width, floor), seeds + width
     for attempt in range(64):
         c_lo, c_hi = _count_below_many(p, np.stack([lo, hi]))
         bad_lo = c_lo > ks
         bad_hi = c_hi < ks + 1
         if not (np.any(bad_lo) or np.any(bad_hi)):
             break
-        lo = np.where(bad_lo, lo - width, lo)
+        lo = np.where(bad_lo, np.maximum(lo - width, floor), lo)
         hi = np.where(bad_hi, hi + width, hi)
         width = width * 2.0
     else:
@@ -200,56 +320,34 @@ def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
             f"could not bracket mu_{k_bad} from asymptotic seed {seeds[k_bad]:.6g}",
             (float(lo[k_bad]), float(hi[k_bad])))
 
-    # bisection on the count predicate [count(z) >= k+1] converges to mu_k.
-    # One count takes every midpoint the next `depth` steps could visit, in
-    # heap order (the halves of node i are 2i+1 and 2i+2), and the walk down
-    # that tree is the one-midpoint-a-count path bit for bit
-    for depth in _BISECT_DEPTHS:
-        los, his, mids = lo[None], hi[None], []
-        for _ in range(depth):
-            mids.append(0.5 * (los + his))
-            los, his = (np.stack(x, axis=1).reshape(-1, len(ks))
-                        for x in ((los, mids[-1]), (mids[-1], his)))
-        mids = np.concatenate(mids)
-        above, node = _count_below_many(p, mids) >= ks + 1, np.zeros_like(ks)
-        for _ in range(depth):
-            hi = np.where(above[node, ks], mids[node, ks], hi)
-            lo = np.where(above[node, ks], lo, mids[node, ks])
-            node = 2 * node + 2 - above[node, ks]
-    z = 0.5 * (lo + hi)
-    coarse = 0.5 * (hi - lo)
+    # bisection on the count predicate [count(z) >= k+1], every bracket at
+    # once, until each isolates its mu_k
+    while np.any(loose := (c_lo < ks) | (c_hi > ks + 1)):
+        mid = 0.5 * (lo + hi)
+        if np.any(loose & ((mid <= lo) | (mid >= hi))):
+            raise ConsistencyError("Dirichlet eigenvalues not strictly increasing")
+        c_mid = _count_below_many(p, mid)
+        up = c_mid >= ks + 1
+        lo, c_lo = np.where(up, lo, mid), np.where(up, c_lo, c_mid)
+        hi, c_hi = np.where(up, mid, hi), np.where(up, c_mid, c_hi)
 
-    # Newton polish on u1(l; z), each step capped at the larger of a quarter
-    # of the seed spacing and 1e4 times the bisection bracket
-    B = k_max + 1
-    step_cap = np.maximum(spacing * 0.25, 1e4 * coarse)
-    last_step = np.full(B, np.inf)
-    slope = np.ones(B)
-    for _ in range(8):
-        dz = 1e-7 * np.maximum(1.0, np.abs(z))
-        vals = _basis_many(p, np.concatenate([z, z + dz, z - dz]))[0]
-        f, fp, fm = vals[:B], vals[B:2 * B], vals[2 * B:]
-        slope = (fp - fm) / (2.0 * dz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope != 0.0, f / slope, 0.0)
-        step = np.clip(step, -step_cap, step_cap)
-        z = z - step
-        last_step = np.abs(step)
-        if np.all(last_step <= 1e-10 * np.maximum(1.0, np.abs(z))):
-            break
-    # In double, u1(l; .) is known to a few ulps of z only, so Newton's last
-    # bits follow its start (mu_0 of the free edge: 1.0 from below, 1.0 + 1 ulp
-    # from above); one more step in long double ends on the nearest double.
-    f = _basis_many(p, z.astype(np.longdouble))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(slope != 0.0, f / slope, 0.0)
-    z = (z - np.clip(step, -step_cap, step_cap)).astype(float)
-
+    z = _solve_batch(lambda zz, _: _basis_many(p, zz)[0], lo, hi,
+                     *_basis_many(p, np.stack([lo, hi]))[0])
+    dz = 1e-7 * np.maximum(1.0, np.abs(z))
+    u_up, u_down = _basis_many(p, np.stack([z + dz, z - dz]))[0]
+    slope = (u_up - u_down) / (2.0 * dz)
     if np.any(np.abs(slope) * np.maximum(1.0, np.abs(z)) < 1e-13):
         raise ConsistencyError("a Dirichlet root failed the simplicity check")
+    # the solver leaves z within max(EDGE_TOL_Z, 1 ulp) of a sign change of
+    # double u1(l; .), which can be flat over more than 5 ulps of z (free
+    # edge, mu_1418); the cap only stops a step thrown by a poor slope
+    cap = np.maximum(EDGE_TOL_Z, 1e-12 * np.abs(z))
+    step = np.clip(_basis_many(p, z.astype(np.longdouble))[0] / slope, -cap, cap)
+    z = (z - step).astype(float)
     if np.any(np.diff(z) <= 0):
         raise ConsistencyError("Dirichlet eigenvalues not strictly increasing")
-    achieved = np.maximum(last_step, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
+    achieved = np.maximum(np.abs(step).astype(float),
+                          np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
     _, du1, u2, du2 = _basis_many(p, z)
     return DirichletSpectrum(tuple(float(v) for v in z),
                              tuple(float(v) for v in achieved),

@@ -181,6 +181,23 @@ def test_field_overflow_prints_no_warning(tmp_path):
     assert run.stderr == "config error: field.values integrate to a flux beyond the double range\n"
 
 
+@pytest.mark.parametrize("depth, code", [(-5e4, 0), (-1e6, 3)])
+def test_dirichlet_deep_well_prints_no_warning(tmp_path, depth, code):
+    # V = depth on [0, 1], 0 on [1, pi]: at -1e6 the solution beside the well
+    # overflows at mu_0 itself, which is a typed numerical failure
+    doc = {"l": L, "potential": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0, L],
+                                 "values": [depth, 0.0]}, "alpha": 0.0, "beta": 1.0, "k_max": 3}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-m", "fluxlattice.cli", "dirichlet", "--config",
+                          write_config(tmp_path, doc)], capture_output=True, text=True, env=env)
+    assert run.returncode == code
+    assert "RuntimeWarning" not in run.stderr
+    if code:
+        assert run.stderr.startswith("numerical failure: edge propagation overflowed")
+    else:
+        assert run.stderr == ""
+
+
 def test_butterfly_counts_and_header(tmp_path):
     cfg = write_config(tmp_path, {**FREE_CFG, "q_max": 5, "z_max": 4.0})
     out = str(tmp_path / "b.csv")

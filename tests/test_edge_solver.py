@@ -105,14 +105,33 @@ def test_dirichlet_prefix_does_not_depend_on_k_max(fixture, request):
     assert dirichlet_eigenvalues(p, 10).eigenvalues == dirichlet_eigenvalues(p, 15).eigenvalues[:11]
 
 
-@pytest.mark.parametrize("fixture", ["step_pot", "linear_pot"])
-def test_batched_bisection_takes_the_sequential_path(fixture, request, monkeypatch):
-    # every nested midpoint in one count call walks to the record that one
-    # midpoint a call gives
+@pytest.mark.parametrize("fixture", ["free_pot", "step_pot", "linear65_pot", "mathieu_pot"])
+def test_dirichlet_counts_only_to_isolate(fixture, request, monkeypatch):
+    # the count brackets and isolates each mu_k; the root itself is the
+    # solver's, so the count sees a few points per mu_k, not a bisection's 26
     p = request.getfixturevalue(fixture)
-    batched = dirichlet_eigenvalues.__wrapped__(p, 15)
-    monkeypatch.setattr(edge_solver, "_BISECT_DEPTHS", (1,) * 26)
-    assert dirichlet_eigenvalues.__wrapped__(p, 15) == batched
+    points = []
+
+    def counted(p, z):
+        points.append(np.size(z))
+        return _count_below_many(p, z)
+
+    monkeypatch.setattr(edge_solver, "_count_below_many", counted)
+    dirichlet_eigenvalues.__wrapped__(p, 15)
+    assert sum(points) <= 16 * 16
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dirichlet_deep_well_stays_above_the_infimum():
+    # V = -5e4 on [0, 1], 0 on [1, pi]: every mu_k lies in the well, where a
+    # bracket reaching below inf V would propagate far below the spectrum
+    p = make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": [0.0, 1.0, L], "values": [-5e4, 0.0]}})
+    mus = dirichlet_eigenvalues.__wrapped__(p, 3).eigenvalues
+    # the well's levels, (k+1)^2 pi^2 above its floor but for the barrier's leak
+    assert np.allclose(mus, [-49990.21808619983, -49960.87237889544,
+                             -49911.96298046487, -49843.49006183757], rtol=0, atol=1e-8)
+
 
 
 @pytest.mark.parametrize("fixture", ["free_pot", "const5_pot", "step_pot",
@@ -139,6 +158,12 @@ def test_overflow_guard(free_pot):
         _basis_many(free_pot, np.asarray([-1e7]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_count_overflow_guard(free_pot):
+    with pytest.raises(IntegrationOverflowError, match="rescale"):
+        _count_below_many(free_pot, np.asarray([-1e7]))
+
+
 def test_dirichlet_free(free_pot):
     spec = dirichlet_eigenvalues(free_pot, 2)
     assert np.allclose(spec.eigenvalues, [1.0, 4.0, 9.0], atol=1e-10)
@@ -162,6 +187,25 @@ def test_dirichlet_one_segment_correctly_rounded(c, l):
     exact = [float(Fraction(c) + ((k + 1) * pi / Fraction(l)) ** 2) for k in range(13)]
     p = make_potential({"l": l, "potential": {"kind": "constant", "c": c}})
     assert dirichlet_eigenvalues(p, 12).eigenvalues == tuple(exact)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than double on this platform")
+@settings(max_examples=40)
+@given(l=st.sampled_from([0.7, L, 5.0]),
+       cuts=st.lists(st.floats(0.02, 0.98), min_size=0, max_size=4, unique=True),
+       values=st.lists(st.floats(-60.0, 60.0), min_size=5, max_size=5),
+       k_max=st.integers(0, 31))
+def test_dirichlet_piecewise_on_a_long_double_sign_change(l, cuts, values, k_max):
+    # every mu_k lies within 2 eps max(1, |mu_k|) of a sign change of u1(l; .)
+    # computed in long double, on edges of up to five segments
+    bp = [0.0, *(l * c for c in sorted(cuts)), l]
+    p = make_potential({"l": l, "potential": {
+        "kind": "piecewise_constant", "breakpoints": bp, "values": values[:len(bp) - 1]}})
+    mus = np.asarray(dirichlet_eigenvalues.__wrapped__(p, k_max).eigenvalues, dtype=np.longdouble)
+    reach = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(mus))
+    below, above = _basis_many(p, np.stack([mus - reach, mus + reach]))[0]
+    assert np.all(np.sign(below) * np.sign(above) <= 0)
 
 
 def test_dirichlet_mathieu_vs_fd_oracle(mathieu_pot):

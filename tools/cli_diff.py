@@ -9,10 +9,10 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
   * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
     on request const5 (V = 5) and the sampled edges linear65 (V = t at 65
     nodes) and mathieu (V = 10 cos 2t at 4097 nodes, the edge of the
-    `spectrum-mathieu` benchmark workload).  A piecewise edge takes seconds
-    a tree; linear65 about 1 minute and mathieu about 1.5 minutes on one
-    core of a 2 vCPU machine (trees before the Magnus cells, with RK4:
-    about 15 minutes for linear65);
+    `spectrum-mathieu` benchmark workload).  On one core of a 2 vCPU
+    machine a piecewise edge takes about 2 s a tree, linear65 about 1
+    minute and mathieu about 2 minutes (trees with RK4 cells took about 15
+    minutes for linear65);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
   * (z_min, z_max) in {(default, 10), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1)};
   * `spectrum` at theta 0/1, 1/3, 2/5, 1/2, 3/5 (the mirror of 2/5, whose
@@ -26,8 +26,9 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     `spectrum` at theta 1/3 and `butterfly` at q_max 5 over [z_min, 10],
     with z_min (DEEP_Z_MIN) at least 50 below the default floor, so a
     window 0 that moved with z_min shows as a diff;
-  * `dirichlet` once per edge (it reads neither alpha, beta nor the range),
-    in json and in csv, with k_max 10;
+  * `dirichlet` per edge (it reads neither alpha, beta nor the range), in
+    json and in csv, with k_max 10, and also 63 and 255 on the piecewise
+    edges and 15 on the sampled ones;
   * per edge, at alpha 1 and beta 1.3, every subcommand under the rows of
     FLAG_RUNS: --format and --out with config q_max 3 or the default, the
     refused `spectrum --format csv`, `validate --format` and config q_max 0,
@@ -40,7 +41,7 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     a 5 x 5 grid, whose flux l^2 / (2 pi) = pi/2 resolves to 11/7;
   * on request (--harper) also `harper` at every Farey flux p/q in [0, 1]
     with q <= 50 and beta in {0.5, 1, 1.3, 2} (3100 configs; with them the
-    free and step grid takes about 40 s a tree).
+    free and step grid takes about 15-18 s a tree).
 
 A run's text is its exit code, stdout, stderr and the text of the file
 that --out (or config out) names, if any.  Each config prints one line:
@@ -85,6 +86,10 @@ RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
 THETAS = ("0/1", "1/3", "2/5", "1/2", "3/5")
 VALIDATE_THETAS = ("1/3", "2/5")
 K_MAX = 10
+# more dirichlet k_max per edge, beside K_MAX: deep on the piecewise edges,
+# where a solve takes milliseconds, one more bucket on the sampled ones
+DIRICHLET_K_MAX = {"free": (63, 255), "step": (63, 255), "const5": (63, 255),
+                   "linear65": (15,), "mathieu": (15,)}
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
@@ -152,10 +157,11 @@ def grid(edges, harper):
         yield (f"butterfly {label} q_max={Q_MAX}", ["butterfly"],
                {**doc, "theta": "0/1", "q_max": Q_MAX})
     for edge, fmt in itertools.product(edges, ("json", "csv")):
-        # dirichlet reads no theta either; older trees demand one all the same
-        yield (f"dirichlet {edge} k_max={K_MAX} format={fmt}", ["dirichlet", "--format", fmt],
-               {"l": L, "potential": EDGES[edge], "alpha": 0.0, "beta": 1.0,
-                "theta": "0/1", "k_max": K_MAX})
+        for k_max in (K_MAX, *DIRICHLET_K_MAX[edge]):
+            # dirichlet reads no theta either; older trees demand one all the same
+            yield (f"dirichlet {edge} k_max={k_max} format={fmt}", ["dirichlet", "--format", fmt],
+                   {"l": L, "potential": EDGES[edge], "alpha": 0.0, "beta": 1.0,
+                    "theta": "0/1", "k_max": k_max})
     commands = ("spectrum", "butterfly", "dirichlet", "harper", "validate")
     for edge, command, (flags, extra) in itertools.product(edges, commands, FLAG_RUNS):
         doc = {"l": L, "potential": EDGES[edge], "alpha": 1.0, "beta": 1.3,
