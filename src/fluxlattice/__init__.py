@@ -27,8 +27,8 @@ from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
 from .discriminant import (BandWindow, CouplingParams, band_windows, eta_on_pole,
                            invert_eta_many)
 from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
-from .errors import (BracketingError, ConfigError, ConsistencyError, DomainError,
-                     IntegrationOverflowError, NumericalError, TorusSizeError)
+from .errors import (ConfigError, ConsistencyError, DomainError, IntegrationOverflowError,
+                     NumericalError, TorusSizeError)
 from .harper import (HarperBands, RationalFlux, approximate_irrational,
                      best_convergent, chambers_defect, harper_spectrum,
                      make_rational, resolve_flux, torus_oracle)

@@ -2,6 +2,9 @@
 
 Subcommands: spectrum (JSON SpectralSet), butterfly (CSV sweep table),
 dirichlet (mu_k list), harper (band intervals), validate (cross-check suite).
+dirichlet prints each mu_k with a tolerance, the size of its last long-double
+Newton step; that size depends on the bracket the solve starts from, so it is
+not an error bound on mu_k.
 Only spectrum, harper and validate need theta (or a field sample).
 Each setting has one place.  The JSON config holds what is computed: l and
 the potential, alpha, beta, theta or field, q_max, z_min, z_max, and k_max,

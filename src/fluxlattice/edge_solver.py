@@ -27,14 +27,16 @@ max(sample cells, 2048) cells, fixed by the potential, never by z, so no
 number depends on the batch.  The basis and the Pruefer count both read the
 cell products of `_propagate`, vectorized over a batch of z values.
 
-The Dirichlet eigenvalues here and every root of eta in `discriminant`
-(window centres, window edges, inversions) come from one bracketed solver,
-`_solve_batch`: Anderson-Bjorck regula falsi (BIT 13 (1973) 253),
-superlinear without a derivative, with bisection as the safeguard, ending
-each root with a sign change inside a bracket at most EDGE_TOL_Z wide.  The
-solver never evaluates its bracket ends: the caller passes their values,
-which it already holds, or NaN where only their sign would be needed and
-rounding decides it.
+Each Dirichlet eigenvalue mu_k is bracketed by its min-max bounds, moved
+out by one free spacing (pi / l)^2 and confirmed by one Pruefer count, and
+isolated by bisection on that count.  The mu_k and every root of eta in
+`discriminant` (window centres, window edges, inversions) come from one
+bracketed solver, `_solve_batch`: Anderson-Bjorck regula falsi (BIT 13
+(1973) 253), superlinear without a derivative, with bisection as the
+safeguard, ending each root with a sign change inside a bracket at most
+EDGE_TOL_Z wide.  The solver never evaluates its bracket ends: the caller
+passes their values, which it already holds, or NaN where only their sign
+would be needed and rounding decides it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketingError, ConsistencyError, IntegrationOverflowError
+from .errors import ConsistencyError, IntegrationOverflowError
 from .potential import Potential
 
 _MIN_CELLS = 2048   # cells of a sampled potential with fewer sample cells
@@ -60,8 +62,9 @@ class DirichletSpectrum:
     that eta(mu_k) = (1+beta^2) nu_k (the alpha term drops since u1(l; mu_k)
     = 0), and u2'(l; mu_k).  Where |nu_k| = 2, u1' = u2 = nu_k / 2 by the
     Wronskian, so with u1 = 0 they fix the edge's transfer matrix at mu_k.
-    tolerances holds each mu_k's error estimate: the size of the final
-    long-double Newton step, floored at eps * max(1, |mu_k|)."""
+    tolerances holds the size of each mu_k's last long-double Newton step,
+    floored at eps * max(1, |mu_k|).  That size depends on the bracket the
+    solve starts from, so it is not an error bound on mu_k."""
 
     eigenvalues: tuple[float, ...]
     tolerances: tuple[float, ...]
@@ -284,41 +287,34 @@ def _solve_batch(g, lo, hi, g_lo, g_hi):
 def dirichlet_eigenvalues(p: Potential, k_max: int) -> DirichletSpectrum:
     """First k_max+1 zeros of z -> u1(l; z).
 
-    Brackets from the oscillation count, seeded at mu_k ~ ((k+1) pi / l)^2 +
-    mean(V) and never below inf V, under which no mu_k lies; bisection on
-    the count, one midpoint a call, until each bracket holds mu_k alone
-    (count k at its lower end, k+1 at its upper end); then `_solve_batch` on
-    u1(l; .) in every bracket at once, from the end values of one batched
-    propagation.  In double, u1(l; .) is known to a few
-    ulps of z only, so the solver's last bits follow its path (mu_0 of the
-    free edge: 1.0 from below, 1.0 + 1 ulp from above); one Newton step with
-    u1(l; z) in long double ends on the double nearest the root of the
-    computed u1(l; .).  Its slope, a central difference of u1(l; .), also
-    verifies simplicity.  One more batched propagation at the final mu_k
-    gives nu_k and u2'(l; mu_k).
+    Brackets from the min-max principle (Reed and Simon IV, XIII.1): with
+    s = (pi / l)^2, (k+1)^2 s + inf V <= mu_k <= (k+1)^2 s + sup V.  Each
+    bound is moved out by one s, to lo_k = k (k+2) s + inf V (so lo_0 =
+    inf V, under which no mu_k lies) and hi_k = ((k+1)^2 + 1) s + sup V, and
+    one oscillation count at every bracket confirms them: count <= k at lo_k
+    and >= k+1 at hi_k, or ConsistencyError.  Bisection on the count, one
+    midpoint a call, until each bracket holds mu_k alone (count k at its
+    lower end, k+1 at its upper end); then `_solve_batch` on u1(l; .) in
+    every bracket at once, from the end values of one batched propagation.
+    In double, u1(l; .) is known to a few ulps of z only, so the solver's
+    last bits follow its path (mu_0 of the free edge: 1.0 from below, 1.0 +
+    1 ulp from above); one Newton step with u1(l; z) in long double ends on
+    the double nearest the root of the computed u1(l; .).  Its slope, a
+    central difference of u1(l; .), also verifies simplicity.  One more
+    batched propagation at the final mu_k gives nu_k and u2'(l; mu_k).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     ks = np.arange(k_max + 1)
     spacing = (np.pi / p.l) ** 2
-    seeds = ((ks + 1) * np.pi / p.l) ** 2 + p.mean()
-    width = np.maximum(1.5 * spacing * (ks + 1), 2.0 * spacing)
-    floor = p.infimum()
-    lo, hi = np.maximum(seeds - width, floor), seeds + width
-    for attempt in range(64):
-        c_lo, c_hi = _count_below_many(p, np.stack([lo, hi]))
-        bad_lo = c_lo > ks
-        bad_hi = c_hi < ks + 1
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        lo = np.where(bad_lo, np.maximum(lo - width, floor), lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = width * 2.0
-    else:
-        k_bad = int(np.argmax(bad_lo | bad_hi))
-        raise BracketingError(
-            f"could not bracket mu_{k_bad} from asymptotic seed {seeds[k_bad]:.6g}",
-            (float(lo[k_bad]), float(hi[k_bad])))
+    lo = spacing * ks * (ks + 2) + p.infimum()
+    hi = spacing * ((ks + 1) ** 2 + 1) + p.supremum()
+    c_lo, c_hi = _count_below_many(p, np.stack([lo, hi]))
+    if np.any(bad := (c_lo > ks) | (c_hi < ks + 1)):
+        k_bad = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"oscillation count {c_lo[k_bad]}, {c_hi[k_bad]} on the min-max bracket "
+            f"[{lo[k_bad]:.6g}, {hi[k_bad]:.6g}] of mu_{k_bad}")
 
     # bisection on the count predicate [count(z) >= k+1], every bracket at
     # once, until each isolates its mu_k

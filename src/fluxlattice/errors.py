@@ -20,14 +20,6 @@ class IntegrationOverflowError(NumericalError):
     spectrum for this edge length); rescale the scan range."""
 
 
-class BracketingError(NumericalError):
-    """Eigenvalue search failed to bracket a root; carries the search window."""
-
-    def __init__(self, message: str, window: tuple[float, float]):
-        super().__init__(message)
-        self.window = window
-
-
 class ConsistencyError(NumericalError):
     """An internal cross-check failed (indicates an implementation bug)."""
 

@@ -66,7 +66,7 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 _PI_LD = np.arccos(_LD(-1.0))  # pi beyond float64 precision
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-TORUS_DIM_GUARD = 4096         # refuse N^2 above this (N blocks of N x N)
+TORUS_SIDE_GUARD = 256         # refuse N above this: N blocks of N x N, 8 N^3 bytes
 
 
 @dataclass(frozen=True)
@@ -377,9 +377,8 @@ def torus_oracle(f: RationalFlux, beta: float, L: int) -> np.ndarray:
     if L < 1:
         raise DomainError(f"torus repetition count must be >= 1, got {L}")
     n = L * f.q
-    if n * n > TORUS_DIM_GUARD:
-        raise TorusSizeError(
-            f"torus dimension N^2 = {n * n} exceeds the guard {TORUS_DIM_GUARD}")
+    if n > TORUS_SIDE_GUARD:
+        raise TorusSizeError(f"torus side N = {n} exceeds the guard {TORUS_SIDE_GUARD}")
     m = np.arange(n)
     hop = np.roll(np.eye(n), 1, axis=1)
     hop = hop + hop.T  # for N <= 2 the wrap and direct hops add up

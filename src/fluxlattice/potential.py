@@ -94,15 +94,13 @@ class Potential:
         idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(self.values) - 1)
         return self._values_arr[idx]
 
-    def mean(self) -> float:
-        """Cell average of V, used to seed eigenvalue asymptotics."""
-        if self.is_piecewise:
-            return float(np.dot(self._values_arr, np.diff(self._breakpoints_arr)) / self.l)
-        return float(np.trapezoid(self._values_arr, self._grid_arr) / self.l)
-
     def infimum(self) -> float:
         """inf V over [0,l] (exact for both representations)."""
         return float(self._values_arr.min())
+
+    def supremum(self) -> float:
+        """sup V over [0,l] (exact for both representations)."""
+        return float(self._values_arr.max())
 
 
 @dataclass(frozen=True, eq=False)

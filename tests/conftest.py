@@ -39,6 +39,14 @@ def mathieu_pot():
 
 
 @pytest.fixture(scope="session")
+def deep_well_pot():
+    # V = -5e4 on [0, 1], 0 on [1, pi]: the low mu_k lie in the well,
+    # thousands of free spacings below sup V
+    return make_potential({"l": L, "potential": {
+        "kind": "piecewise_constant", "breakpoints": [0.0, 1.0, L], "values": [-5e4, 0.0]}})
+
+
+@pytest.fixture(scope="session")
 def linear_pot():
     # V(t) = t, represented exactly by two-node linear interpolation
     return make_potential({"l": L, "potential": {

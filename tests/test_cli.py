@@ -614,6 +614,12 @@ def test_validate_step_edge_at_formerly_failing_chambers_flux(tmp_path, capsys):
     _validate_step_edge_passes(tmp_path, capsys, "24/49")
 
 
+def test_validate_step_edge_beyond_q_64(tmp_path, capsys):
+    # torus side N = q = 67: its 67 blocks of 67 x 67 take 2.4 MB, and the
+    # guard bounds N, not N^2 = 4489
+    _validate_step_edge_passes(tmp_path, capsys, "1/67")
+
+
 def test_validate_computes_harper_bands_once_per_flux(monkeypatch):
     # run_all needs the bands at flux and at flux + 1 (flux_periodicity); the
     # torus check reuses the first

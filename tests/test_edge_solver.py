@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlattice import IntegrationOverflowError, dirichlet_eigenvalues, edge_solver, make_potential
+from fluxlattice import (ConsistencyError, IntegrationOverflowError, dirichlet_eigenvalues,
+                         edge_solver, make_potential)
 from fluxlattice.edge_solver import _basis_many, _count_below_many
 from oracles import fd_dirichlet, free_basis, linear_basis
 
@@ -99,13 +100,55 @@ def test_blocked_product_matches_a_walk_over_the_cells():
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("fixture", ["linear_pot", "linear65_pot", "mathieu_pot"])
+@pytest.mark.parametrize("fixture", ["free_pot", "const5_pot", "step_pot", "linear_pot",
+                                     "linear65_pot", "mathieu_pot"])
 def test_dirichlet_prefix_does_not_depend_on_k_max(fixture, request):
+    # the whole record of mu_0 .. mu_7, tolerances included, whatever the
+    # other brackets need
     p = request.getfixturevalue(fixture)
-    assert dirichlet_eigenvalues(p, 10).eigenvalues == dirichlet_eigenvalues(p, 15).eigenvalues[:11]
+    fields = ("eigenvalues", "tolerances", "nus", "du2s")
+    head = dirichlet_eigenvalues(p, 7)
+    for k_max in (15, 63):
+        spec = dirichlet_eigenvalues(p, k_max)
+        assert [getattr(spec, f)[:8] for f in fields] == [getattr(head, f) for f in fields]
 
 
-@pytest.mark.parametrize("fixture", ["free_pot", "step_pot", "linear65_pot", "mathieu_pot"])
+@settings(max_examples=40)
+@given(l=st.sampled_from([0.7, L, 5.0]), sampled=st.booleans(),
+       cuts=st.lists(st.floats(0.02, 0.98), min_size=0, max_size=6, unique=True),
+       values=st.lists(st.floats(-60.0, 60.0), min_size=8, max_size=8),
+       k_max=st.integers(0, 31))
+def test_dirichlet_within_the_min_max_bounds(l, sampled, cuts, values, k_max):
+    # (k+1)^2 s + inf V <= mu_k <= (k+1)^2 s + sup V with s = (pi / l)^2, and
+    # the count confirms the brackets moved out by one s that the solve takes
+    nodes = [0.0, *(l * c for c in sorted(cuts)), l]
+    if sampled:
+        spec = {"kind": "sampled", "grid": nodes, "values": values[:len(nodes)]}
+    else:
+        spec = {"kind": "piecewise_constant", "breakpoints": nodes,
+                "values": values[:len(nodes) - 1]}
+    p = make_potential({"l": l, "potential": spec})
+    ks = np.arange(k_max + 1)
+    s = (np.pi / l) ** 2
+    mus = np.asarray(dirichlet_eigenvalues.__wrapped__(p, k_max).eigenvalues)
+    slack = 1e-12 * np.maximum(1.0, np.abs(mus))
+    assert np.all(mus >= (ks + 1) ** 2 * s + p.infimum() - slack)
+    assert np.all(mus <= (ks + 1) ** 2 * s + p.supremum() + slack)
+    lo, hi = s * ks * (ks + 2) + p.infimum(), s * ((ks + 1) ** 2 + 1) + p.supremum()
+    c_lo, c_hi = _count_below_many(p, np.stack([lo, hi]))
+    assert np.all(c_lo <= ks) and np.all(c_hi >= ks + 1)
+
+
+def test_dirichlet_count_against_the_min_max_bracket_is_a_consistency_error(step_pot, monkeypatch):
+    # a count of 0 at every upper bracket end contradicts the theorem
+    monkeypatch.setattr(edge_solver, "_count_below_many",
+                        lambda p, z: np.zeros(np.shape(z), dtype=int))
+    with pytest.raises(ConsistencyError, match="mu_0"):
+        dirichlet_eigenvalues.__wrapped__(step_pot, 3)
+
+
+@pytest.mark.parametrize("fixture", ["free_pot", "step_pot", "linear65_pot", "mathieu_pot",
+                                     "deep_well_pot"])
 def test_dirichlet_counts_only_to_isolate(fixture, request, monkeypatch):
     # the count brackets and isolates each mu_k; the root itself is the
     # solver's, so the count sees a few points per mu_k, not a bisection's 26
@@ -122,12 +165,10 @@ def test_dirichlet_counts_only_to_isolate(fixture, request, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_dirichlet_deep_well_stays_above_the_infimum():
-    # V = -5e4 on [0, 1], 0 on [1, pi]: every mu_k lies in the well, where a
-    # bracket reaching below inf V would propagate far below the spectrum
-    p = make_potential({"l": L, "potential": {
-        "kind": "piecewise_constant", "breakpoints": [0.0, 1.0, L], "values": [-5e4, 0.0]}})
-    mus = dirichlet_eigenvalues.__wrapped__(p, 3).eigenvalues
+def test_dirichlet_deep_well_stays_above_the_infimum(deep_well_pot):
+    # every mu_k lies in the well, where a bracket reaching below inf V
+    # would propagate far below the spectrum
+    mus = dirichlet_eigenvalues.__wrapped__(deep_well_pot, 3).eigenvalues
     # the well's levels, (k+1)^2 pi^2 above its floor but for the barrier's leak
     assert np.allclose(mus, [-49990.21808619983, -49960.87237889544,
                              -49911.96298046487, -49843.49006183757], rtol=0, atol=1e-8)
@@ -137,8 +178,8 @@ def test_dirichlet_deep_well_stays_above_the_infimum():
 @pytest.mark.parametrize("fixture", ["free_pot", "const5_pot", "step_pot",
                                      "mathieu_pot", "linear_pot"])
 def test_wronskian_defect_all_kinds(fixture, request):
-    # absolute bound over the scan range (heuristic floor upward); relative
-    # bound further down where the solutions grow beyond float64's absolute
+    # absolute bound from one below min(0, inf V) upward; relative bound
+    # further down where the solutions grow beyond float64's absolute
     # resolution of the 1e-8 target
     p = request.getfixturevalue(fixture)
     floor = min(0.0, p.infimum()) - 1.0

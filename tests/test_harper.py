@@ -473,8 +473,10 @@ def test_check_torus_containment_large_q(p, q, beta):
 
 
 def test_torus_size_guard():
-    with pytest.raises(TorusSizeError):
-        torus_oracle(RationalFlux(0, 1), 1.0, 65)
+    # the guard bounds the side N, not N^2: N = 257 is refused before any
+    # block is built
+    with pytest.raises(TorusSizeError, match="N = 257"):
+        torus_oracle(RationalFlux(0, 1), 1.0, 257)
 
 
 def test_convergents_golden_mean():

@@ -120,11 +120,18 @@ def test_evaluate_matches_nodes_exactly():
         assert value_at(p, t) == pytest.approx(v, abs=0.0, rel=1e-15)
 
 
-def test_mean_and_infimum():
+def test_infimum_and_supremum():
+    # exact for both kinds: a piecewise V takes its values, a sampled V
+    # interpolates linearly between its nodes
     p = make_potential({"l": L, "potential": {
-        "kind": "piecewise_constant", "breakpoints": [0, L / 2, L], "values": [0, 10]}})
-    assert p.mean() == pytest.approx(5.0, abs=1e-14)
-    assert p.infimum() == 0.0
+        "kind": "piecewise_constant", "breakpoints": [0, 1, L / 2, L], "values": [3, -2, 10]}})
+    assert (p.infimum(), p.supremum()) == (-2.0, 10.0)
+    grid = np.linspace(0.0, L, 33)
+    p = make_potential({"l": L, "potential": {
+        "kind": "sampled", "grid": list(grid), "values": list(np.cos(3.0 * grid))}})
+    between = p.values_on(np.linspace(0.0, L, 4001))
+    assert p.infimum() == min(np.cos(3.0 * grid)) <= between.min()
+    assert p.supremum() == max(np.cos(3.0 * grid)) >= between.max()
 
 
 def _uniform_field(fn, n=101):

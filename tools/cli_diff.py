@@ -1,16 +1,19 @@
 """Compare the output of every CLI subcommand between two source trees.
 
-    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65 mathieu] [--harper]
+    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65 mathieu well] [--harper]
 
 OLD and NEW are checkouts of the repository (for example the parent commit,
 made with `git worktree add` or `git archive`).  Each tree runs the whole
 config grid in one worker process of its own, with PYTHONPATH at its `src`:
 
   * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
-    on request const5 (V = 5) and the sampled edges linear65 (V = t at 65
+    on request const5 (V = 5), the sampled edges linear65 (V = t at 65
     nodes) and mathieu (V = 10 cos 2t at 4097 nodes, the edge of the
-    `spectrum-mathieu` benchmark workload).  On one core of a 2 vCPU
-    machine a piecewise edge takes about 2 s a tree, linear65 about 1
+    `spectrum-mathieu` benchmark workload), and well (V = -5e4 on [0, 1]
+    and 0 on [1, pi]), on which only `dirichlet` runs: its lowest mu_k lie
+    in the well, thousands of free spacings below sup V, where the
+    Dirichlet brackets start furthest from the roots.  On one core of a 2
+    vCPU machine a piecewise edge takes about 2 s a tree, linear65 about 1
     minute and mathieu about 2 minutes (trees with RK4 cells took about 15
     minutes for linear65);
   * alpha in {1, 0, -1.5, -15}, beta in {0.5, 1, 1.3};
@@ -28,7 +31,7 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     window 0 that moved with z_min shows as a diff;
   * `dirichlet` per edge (it reads neither alpha, beta nor the range), in
     json and in csv, with k_max 10, and also 63 and 255 on the piecewise
-    edges and 15 on the sampled ones;
+    edges (the well among them) and 15 on the sampled ones;
   * per edge, at alpha 1 and beta 1.3, every subcommand under the rows of
     FLAG_RUNS: --format and --out with config q_max 3 or the default, the
     refused `spectrum --format csv`, `validate --format` and config q_max 0,
@@ -79,7 +82,10 @@ EDGES = {
                  "values": LINEAR65.tolist()},
     "mathieu": {"kind": "sampled", "grid": MATHIEU.tolist(),
                 "values": (10.0 * np.cos(2.0 * MATHIEU)).tolist()},
+    "well": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0, L],
+             "values": [-5e4, 0.0]},
 }
+DIRICHLET_ONLY = ("well",)  # edges on which only `dirichlet` runs
 ALPHAS = (1.0, 0.0, -1.5, -15.0)
 BETAS = (0.5, 1.0, 1.3)
 RANGES = ((None, 10.0), (0.3, 7.7), (-0.1, 23.3), (2.2, 5.1))
@@ -89,7 +95,7 @@ K_MAX = 10
 # more dirichlet k_max per edge, beside K_MAX: deep on the piecewise edges,
 # where a solve takes milliseconds, one more bucket on the sampled ones
 DIRICHLET_K_MAX = {"free": (63, 255), "step": (63, 255), "const5": (63, 255),
-                   "linear65": (15,), "mathieu": (15,)}
+                   "linear65": (15,), "mathieu": (15,), "well": (63, 255)}
 Q_MAX = 5
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
@@ -128,6 +134,7 @@ def farey(q_max):
 
 def grid(edges, harper):
     """(label, arguments but --config, config) for every run."""
+    all_edges, edges = edges, [e for e in edges if e not in DIRICHLET_ONLY]
     for edge, alpha, beta, (z_min, z_max) in itertools.product(
             edges, ALPHAS, BETAS, RANGES):
         doc = {"l": L, "potential": EDGES[edge], "alpha": alpha, "beta": beta,
@@ -156,7 +163,7 @@ def grid(edges, harper):
         yield f"spectrum {label} theta=1/3", ["spectrum"], {**doc, "theta": "1/3"}
         yield (f"butterfly {label} q_max={Q_MAX}", ["butterfly"],
                {**doc, "theta": "0/1", "q_max": Q_MAX})
-    for edge, fmt in itertools.product(edges, ("json", "csv")):
+    for edge, fmt in itertools.product(all_edges, ("json", "csv")):
         for k_max in (K_MAX, *DIRICHLET_K_MAX[edge]):
             # dirichlet reads no theta either; older trees demand one all the same
             yield (f"dirichlet {edge} k_max={k_max} format={fmt}", ["dirichlet", "--format", fmt],
