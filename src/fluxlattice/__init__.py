@@ -17,15 +17,15 @@ The edge basis, the Pruefer count, eta, its inversion and the Bloch fiber have
 batched kernels only (`edge_solver._basis_many`, `_count_below_many`,
 `discriminant.eta_many`, `invert_eta_many`, `harper._fiber`).  A request
 reads the mu_k and eta(mu_k) from the Dirichlet solve that reaches the top
-of its range (`discriminant.pole_record`).
+of its range (`discriminant.pole_record`) and pulls every Harper band edge
+back through every window in one `invert_eta_many` call, one row per window.
+`butterfly_sweep` returns (flux, intervals) pairs; mirror fluxes share one.
 """
 
-from .assembler import (ButterflyRow, Classification, ContinuousInterval, Gap,
-                        GapReport, PointEigenvalue, SpectralSet, butterfly_sweep,
-                        classify_eigenvalue, farey_fluxes, gap_report,
-                        graph_spectrum)
-from .discriminant import (BandWindow, CouplingParams, band_windows, eta_on_pole,
-                           invert_eta_many)
+from .assembler import (Classification, ContinuousInterval, Gap, GapReport,
+                        PointEigenvalue, SpectralSet, butterfly_sweep, classify_eigenvalue,
+                        farey_fluxes, gap_report, graph_spectrum)
+from .discriminant import BandWindow, CouplingParams, band_windows, invert_eta_many
 from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
 from .errors import (ConfigError, ConsistencyError, DomainError, IntegrationOverflowError,
                      NumericalError, TorusSizeError)

@@ -7,19 +7,20 @@ threshold 2(1+beta^2), and Isolated otherwise (`classify_eigenvalue`).
 
 Fluxes come in exact; the CLI resolves a decimal theta once (`resolve_flux`).
 The windows do not depend on the flux, so a request scans them once (`_scan`)
-and `_assemble` serves any number of fluxes in one collect, invert, clip pass
-with one eta inversion: one flux for `graph_spectrum`, a list for `butterfly_sweep`.
-The flux enters only through its Harper bands, and spec M(theta) is even and
-1-periodic in theta (M(-theta) = conj M(theta), and the fiber depends on
-p mod q only), so the spectrum is symmetric about theta = 1/2.  Fluxes with
-equal bands, such as p/q and (q - p)/q, share one inversion and one interval
-list, so their intervals are equal bit for bit.
+and `_assemble` serves any number of fluxes in one collect, invert, clip pass:
+one flux for `graph_spectrum`, a list for `butterfly_sweep`.  The pullback is
+a product of windows and targets: the Harper band edges of every distinct
+band set make one target vector, and one eta inversion solves each of them
+on every window.  The flux enters only through its Harper bands, and spec
+M(theta) is even and 1-periodic in theta (M(-theta) = conj M(theta), and the
+fiber depends on p mod q only), so the spectrum is symmetric about theta =
+1/2.  Fluxes with equal bands, such as p/q and (q - p)/q, share one set of
+targets and one interval tuple.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -102,62 +103,55 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
     return Classification.ISOLATED
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """The flux-independent part of a request over [z_min, z_max]: the band
-    windows meeting it, each clipped to it as scanned and keeping its full
-    domain [a_full, b_full], on which eta is inverted."""
-
-    coupling: CouplingParams
-    z_min: float
-    windows: tuple[BandWindow, ...]
-
-
-def _scan(c: CouplingParams, z_min: float | None, z_max: float) -> _Scan:
-    """z_min None starts the range at the lowest window's a_full."""
-    windows = band_windows(c, z_min, z_max)
+def _scan(c: CouplingParams, z_min: float | None,
+          z_max: float) -> tuple[float, tuple[BandWindow, ...]]:
+    """The flux-independent part of a request over [z_min, z_max]: z_min and
+    the band windows meeting the range, each clipped to it and keeping its
+    full domain [a_full, b_full], on which eta is inverted.  z_min None
+    starts the range at the lowest window's a_full."""
+    windows = tuple(band_windows(c, z_min, z_max))
     if z_min is None:
         if not windows:
             raise below_spectrum(z_max)
         z_min = windows[0].a_full
-    return _Scan(coupling=c, z_min=float(z_min), windows=tuple(windows))
+    return float(z_min), windows
 
 
-def _assemble(scan: _Scan, fluxes) -> list:
+def _assemble(c: CouplingParams, windows: tuple[BandWindow, ...], fluxes) -> list:
     """Per flux, its HarperBands and intervals sorted by z, or the
     NumericalError that flux alone raised.  Fluxes with equal Harper bands
-    share one interval list: the assembly reads a flux only through its bands,
-    and p/q, (p + q)/q and (q - p)/q have the same bands, since M(-theta) =
-    conj M(theta) (`harper_spectrum`).  For each distinct band set, collect
-    both ends of every band on every window; invert them all in one call on
-    the windows' full domains, and clip each pullback [min z, max z] to its
-    window as scanned: truncated when the clip shortens it, dropped when
-    nothing is left."""
-    c = scan.coupling
-    out, shared, ws, ys = [], {}, [], []
+    share one interval tuple: the assembly reads a flux only through its
+    bands, and p/q, (p + q)/q and (q - p)/q have the same bands, since
+    M(-theta) = conj M(theta) (`harper_spectrum`).  The band edges of every
+    distinct band set, clipped to -+threshold, go into one target vector,
+    which one `invert_eta_many` call pulls back through every window; each
+    band set reads its own columns.  Each pullback [min z, max z] is clipped
+    to its window as scanned: truncated when the clip shortens it, dropped
+    when nothing is left."""
+    out, shared = [], {}
     for flux in fluxes:
         try:
             harper = harper_spectrum(flux, c.beta)
             if harper.bands not in shared:
-                fw = [w for w in scan.windows for _ in harper.bands for _ in (0, 1)]
-                fy = np.tile(np.clip(harper.bands, -c.threshold, c.threshold).ravel(),
-                             len(scan.windows))
-                require_resolvable(c, fw, fy)
-                shared[harper.bands] = []
-                ws += fw
-                ys.append(fy)
+                ys = np.clip(harper.bands, -c.threshold, c.threshold).ravel()
+                require_resolvable(c, windows, ys)
+                shared[harper.bands] = ys
         except NumericalError as exc:
             out.append(exc)
             continue
         out.append(harper)
-    z = iter(invert_eta_many(ws, np.concatenate(ys) if ys else []).reshape(-1, 2).tolist())
-    for bands, intervals in shared.items():
-        for w, j in itertools.product(scan.windows, range(len(bands))):
-            lo, hi = sorted(next(z))
-            z_lo, z_hi = max(lo, w.a), min(hi, w.b)
-            if z_lo <= z_hi:
-                intervals.append(ContinuousInterval(z_lo=z_lo, z_hi=z_hi, window=w.index,
-                                                    band=j, truncated=(z_lo, z_hi) != (lo, hi)))
+    ys = list(shared.values())
+    z = invert_eta_many(windows, np.concatenate([np.empty(0), *ys]))
+    for bands, cols in zip(shared, np.split(z, np.cumsum([y.size for y in ys[:-1]]), axis=1)):
+        intervals = []
+        for w, row in zip(windows, cols.tolist()):
+            for j, ends in enumerate(zip(row[::2], row[1::2])):
+                lo, hi = sorted(ends)
+                z_lo, z_hi = max(lo, w.a), min(hi, w.b)
+                if z_lo <= z_hi:
+                    intervals.append(ContinuousInterval(
+                        z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
+                        truncated=(z_lo, z_hi) != (lo, hi)))
         intervals.sort(key=lambda i: (i.z_lo, i.z_hi, i.window, i.band))
         shared[bands] = tuple(intervals)
     return [r if isinstance(r, NumericalError) else (r, shared[r.bands]) for r in out]
@@ -171,8 +165,8 @@ def graph_spectrum(c: CouplingParams, flux: RationalFlux, z_min: float | None,
     z_min None starts the range at the lowest band window's a_full
     (ConfigError if z_max lies below it).
     """
-    scan = _scan(c, z_min, z_max)
-    (res,) = _assemble(scan, [flux])
+    z_min, windows = _scan(c, z_min, z_max)
+    (res,) = _assemble(c, windows, [flux])
     if isinstance(res, NumericalError):
         raise res
     harper, intervals = res
@@ -181,12 +175,12 @@ def graph_spectrum(c: CouplingParams, flux: RationalFlux, z_min: float | None,
         point_spectrum=tuple(
             PointEigenvalue(k, mu, classify_eigenvalue(c, flux, eta))
             for k, (mu, eta) in enumerate(zip(mus.tolist(), etas.tolist()))
-            if scan.z_min <= mu <= z_max),
+            if z_min <= mu <= z_max),
         continuous=intervals,
-        z_min=scan.z_min, z_max=float(z_max),
+        z_min=z_min, z_max=float(z_max),
         coupling=c, flux=flux,
         harper=harper,
-        windows=scan.windows,
+        windows=windows,
     )
 
 
@@ -221,36 +215,25 @@ def farey_fluxes(q_max: int) -> list[RationalFlux]:
     return out
 
 
-@dataclass(frozen=True)
-class ButterflyRow:
-    flux: RationalFlux
-    band_index: int
-    z_lo: float
-    z_hi: float
-    truncated: bool
-
-
 def butterfly_sweep(c: CouplingParams, fluxes: list[RationalFlux], z_min: float | None,
-                    z_max: float) -> tuple[list[ButterflyRow], list[str]]:
+                    z_max: float) -> tuple[list[tuple], list[str]]:
     """Continuous spectrum intervals at each exact flux, such as
     `farey_fluxes(q_max)` or `approximate_irrational(theta, q_max)`, for the
     coupling c and its potential.
 
     One scan and one `_assemble` pass serve every flux, so the sweep makes
-    one eta inversion in all and builds no SpectralSet; each flux's rows are
-    graph_spectrum's intervals.  The mirror fluxes p/q and (q - p)/q share
-    one Harper solve and one set of pullbacks (M(-theta) = conj M(theta)),
-    so their rows are equal.  Rows come back in the order of the fluxes,
-    then by z; a flux that fails is reported as a diagnostic and the others
-    keep their rows.
+    one eta inversion in all and builds no SpectralSet.  It returns (flux,
+    intervals) pairs in the order of the fluxes, each flux's intervals
+    graph_spectrum's, sorted by z.  The mirror fluxes p/q and (q - p)/q share
+    one Harper solve, one set of pullbacks and one interval tuple (M(-theta)
+    = conj M(theta)).  A flux that fails is reported as a diagnostic and
+    has no pair; the others keep theirs.
     """
-    rows: list[ButterflyRow] = []
-    diagnostics: list[str] = []
-    for flux, res in zip(fluxes, _assemble(_scan(c, z_min, z_max), fluxes)):
+    pairs, diagnostics = [], []
+    _, windows = _scan(c, z_min, z_max)
+    for flux, res in zip(fluxes, _assemble(c, windows, fluxes)):
         if isinstance(res, NumericalError):
             diagnostics.append(f"theta={flux}: {res}")
-            continue
-        rows.extend(ButterflyRow(flux=flux, band_index=i, z_lo=iv.z_lo,
-                                 z_hi=iv.z_hi, truncated=iv.truncated)
-                    for i, iv in enumerate(res[1]))
-    return rows, diagnostics
+        else:
+            pairs.append((flux, res[1]))
+    return pairs, diagnostics

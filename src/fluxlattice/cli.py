@@ -22,6 +22,8 @@ the lower edge of the lowest band window), point_spectrum, continuous, gaps,
 metadata {convergent_used[, generated_at]}.  validate samples [z_min, z_max]
 from the same lower window edge, taken by the same solve, and exits 2 when
 z_max lies below it; it prints a text report and refuses --format.
+butterfly CSV: one row per interval of each (flux, intervals) pair of
+`butterfly_sweep`, band_index its place in the flux's z order.
 butterfly exits 0 when some fluxes fail, since the other rows still hold;
 stderr names each failure and ends with "butterfly: K of N fluxes failed".
 """
@@ -227,10 +229,11 @@ def cmd_butterfly(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("butterfly output is CSV")
     z_max = _require(cfg.z_max, "z_max")
     fluxes = farey_fluxes(cfg.q_max)
-    rows, diagnostics = butterfly_sweep(cfg.coupling, fluxes, cfg.z_min, z_max)
-    _emit(_csv(BUTTERFLY_HEADER, ([r.flux.p, r.flux.q, r.band_index, repr(r.z_lo),
-                                   repr(r.z_hi), "true" if r.truncated else "false"]
-                                  for r in rows)), args.out)
+    sweep, diagnostics = butterfly_sweep(cfg.coupling, fluxes, cfg.z_min, z_max)
+    _emit(_csv(BUTTERFLY_HEADER, ([f.p, f.q, i, repr(iv.z_lo), repr(iv.z_hi),
+                                   "true" if iv.truncated else "false"]
+                                  for f, intervals in sweep
+                                  for i, iv in enumerate(intervals))), args.out)
     for msg in diagnostics:
         print(f"butterfly diagnostic: {msg}", file=sys.stderr)
     print(f"butterfly: {len(diagnostics)} of {len(fluxes)} fluxes failed", file=sys.stderr)

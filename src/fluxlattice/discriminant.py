@@ -26,7 +26,9 @@ Dirichlet-to-Neumann matrix s(z) of the edge (poles at every mu_k), so there
 is no pole cancellation near mu_k.  A request reads mu_k, eta(mu_k) and u2'(l;
 mu_k) from one Dirichlet record, keyed by its range's top (`pole_record`):
 the scan, the floor, the classification and sign alternation.  eta and its
-inversion are batched only (`eta_many`, `invert_eta_many`).
+inversion are batched only (`eta_many`, `invert_eta_many`), and the inversion
+is a product: it solves every target on every window it is given, as the
+spectrum pulls every Harper band edge back through every window.
 
 Every window edge, the floor of the spectrum included, comes from one
 function, `_window_edges`, and every root here (window centres, window
@@ -127,7 +129,8 @@ def pole_record(c: CouplingParams, z: float) -> tuple[np.ndarray, np.ndarray, np
 
 
 def eta_on_pole(c: CouplingParams, k: int) -> float:
-    """eta(mu_k), read from the cached Dirichlet solve of k's bucket."""
+    """eta(mu_k) from the cached Dirichlet solve of k's bucket; no caller in
+    the package, kept while the benchmark's tracer lists it."""
     return (1.0 + c.beta**2) * dirichlet_eigenvalues(c.potential, round_up_index(k)).nus[k]
 
 
@@ -262,74 +265,80 @@ def band_windows(c: CouplingParams, z_min: float | None,
     return windows
 
 
-def require_resolvable(c: CouplingParams, ws, ys: np.ndarray) -> None:
-    """ConsistencyError if a target off -+threshold lies on a window at most
-    EDGE_TOL_Z wide, where `_solve_batch` ends every lane at an edge at once;
-    ws holds one BandWindow per target.  With no double strictly inside the
-    window (free edge, alpha = -200) it names the target of largest relative
-    residual |eta - y| / (1 + |y|), else the window's width."""
-    a = np.array([w.a_full for w in ws])
-    b = np.array([w.b_full for w in ws])
-    off = np.abs(np.abs(ys) - c.threshold) > EDGE_TARGET_RTOL * c.threshold
-    missed = np.flatnonzero(off & (np.nextafter(a, b) >= b))
-    narrow = np.flatnonzero(off & (b - a <= EDGE_TOL_Z))
+def require_resolvable(c: CouplingParams, windows, ys: np.ndarray) -> None:
+    """ConsistencyError if a target of the flat ys off -+threshold is to be
+    solved on a window at most EDGE_TOL_Z wide, where `_solve_batch` ends
+    every lane at an edge at once; each window is checked once.  Where no
+    double lies strictly inside a window (free edge, alpha = -200) it names
+    the target of largest relative residual |eta - y| / (1 + |y|) there."""
+    ys = ys[np.abs(np.abs(ys) - c.threshold) > EDGE_TARGET_RTOL * c.threshold]
+    if not (ys.size and windows):
+        return
+    a = np.array([w.a_full for w in windows])
+    b = np.array([w.b_full for w in windows])
+    missed = np.flatnonzero(np.nextafter(a, b) >= b)
     if missed.size:
-        y = ys[missed]
-        res = np.min(np.abs(eta_many(c, np.stack((a[missed], b[missed]))) - y),
-                     axis=0) / (1.0 + np.abs(y))
-        i = int(np.argmax(res))
-        w = ws[int(missed[i])]
+        ends = eta_many(c, np.stack((a[missed], b[missed])))
+        res = np.min(np.abs(ends[..., None] - ys), axis=0) / (1.0 + np.abs(ys))
+        i, j = np.unravel_index(np.argmax(res), res.shape)
+        w = windows[int(missed[i])]
         raise ConsistencyError(
-            f"eta inversion on window {w.index} missed target {float(y[i])!r}: "
-            f"relative residual {float(res[i]):.3e}, since no double lies "
+            f"eta inversion on window {w.index} missed target {float(ys[j])!r}: "
+            f"relative residual {float(res[i, j]):.3e}, since no double lies "
             f"strictly inside [{w.a_full!r}, {w.b_full!r}]")
+    narrow = np.flatnonzero(b - a <= EDGE_TOL_Z)
     if narrow.size:
-        i, w = int(narrow[0]), ws[int(narrow[0])]
+        w = windows[int(narrow[0])]
         raise ConsistencyError(
-            f"eta inversion on window {w.index} cannot resolve target {float(ys[i])!r}: "
+            f"eta inversion on window {w.index} cannot resolve target {float(ys[0])!r}: "
             f"the window [{w.a_full!r}, {w.b_full!r}] is {w.b_full - w.a_full:.3e} "
             f"wide, within EDGE_TOL_Z = {EDGE_TOL_Z:.0e}")
 
 
-def invert_eta_many(w, ys: np.ndarray) -> np.ndarray:
-    """Solve eta(z) = y on a window's full domain for a batch of y values.
+def invert_eta_many(windows, ys) -> np.ndarray:
+    """Solve eta(z) = y on the full domain of every window for every target y.
 
-    w is one BandWindow for all targets, or a sequence holding one window per
-    target, so a whole request inverts in one call: `graph_spectrum` and
-    `butterfly_sweep` each call it once, for every flux they assemble.  The
-    windows must share one coupling.  Each target is solved on its own
-    bracket [a_full, b_full] and only unfinished targets are evaluated, so on
-    a piecewise-constant edge no answer depends on the other targets of its
-    batch.  Each z is certified to EDGE_TOL_Z or one ulp, not by its
-    residual: on a steep window |eta - y| at the nearest double is |eta'| ulp
-    / 2 plus eta's own rounding, so no fixed residual bound holds.
-    Targets that `require_resolvable` refuses raise its ConsistencyError.
+    windows is a sequence of W BandWindows of one coupling; the answer has
+    shape (W,) + ys.shape, row i solving every target on windows[i].  One
+    BandWindow is the case W = 1 and gives ys.shape.  Each lane, one target
+    on one window, is solved on the bracket [a_full, b_full], and only
+    unfinished lanes are evaluated, so no answer depends on the other lanes.
+    Each z is certified to EDGE_TOL_Z or one ulp, not by its residual: on a
+    steep window |eta - y| at the nearest double is |eta'| ulp / 2 plus
+    eta's own rounding, so no fixed residual bound holds.  A target that is
+    not finite or lies beyond -+threshold raises DomainError; targets that
+    `require_resolvable` refuses raise its ConsistencyError.
     """
+    if isinstance(windows, BandWindow):
+        return invert_eta_many([windows], ys)[0]
     ys = np.asarray(ys, dtype=float)
-    ws = [w] * ys.size if isinstance(w, BandWindow) else list(w)
-    if not ws:
-        return np.empty(ys.shape)
-    c = ws[0].coupling
-    if any(x.coupling != c for x in ws):
+    if not windows:
+        return np.empty((0,) + ys.shape)
+    c = windows[0].coupling
+    if any(w.coupling != c for w in windows):
         raise DomainError("windows of different couplings in one inversion")
-    if np.any(np.abs(ys) > c.threshold * (1.0 + 1e-12)):
-        bad = float(ys[np.argmax(np.abs(ys))])
-        raise DomainError(f"eta target {bad} outside [-{c.threshold}, {c.threshold}]")
+    shape, ys = (len(windows),) + ys.shape, ys.ravel()
+    bad = ~(np.abs(ys) <= c.threshold * (1.0 + 1e-12))  # NaN and inf as well
+    if np.any(bad):
+        raise DomainError(
+            f"eta target {float(ys[bad][0])} outside [-{c.threshold}, {c.threshold}]")
     ys = np.clip(ys, -c.threshold, c.threshold)
-    require_resolvable(c, ws, ys)
-    a = np.array([x.a_full for x in ws])
-    b = np.array([x.b_full for x in ws])
-    inc = np.array([x.increasing for x in ws])
+    require_resolvable(c, windows, ys)
+    a = np.array([w.a_full for w in windows])
+    b = np.array([w.b_full for w in windows])
+    inc = np.array([w.increasing for w in windows])
     # the homeomorphism maps -+threshold to the window edges exactly; at a
     # touching window the edge is a double root of eta -+ threshold, so root
     # finding there would be sqrt(eps)-conditioned while the edge is known
     at_top = np.abs(ys - c.threshold) <= EDGE_TARGET_RTOL * c.threshold
     at_bot = np.abs(ys + c.threshold) <= EDGE_TARGET_RTOL * c.threshold
-    z = np.where(at_top == inc, b, a)  # the edge that eta sends to the target
+    z = np.where(at_top == inc[:, None], b[:, None], a[:, None])  # the edge eta sends there
     interior = ~(at_top | at_bot)
-    if np.any(interior):
-        yv, lo, hi = ys[interior], a[interior], b[interior]
-        eta_a = np.where(inc[interior], -c.threshold, c.threshold)  # eta(a_full)
-        z[interior] = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
-                                   lo, hi, eta_a - yv, -eta_a - yv)
-    return z
+    n = int(np.count_nonzero(interior))
+    if n:  # lanes window by window, each over the interior targets in order
+        yv = np.tile(ys[interior], len(windows))
+        lo, hi = np.repeat(a, n), np.repeat(b, n)
+        eta_a = np.repeat(np.where(inc, -c.threshold, c.threshold), n)  # eta(a_full)
+        z[:, interior] = _solve_batch(lambda zz, lanes: eta_many(c, zz) - yv[lanes],
+                                      lo, hi, eta_a - yv, -eta_a - yv).reshape(-1, n)
+    return z.reshape(shape)

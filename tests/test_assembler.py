@@ -11,10 +11,15 @@ from fluxlattice import (Classification, ConfigError, ConsistencyError,
                          dirichlet_eigenvalues, farey_fluxes, gap_report,
                          graph_spectrum, harper, make_potential, resolve_flux)
 from fluxlattice.discriminant import (EDGE_TOL_Z, THRESHOLD_RTOL, _bucket_through,
-                                      band_windows, eta_many, eta_on_pole)
+                                      band_windows, eta_many)
 from oracles import merged_intervals
 
 L = np.pi
+
+
+def _eta_mus(c):
+    """eta(mu_0..mu_7) = (1+beta^2) nu_k, read from the Dirichlet record."""
+    return (1.0 + c.beta**2) * np.asarray(dirichlet_eigenvalues(c.potential, 7).nus)
 
 
 def test_free_integer_flux_full_line(free_coupling):
@@ -76,13 +81,13 @@ def test_resolve_flux_decimal_convergent():
 
 
 def test_classify_free_band_edge(free_coupling):
-    eta_0 = eta_on_pole(free_coupling, 0)
+    eta_0 = _eta_mus(free_coupling)[0]
     assert classify_eigenvalue(free_coupling, RationalFlux(0, 1), eta_0) is \
         Classification.BAND_EDGE
 
 
 def test_classify_half_flux_isolated(free_coupling):
-    eta_0 = eta_on_pole(free_coupling, 0)
+    eta_0 = _eta_mus(free_coupling)[0]
     assert classify_eigenvalue(free_coupling, RationalFlux(1, 2), eta_0) is \
         Classification.ISOLATED
 
@@ -91,7 +96,7 @@ def test_classify_convex_potential_isolated(linear_pot):
     # convex V with nonvanishing slope opens every gap at integer flux
     c = CouplingParams(alpha=2.0, beta=1.0, potential=linear_pot)
     for k in range(6):
-        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), _eta_mus(c)[k]) is \
             Classification.ISOLATED
 
 
@@ -125,15 +130,15 @@ def test_classify_mirror_symmetric_edges(pot, alpha, beta, q, p_seed):
     norm = max(np.max(np.abs(np.linalg.eigvalsh(harper._fiber(p, q, beta, k, k))))
                for k in (0.0, np.pi / q))
     for k in range(6):
-        y = abs(eta_on_pole(c, k))
+        y = abs(_eta_mus(c)[k])
         assert abs(y - c.threshold) <= THRESHOLD_RTOL * c.threshold
         for theta in (RationalFlux(0, 1), RationalFlux(1, 1)):
-            assert classify_eigenvalue(c, theta, eta_on_pole(c, k)) is \
+            assert classify_eigenvalue(c, theta, _eta_mus(c)[k]) is \
                 Classification.BAND_EDGE
         assert norm < y
-        assert classify_eigenvalue(c, f, eta_on_pole(c, k)) is Classification.ISOLATED
+        assert classify_eigenvalue(c, f, _eta_mus(c)[k]) is Classification.ISOLATED
         assert classify_eigenvalue(one_31, RationalFlux(1, 31),
-                                   eta_on_pole(one_31, k)) is Classification.ISOLATED
+                                   _eta_mus(one_31)[k]) is Classification.ISOLATED
 
 
 def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
@@ -148,9 +153,9 @@ def test_classify_reads_no_harper_bands(free_coupling, monkeypatch):
     with pytest.raises(ConsistencyError, match="harper_spectrum called"):
         graph_spectrum(c, RationalFlux(1, 31), z_min=0.0, z_max=10.0)
     for k in range(4):
-        assert classify_eigenvalue(c, RationalFlux(1, 31), eta_on_pole(c, k)) is \
+        assert classify_eigenvalue(c, RationalFlux(1, 31), _eta_mus(c)[k]) is \
             Classification.ISOLATED
-        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), _eta_mus(c)[k]) is \
             Classification.BAND_EDGE
 
 
@@ -165,7 +170,7 @@ def test_band_edge_windows_need_not_touch(free_pot, alpha, ends):
     mus = [mu for mu in dirichlet_eigenvalues(free_pot, 6).eigenvalues if mu < 30.0]
     assert len(mus) == 5
     for k, mu in enumerate(mus):
-        assert classify_eigenvalue(c, RationalFlux(0, 1), eta_on_pole(c, k)) is \
+        assert classify_eigenvalue(c, RationalFlux(0, 1), _eta_mus(c)[k]) is \
             Classification.BAND_EDGE
         edges = [e for w in windows for e in (w.a_full, w.b_full)]
         assert edges.count(mu) == ends
@@ -293,19 +298,27 @@ def test_farey_enumeration():
     assert farey_fluxes(1) == [RationalFlux(0, 1), RationalFlux(1, 1)]
 
 
+def _rows(sweep):
+    """(flux, band_index, z_lo, z_hi, truncated) per interval of a sweep, in
+    the order of the butterfly CSV."""
+    return [(f, i, iv.z_lo, iv.z_hi, iv.truncated)
+            for f, intervals in sweep for i, iv in enumerate(intervals)]
+
+
 def test_butterfly_qmax1_identical_rows(free_coupling):
-    rows, diags = butterfly_sweep(free_coupling, farey_fluxes(1), z_min=0.0, z_max=10.0)
+    sweep, diags = butterfly_sweep(free_coupling, farey_fluxes(1), z_min=0.0, z_max=10.0)
     assert diags == []
-    r0 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(0, 1)]
-    r1 = [(r.band_index, r.z_lo, r.z_hi) for r in rows if r.flux == RationalFlux(1, 1)]
+    rows = _rows(sweep)
+    r0 = [(i, lo, hi) for f, i, lo, hi, _ in rows if f == RationalFlux(0, 1)]
+    r1 = [(i, lo, hi) for f, i, lo, hi, _ in rows if f == RationalFlux(1, 1)]
     assert r0 == r1 and len(r0) > 0
 
 
 def test_butterfly_halfflux_gap_vs_integer(free_coupling):
-    rows, _ = butterfly_sweep(free_coupling, farey_fluxes(2), z_min=0.0, z_max=2.0)
+    sweep, _ = butterfly_sweep(free_coupling, farey_fluxes(2), z_min=0.0, z_max=2.0)
     by_flux = {}
-    for r in rows:
-        by_flux.setdefault(r.flux, []).append((r.z_lo, r.z_hi))
+    for f, _, lo, hi, _ in _rows(sweep):
+        by_flux.setdefault(f, []).append((lo, hi))
     full = merged_intervals(by_flux[RationalFlux(0, 1)])
     half = merged_intervals(by_flux[RationalFlux(1, 2)])
     assert len(full) == 1            # no gap at integer flux
@@ -314,8 +327,8 @@ def test_butterfly_halfflux_gap_vs_integer(free_coupling):
 
 
 def test_butterfly_row_ordering(free_coupling):
-    rows, _ = butterfly_sweep(free_coupling, farey_fluxes(3), z_min=0.0, z_max=4.0)
-    keys = [(r.flux.q, r.flux.p, r.band_index) for r in rows]
+    sweep, _ = butterfly_sweep(free_coupling, farey_fluxes(3), z_min=0.0, z_max=4.0)
+    keys = [(f.q, f.p, i) for f, i, _, _, _ in _rows(sweep)]
     assert keys == sorted(keys)
 
 
@@ -341,12 +354,13 @@ def test_butterfly_rows_are_graph_spectra(step_pot, z_min, z_max):
     # 7.7 cuts window 1 = [7.29, 7.84], 2.07 window 0 = [2.048, 2.092] and 12
     # window 2 = [11.6, 14.5], so some pullbacks are clipped and truncated
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
-    rows, diags = butterfly_sweep(c, farey_fluxes(5), z_min=z_min, z_max=z_max)
+    sweep, diags = butterfly_sweep(c, farey_fluxes(5), z_min=z_min, z_max=z_max)
     assert diags == []
-    assert any(r.truncated for r in rows)
+    rows = _rows(sweep)
+    assert any(t for _, _, _, _, t in rows)
     for flux in farey_fluxes(5):
         s = graph_spectrum(c, flux, z_min=z_min, z_max=z_max)
-        assert [(r.z_lo, r.z_hi, r.truncated) for r in rows if r.flux == flux] == [
+        assert [(lo, hi, t) for f, _, lo, hi, t in rows if f == flux] == [
             (iv.z_lo, iv.z_hi, iv.truncated) for iv in s.continuous]
 
 
@@ -356,43 +370,46 @@ def test_butterfly_over_convergents_is_graph_spectra(step_pot):
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     fluxes = approximate_irrational((np.sqrt(5.0) - 1.0) / 2.0, 34)
     assert [f.q for f in fluxes] == [1, 2, 3, 5, 8, 13, 21, 34]
-    rows, diags = butterfly_sweep(c, fluxes, 0.3, 7.7)
+    sweep, diags = butterfly_sweep(c, fluxes, 0.3, 7.7)
     assert diags == []
-    assert [f for f, _ in itertools.groupby(r.flux for r in rows)] == fluxes
+    rows = _rows(sweep)
+    assert [f for f, _ in itertools.groupby(r[0] for r in rows)] == fluxes
     for flux in fluxes:
         s = graph_spectrum(c, flux, 0.3, 7.7)
-        assert [(r.band_index, r.z_lo, r.z_hi, r.truncated) for r in rows
-                if r.flux == flux] == [(i, iv.z_lo, iv.z_hi, iv.truncated)
-                                       for i, iv in enumerate(s.continuous)]
+        assert [r[1:] for r in rows if r[0] == flux] == [
+            (i, iv.z_lo, iv.z_hi, iv.truncated) for i, iv in enumerate(s.continuous)]
 
 
 def test_mirror_fluxes_share_one_pullback(step_pot, monkeypatch):
     # spec M(p/q) = spec M((q - p)/q), since M(-theta) = conj M(theta): the
-    # sweep inverts 2q targets per window once per distinct band set, and
-    # mirror fluxes get equal rows.  On the piecewise step edge no inversion
-    # answer depends on its batch, so every row still equals graph_spectrum
-    # at its own flux, which inverts that flux's targets alone
+    # sweep inverts 2q targets on every window once per distinct band set,
+    # and mirror fluxes get one interval tuple.  On the piecewise step edge no
+    # inversion answer depends on its batch, so every row still equals
+    # graph_spectrum at its own flux, which inverts that flux's targets alone
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     batches = []
     real = assembler.invert_eta_many
 
     def recorded(ws, ys):
-        batches.append(np.asarray(ys))
-        return real(ws, ys)
+        z = real(ws, ys)
+        batches.append(z)
+        return z
 
     monkeypatch.setattr(assembler, "invert_eta_many", recorded)
-    rows, diags = butterfly_sweep(c, farey_fluxes(8), z_min=0.3, z_max=7.7)
+    sweep, diags = butterfly_sweep(c, farey_fluxes(8), z_min=0.3, z_max=7.7)
     assert diags == [] and len(batches) == 1
     n_windows = len(band_windows(c, 0.3, 7.7))
     classes = {(min(f.p, f.q - f.p), f.q) for f in farey_fluxes(8)}
     assert len(classes) < len(farey_fluxes(8))
     assert batches[0].size == sum(2 * q * n_windows for _, q in classes)
     by_flux = {}
-    for r in rows:
-        by_flux.setdefault(r.flux, []).append((r.band_index, r.z_lo, r.z_hi, r.truncated))
+    for f, *row in _rows(sweep):
+        by_flux.setdefault(f, []).append(tuple(row))
+    shared = dict(sweep)
     for flux in farey_fluxes(8):
         mirror = RationalFlux(flux.q - flux.p, flux.q)
         assert by_flux[flux] == by_flux[mirror]
+        assert shared[flux] is shared[mirror]
         s = graph_spectrum(c, flux, z_min=0.3, z_max=7.7)
         assert by_flux[flux] == [(i, iv.z_lo, iv.z_hi, iv.truncated)
                                  for i, iv in enumerate(s.continuous)]

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlattice import (ConsistencyError, CouplingParams, DomainError, RationalFlux,
-                         band_windows, discriminant, dirichlet_eigenvalues, eta_on_pole,
-                         gap_report, graph_spectrum, invert_eta_many, make_potential)
+                         band_windows, discriminant, dirichlet_eigenvalues, gap_report, graph_spectrum, invert_eta_many, make_potential)
 from fluxlattice.discriminant import (EDGE_TOL_Z, _solve_batch, eta_many,
                                       lowest_window_edge, pole_record)
 from oracles import free_basis, free_eta, linear_basis, step_basis
@@ -35,23 +34,24 @@ def test_eta_with_alpha(free_pot):
 
 
 def test_eta_on_pole_free(free_coupling):
-    assert eta_on_pole(free_coupling, 0) == pytest.approx(-4.0, abs=1e-10)
-    assert eta_on_pole(free_coupling, 1) == pytest.approx(4.0, abs=1e-10)
+    _, etas, _ = pole_record(free_coupling, 4.0)
+    assert etas[0] == pytest.approx(-4.0, abs=1e-10)
+    assert etas[1] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_eta_on_pole_mathieu(mathieu_pot):
     # V = 10 cos(2t) is even about l/2, so u1'(l; mu_k) = +-1 and eta(mu_k)
     # equals -+4 exactly; the band touches mu_0 instead of leaving a gap
     c = CouplingParams(alpha=0.0, beta=1.0, potential=mathieu_pot)
-    assert eta_on_pole(c, 0) == pytest.approx(-4.0, abs=1e-8)
-    assert eta_on_pole(c, 0) <= -4.0 + 1e-8
+    _, etas, _ = pole_record(c, 0.0)
+    assert etas[0] == pytest.approx(-4.0, abs=1e-8)
+    assert etas[0] <= -4.0 + 1e-8
 
 
 def test_eta_on_pole_independent_of_alpha(step_pot):
     c0 = CouplingParams(alpha=0.0, beta=1.3, potential=step_pot)
     c7 = CouplingParams(alpha=7.0, beta=1.3, potential=step_pot)
-    for k in range(4):
-        assert eta_on_pole(c0, k) == eta_on_pole(c7, k)
+    assert np.array_equal(pole_record(c0, 20.0)[1][:4], pole_record(c7, 20.0)[1][:4])
 
 
 def test_coupling_validation(free_pot):
@@ -141,17 +141,61 @@ def _step_windows(p, alpha):
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)),
                 min_size=1, max_size=40))
 def test_batched_inversion_across_windows(step_pot, picks):
+    # every target on every window in one call; each pick's window and target
+    # against a one-target call, every lane against INVERT_RESIDUAL
     ws = _step_windows(step_pot, 1.0)
     c = ws[0].coupling
-    batch = [ws[i % len(ws)] for i, _ in picks]
+    rows = [i % len(ws) for i, _ in picks]
     ys = np.asarray([f * c.threshold for _, f in picks])
-    zs = invert_eta_many(batch, ys)
-    alone = np.asarray([invert_eta_many(w, [y])[0] for w, y in zip(batch, ys)])
-    assert np.all(np.abs(zs - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
+    zs = invert_eta_many(ws, ys)
+    picked = zs[rows, np.arange(len(ys))]
+    alone = np.asarray([invert_eta_many(ws[i], [y])[0] for i, y in zip(rows, ys)])
+    assert np.all(np.abs(picked - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
+    batch = [ws[i] for i in rows]
     assert np.all(np.abs(eta_many(c, zs) - ys) <= INVERT_RESIDUAL * (1.0 + np.abs(ys)))
     other = _step_windows(step_pot, 2.0)[0]
     with pytest.raises(DomainError, match="coupling"):
         invert_eta_many(batch + [other], np.append(ys, 0.0))
+
+
+@pytest.mark.parametrize("edge", ["step", "mathieu"])
+def test_inversion_is_a_product_of_windows_and_targets(request, edge):
+    # z[i, j] solves ys[j] on windows[i], bit for bit the one-target solve:
+    # edges of the threshold, interior targets and one within rounding of it
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=request.getfixturevalue(f"{edge}_pot"))
+    ws = band_windows(c, None, 12.0)
+    ys = np.array([-1.0, -0.7, 0.0, 0.3, 1.0 - 1e-15, 1.0]) * c.threshold
+    zs = invert_eta_many(ws, ys)
+    assert len(ws) >= 2 and zs.shape == (len(ws), len(ys))
+    alone = [[invert_eta_many(w, [y])[0] for y in ys] for w in ws]
+    assert zs.tolist() == alone
+
+
+def test_inversion_shape_rule(step_pot):
+    # W windows give (W,) + ys.shape, one BandWindow ys.shape, and no
+    # windows, as when the range lies inside a gap, (0,) + ys.shape
+    c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
+    ws = band_windows(c, None, 12.0)
+    ys = np.linspace(-0.9, 0.9, 6).reshape(2, 3) * c.threshold
+    zs = invert_eta_many(ws, ys)
+    assert zs.shape == (len(ws), 2, 3)
+    assert invert_eta_many(ws[1], ys).shape == (2, 3)
+    assert np.array_equal(invert_eta_many(ws[1], ys), zs[1])
+    assert invert_eta_many([ws[1]], ys[0]).shape == (1, 3)
+    assert invert_eta_many([], ys[0]).shape == (0, 3)
+    assert band_windows(c, 2.2, 5.1) == []  # inside the gap above window 0
+    assert invert_eta_many(band_windows(c, 2.2, 5.1), ys[0]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_rejects_nonfinite_target(free_coupling, bad):
+    # NaN fails every comparison: a check |y| > threshold and the clip both
+    # let it through, and the solve would return a window edge for it
+    w = band_windows(free_coupling, None, 10.0)[1]
+    with pytest.raises(DomainError, match=f"eta target {bad} outside"):
+        invert_eta_many(w, [bad, 0.0])
+    with pytest.raises(DomainError, match=f"eta target {bad} outside"):
+        invert_eta_many([w], [0.0, bad])
 
 
 def test_inversion_raises_on_unresolvable_window(free_pot):
@@ -218,9 +262,10 @@ def test_solver_certificates_against_closed_forms(free_pot, step_pot, kind, alph
             if edge not in mus:  # an edge clamped to mu_k is no root
                 assert _sign_change_near(lambda z: np.abs(oracle(z)) - c.threshold,
                                          edge, EDGE_TOL_Z)
-    batch = [ws[i % len(ws)] for i, _, _, _ in picks]
+    rows = [i % len(ws) for i, _, _, _ in picks]
+    batch = [ws[i] for i in rows]
     ys = np.asarray([f * c.threshold for _, _, _, f in picks])
-    zs = invert_eta_many(batch, ys)
+    zs = invert_eta_many(ws, ys)[rows, np.arange(len(ys))]  # each pick's window
     assert np.all(np.abs(oracle(zs) - ys) <= INVERT_RESIDUAL * (1.0 + np.abs(ys)))
     for z, y in zip(zs, ys):
         if abs(y) < c.threshold:  # +-threshold maps to an edge, maybe a touching one
@@ -266,8 +311,7 @@ def test_eta_call_budget_step_edge(step_pot, monkeypatch):
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     ws = band_windows(c, None, 40.0)
     n_scan = len(calls)
-    ys = np.tile(np.linspace(-0.95, 0.95, 9) * c.threshold, len(ws))
-    invert_eta_many([w for w in ws for _ in range(9)], ys)
+    invert_eta_many(ws, np.linspace(-0.95, 0.95, 9) * c.threshold)
     assert n_scan <= 31 and len(calls) - n_scan <= 15, (n_scan, len(calls) - n_scan)
 
 
@@ -453,8 +497,9 @@ def test_sign_alternation(fixture, alpha, beta, request):
     # equality is attained for the free and midpoint-even cases, hence the slack
     p = request.getfixturevalue(fixture)
     c = CouplingParams(alpha=alpha, beta=beta, potential=p)
+    etas = (1.0 + beta**2) * np.asarray(dirichlet_eigenvalues(p, 15).nus)
     for k in range(11):
-        assert (-1) ** k * eta_on_pole(c, k) <= -c.threshold + 1e-6
+        assert (-1) ** k * etas[k] <= -c.threshold + 1e-6
 
 
 def test_eta_against_closed_form(free_pot):

@@ -10,8 +10,8 @@ import pytest
 
 from fluxlattice import (ConfigError, CouplingParams, RationalFlux, graph_spectrum,
                          validation)
-from fluxlattice.discriminant import EDGE_TOL_Z, _bucket_through, eta_on_pole, pole_record
-from fluxlattice.edge_solver import dirichlet_eigenvalues
+from fluxlattice.discriminant import EDGE_TOL_Z, _bucket_through, pole_record
+from fluxlattice.edge_solver import dirichlet_eigenvalues, round_up_index
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -62,12 +62,13 @@ def test_run_all_makes_one_dirichlet_solve(step_pot, monkeypatch, z_min):
 @pytest.mark.parametrize("edge", ["step", "free"])
 def test_sign_alternation_reads_one_solve(request, edge):
     # z_max 400 reads the record of bucket 31, mu_0..mu_31, which spans the
-    # solves of eta_on_pole's three cache keys (7, 15, 31); the check reads
+    # Dirichlet solves of the three buckets 7, 15 and 31; the check reads
     # every value of it
     p = request.getfixturevalue(f"{edge}_pot")
     c = CouplingParams(alpha=0.0, beta=1.3, potential=p)
     _, one, _ = pole_record(c, 400.0)
-    per_k = np.array([eta_on_pole(c, k) for k in range(32)])
+    per_k = np.array([(1.0 + c.beta**2) * dirichlet_eigenvalues(p, round_up_index(k)).nus[k]
+                      for k in range(32)])
     assert one.shape == (32,)
     assert np.all(np.abs(one - per_k) <= 1e-9 * np.abs(per_k))
     margin = (-1.0) ** np.arange(32) * per_k + c.threshold

@@ -29,6 +29,10 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     `spectrum` at theta 1/3 and `butterfly` at q_max 5 over [z_min, 10],
     with z_min (DEEP_Z_MIN) at least 50 below the default floor, so a
     window 0 that moved with z_min shows as a diff;
+  * on the step edge, `butterfly` at alpha = beta = 1, q_max 12 and z_max 40
+    (SWEEP_RUN, the config of the `butterfly-step` benchmark workload): 47
+    fluxes and 2256 rows over 6 windows, the top one clipped at z_max, with
+    mirror fluxes sharing their intervals;
   * `dirichlet` per edge (it reads neither alpha, beta nor the range), in
     json and in csv, with k_max 10, and also 63 and 255 on the piecewise
     edges (the well among them) and 15 on the sampled ones;
@@ -103,6 +107,8 @@ HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
 # step edges at every beta of BETAS (the deepest: -36.0 on the free edge at
 # alpha -15, beta 0.5)
 DEEP_Z_MIN = {1.0: -50.0, -15.0: -86.0}
+# butterfly reads no theta; older trees demand one all the same
+SWEEP_RUN = {"alpha": 1.0, "beta": 1.0, "theta": "0/1", "q_max": 12, "z_max": 40.0}
 OUT = "<out>"  # stands for the output path in a run's arguments and config
 FLAG_RUNS = (  # (arguments after the subcommand, extra config) per edge
     (("--format", "csv"), {"q_max": 3}),
@@ -163,6 +169,9 @@ def grid(edges, harper):
         yield f"spectrum {label} theta=1/3", ["spectrum"], {**doc, "theta": "1/3"}
         yield (f"butterfly {label} q_max={Q_MAX}", ["butterfly"],
                {**doc, "theta": "0/1", "q_max": Q_MAX})
+    if "step" in edges:
+        yield (f"butterfly step {json.dumps(SWEEP_RUN)}", ["butterfly"],
+               {"l": L, "potential": EDGES["step"], **SWEEP_RUN})
     for edge, fmt in itertools.product(all_edges, ("json", "csv")):
         for k_max in (K_MAX, *DIRICHLET_K_MAX[edge]):
             # dirichlet reads no theta either; older trees demand one all the same
