@@ -19,12 +19,14 @@ batched kernels only (`edge_solver._basis_many`, `_count_below_many`,
 reads the mu_k and eta(mu_k) from the Dirichlet solve that reaches the top
 of its range (`discriminant.pole_record`) and pulls every Harper band edge
 back through every window in one `invert_eta_many` call, one row per window.
-`butterfly_sweep` returns (flux, intervals) pairs; mirror fluxes share one.
+A `BandWindow` is whole, the same for every range; only the assembly clips
+to the range.  `butterfly_sweep` returns (flux, intervals) pairs; mirror
+fluxes share one.
 """
 
-from .assembler import (Classification, ContinuousInterval, Gap, GapReport,
-                        PointEigenvalue, SpectralSet, butterfly_sweep, classify_eigenvalue,
-                        farey_fluxes, gap_report, graph_spectrum)
+from .assembler import (Classification, ContinuousInterval, Gap, PointEigenvalue,
+                        SpectralSet, butterfly_sweep, classify_eigenvalue, farey_fluxes,
+                        gap_report, graph_spectrum)
 from .discriminant import BandWindow, CouplingParams, band_windows, invert_eta_many
 from .edge_solver import DirichletSpectrum, dirichlet_eigenvalues
 from .errors import (ConfigError, ConsistencyError, DomainError, IntegrationOverflowError,

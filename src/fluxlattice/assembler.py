@@ -6,16 +6,18 @@ mu_k is BandEdge when theta is an integer and |eta(mu_k)| sits on the
 threshold 2(1+beta^2), and Isolated otherwise (`classify_eigenvalue`).
 
 Fluxes come in exact; the CLI resolves a decimal theta once (`resolve_flux`).
-The windows do not depend on the flux, so a request scans them once (`_scan`)
-and `_assemble` serves any number of fluxes in one collect, invert, clip pass:
-one flux for `graph_spectrum`, a list for `butterfly_sweep`.  The pullback is
-a product of windows and targets: the Harper band edges of every distinct
-band set make one target vector, and one eta inversion solves each of them
-on every window.  The flux enters only through its Harper bands, and spec
-M(theta) is even and 1-periodic in theta (M(-theta) = conj M(theta), and the
-fiber depends on p mod q only), so the spectrum is symmetric about theta =
-1/2.  Fluxes with equal bands, such as p/q and (q - p)/q, share one set of
-targets and one interval tuple.
+The windows do not depend on the flux or on the range, which only selects
+them, so a request scans them once (`_scan`) and `_assemble` serves any
+number of fluxes in one collect, invert, clip pass: one flux for
+`graph_spectrum`, a list for `butterfly_sweep`.  The pullback is a product
+of windows and targets: the Harper band edges of every distinct band set
+make one target vector, and one eta inversion solves each of them on every
+window.  `_assemble` alone clips the pullbacks to the request range and
+flags the ones it shortens.  The flux enters only through its Harper bands,
+and spec M(theta) is even and 1-periodic in theta (M(-theta) = conj
+M(theta), and the fiber depends on p mod q only), so the spectrum is
+symmetric about theta = 1/2.  Fluxes with equal bands, such as p/q and
+(q - p)/q, share one set of targets and one interval tuple.
 """
 
 from __future__ import annotations
@@ -78,13 +80,6 @@ class Gap:
     contains_mu: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class GapReport:
-    z_min: float
-    z_max: float
-    gaps: tuple[Gap, ...]
-
-
 def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
                         eta_mu: float) -> Classification:
     """BandEdge iff theta is an integer and |eta(mu_k)| is on 2(1+beta^2).
@@ -106,9 +101,8 @@ def classify_eigenvalue(c: CouplingParams, f: RationalFlux,
 def _scan(c: CouplingParams, z_min: float | None,
           z_max: float) -> tuple[float, tuple[BandWindow, ...]]:
     """The flux-independent part of a request over [z_min, z_max]: z_min and
-    the band windows meeting the range, each clipped to it and keeping its
-    full domain [a_full, b_full], on which eta is inverted.  z_min None
-    starts the range at the lowest window's a_full."""
+    the whole band windows meeting the range, on which eta is inverted.
+    z_min None starts the range at the lowest window's a_full."""
     windows = tuple(band_windows(c, z_min, z_max))
     if z_min is None:
         if not windows:
@@ -117,23 +111,25 @@ def _scan(c: CouplingParams, z_min: float | None,
     return float(z_min), windows
 
 
-def _assemble(c: CouplingParams, windows: tuple[BandWindow, ...], fluxes) -> list:
-    """Per flux, its HarperBands and intervals sorted by z, or the
-    NumericalError that flux alone raised.  Fluxes with equal Harper bands
-    share one interval tuple: the assembly reads a flux only through its
-    bands, and p/q, (p + q)/q and (q - p)/q have the same bands, since
-    M(-theta) = conj M(theta) (`harper_spectrum`).  The band edges of every
-    distinct band set, clipped to -+threshold, go into one target vector,
-    which one `invert_eta_many` call pulls back through every window; each
-    band set reads its own columns.  Each pullback [min z, max z] is clipped
-    to its window as scanned: truncated when the clip shortens it, dropped
+def _assemble(c: CouplingParams, windows: tuple[BandWindow, ...], fluxes,
+              z_min: float, z_max: float) -> list:
+    """Per flux, its HarperBands and intervals over [z_min, z_max] sorted by
+    z, or the NumericalError that flux alone raised.  Fluxes with equal
+    Harper bands share one interval tuple: the assembly reads a flux only
+    through its bands, and p/q, (p + q)/q and (q - p)/q have the same bands,
+    since M(-theta) = conj M(theta) (`harper_spectrum`).  The band edges of
+    every distinct band set, which `harper_spectrum` clips to -+threshold,
+    go into one target vector, which one `invert_eta_many` call pulls back
+    through every window; each band set reads its own columns.  Each
+    pullback [min z, max z] lies in its window and is clipped here, and only
+    here, to [z_min, z_max]: truncated when the clip shortens it, dropped
     when nothing is left."""
     out, shared = [], {}
     for flux in fluxes:
         try:
             harper = harper_spectrum(flux, c.beta)
             if harper.bands not in shared:
-                ys = np.clip(harper.bands, -c.threshold, c.threshold).ravel()
+                ys = np.ravel(harper.bands)
                 require_resolvable(c, windows, ys)
                 shared[harper.bands] = ys
         except NumericalError as exc:
@@ -147,7 +143,7 @@ def _assemble(c: CouplingParams, windows: tuple[BandWindow, ...], fluxes) -> lis
         for w, row in zip(windows, cols.tolist()):
             for j, ends in enumerate(zip(row[::2], row[1::2])):
                 lo, hi = sorted(ends)
-                z_lo, z_hi = max(lo, w.a), min(hi, w.b)
+                z_lo, z_hi = max(lo, z_min), min(hi, z_max)
                 if z_lo <= z_hi:
                     intervals.append(ContinuousInterval(
                         z_lo=z_lo, z_hi=z_hi, window=w.index, band=j,
@@ -166,7 +162,7 @@ def graph_spectrum(c: CouplingParams, flux: RationalFlux, z_min: float | None,
     (ConfigError if z_max lies below it).
     """
     z_min, windows = _scan(c, z_min, z_max)
-    (res,) = _assemble(c, windows, [flux])
+    (res,) = _assemble(c, windows, [flux], z_min, z_max)
     if isinstance(res, NumericalError):
         raise res
     harper, intervals = res
@@ -184,8 +180,9 @@ def graph_spectrum(c: CouplingParams, flux: RationalFlux, z_min: float | None,
     )
 
 
-def gap_report(s: SpectralSet) -> GapReport:
-    """Maximal open subintervals of [z_min, z_max] free of the continuous part.
+def gap_report(s: SpectralSet) -> tuple[Gap, ...]:
+    """Maximal open subintervals of [s.z_min, s.z_max] free of the continuous
+    part, in increasing order.
 
     Touching continuous intervals produce no gap; each gap is annotated with
     the eigenvalues mu_k sitting inside it.
@@ -202,7 +199,7 @@ def gap_report(s: SpectralSet) -> GapReport:
     if cursor < s.z_max - eps:
         gaps.append(Gap(lo=cursor, hi=s.z_max,
                         contains_mu=tuple(m for m in mus if cursor < m < s.z_max)))
-    return GapReport(z_min=s.z_min, z_max=s.z_max, gaps=tuple(gaps))
+    return tuple(gaps)
 
 
 def farey_fluxes(q_max: int) -> list[RationalFlux]:
@@ -230,8 +227,8 @@ def butterfly_sweep(c: CouplingParams, fluxes: list[RationalFlux], z_min: float 
     has no pair; the others keep theirs.
     """
     pairs, diagnostics = [], []
-    _, windows = _scan(c, z_min, z_max)
-    for flux, res in zip(fluxes, _assemble(c, windows, fluxes)):
+    z_min, windows = _scan(c, z_min, z_max)
+    for flux, res in zip(fluxes, _assemble(c, windows, fluxes, z_min, z_max)):
         if isinstance(res, NumericalError):
             diagnostics.append(f"theta={flux}: {res}")
         else:

@@ -191,7 +191,6 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("spectrum output is JSON; use butterfly for CSV tables")
     flux, z_max = _require(cfg.flux, THETA), _require(cfg.z_max, "z_max")
     s = graph_spectrum(cfg.coupling, flux, cfg.z_min, z_max)
-    gaps = gap_report(s)
     doc = {
         "parameters": {
             "l": cfg.coupling.potential.l,
@@ -213,7 +212,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
             for iv in s.continuous],
         "gaps": [
             {"lo": g.lo, "hi": g.hi, "contains_mu": list(g.contains_mu)}
-            for g in gaps.gaps],
+            for g in gap_report(s)],
         "metadata": {
             "convergent_used": cfg.convergent_used,
         },

@@ -85,26 +85,23 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class BandWindow:
-    """Closed window J_n = [a, b] (clipped to the scan range) of |eta| <= threshold.
-
-    a_full/b_full are the untruncated edges; eta restricted to [a_full, b_full]
-    is the monotone homeomorphism used for inversion.  increasing means eta
-    runs from -threshold at a_full up to +threshold at b_full.
+    """Closed window J_n = [a_full, b_full] of |eta| <= 2(1+beta^2), between
+    mu_{n-1} and mu_n (window 0 below mu_0): a fact of the edge and the
+    coupling, the same for every range that meets it.  eta restricted to it
+    is the monotone homeomorphism onto [-threshold, threshold] used for
+    inversion; by sign alternation it rises from -threshold at a_full to
+    +threshold at b_full on odd n and falls on even n.
     """
 
     index: int
-    a: float
-    b: float
     a_full: float
     b_full: float
-    increasing: bool
-    truncated_lo: bool
-    truncated_hi: bool
     coupling: CouplingParams = field(repr=False)
 
     @property
-    def truncated(self) -> bool:
-        return self.truncated_lo or self.truncated_hi
+    def increasing(self) -> bool:
+        """eta(mu_{n-1}) < 0, i.e. n odd: (-1)^k eta(mu_k) <= -2(1+beta^2)."""
+        return self.index % 2 == 1
 
 
 def eta_many(c: CouplingParams, z: np.ndarray) -> np.ndarray:
@@ -190,14 +187,16 @@ def _window_edges(c: CouplingParams, mus: np.ndarray, eta_mus: np.ndarray,
     center = _solve_batch(lambda zz, _: eta_many(c, zz), left, right, eta_left, eta_right)
 
     # Edges solve sign(eta_anchor) * eta = threshold between center and anchor.
-    # At a mu_k on the threshold the sign of m_k = (1+beta^2) M_12 (module
-    # docstring) says which window beside it ends on mu_k: with s = sign
-    # eta(mu_k), s m_k > 0 the lower one, and a gap opens above mu_k; s m_k < 0
-    # the upper one; both when m_k is 0 within THRESHOLD_RTOL of its terms'
-    # size.  The anchor below window 0 is no mu_k: window 0's lower edge is
-    # always solved.
+    # By sign alternation eta is positive at the anchor below mu_0 and has
+    # the sign (-1)^(k+1) at mu_k, i.e. (-1)^j at anchor j.  At a mu_k on the
+    # threshold the sign of m_k = (1+beta^2) M_12 (module docstring) says
+    # which window beside it ends on mu_k: with s = sign eta(mu_k), s m_k > 0
+    # the lower one, and a gap opens above mu_k; s m_k < 0 the upper one;
+    # both when m_k is 0 within THRESHOLD_RTOL of its terms' size.  The
+    # anchor below window 0 is no mu_k: window 0's lower edge is always solved.
+    sign = (-1.0) ** np.arange(len(anchors))
     on = np.concatenate([[False], ~escapes_threshold(c, eta_mus)])
-    m = np.concatenate([[0.0], (1.0 + c.beta**2) * du2 + c.alpha * np.sign(eta_mus)])
+    m = np.concatenate([[0.0], (1.0 + c.beta**2) * du2 + c.alpha * sign[1:]])
     m_tol = THRESHOLD_RTOL * ((1.0 + c.beta**2) * np.sqrt(np.maximum(1.0, np.abs(anchors)))
                               + abs(c.alpha))
     # Both edges of every window go into one solve: [left, center] with
@@ -205,7 +204,7 @@ def _window_edges(c: CouplingParams, mus: np.ndarray, eta_mus: np.ndarray,
     # The ends' values are known: -threshold at the centre, where eta = 0,
     # and |eta| - threshold at an anchor, NaN on the threshold, where its
     # sign is rounding, so that such a lane bisects first.
-    s_l, s_r = np.sign(eta_left), np.sign(eta_right)
+    s_l, s_r = sign[seg], sign[seg + 1]
     do_left = ~on[seg] | (s_l * m[seg] > m_tol[seg])
     do_right = ~on[seg + 1] | (s_r * m[seg + 1] < -m_tol[seg + 1])
     g_anchor = np.where(on, np.nan, np.abs(eta_anchor) - threshold)
@@ -239,11 +238,10 @@ def band_windows(c: CouplingParams, z_min: float | None,
 
     Window n sits between mu_{n-1} and mu_n (n = 0 below mu_0); touching
     windows share the eigenvalue as an endpoint and are kept distinct.
-    Full edges are always resolved (`_window_edges`) and do not depend on
-    the range; partial windows at the range boundary come back clipped and
-    flagged.  z_min None scans from below the lowest window (eta >
-    2(1+beta^2) below its a_full, where the spectrum starts), so none is
-    clipped there.
+    Each window is whole (`_window_edges`): the range only selects which
+    windows come back, and a window shared by two ranges is the same
+    BandWindow in both.  z_min None scans from below the lowest window
+    (eta > 2(1+beta^2) below its a_full, where the spectrum starts).
     """
     require_range(z_min, z_max)
     # mu_0..mu_n, mu_n the first mu_k >= z_max, eta at each and u2'(l; mu_k)
@@ -253,16 +251,9 @@ def band_windows(c: CouplingParams, z_min: float | None,
     lo = -np.inf if z_min is None else z_min
     seg = np.flatnonzero(mus >= lo)  # windows n whose segment [mu_{n-1}, mu_n] reaches lo
     a_edge, b_edge = _window_edges(c, mus, eta_mus, du2, seg)
-    windows = []
-    for j, n in enumerate(seg):
-        a_f, b_f = float(a_edge[j]), float(b_edge[j])
-        if b_f < lo or a_f > z_max:
-            continue
-        windows.append(BandWindow(
-            index=int(n), a=max(a_f, lo), b=min(b_f, z_max), a_full=a_f, b_full=b_f,
-            increasing=bool(n > 0 and eta_mus[n - 1] < 0), truncated_lo=a_f < lo,
-            truncated_hi=b_f > z_max, coupling=c))
-    return windows
+    return [BandWindow(index=n, a_full=a, b_full=b, coupling=c)
+            for n, a, b in zip(seg.tolist(), a_edge.tolist(), b_edge.tolist())
+            if b >= lo and a <= z_max]
 
 
 def require_resolvable(c: CouplingParams, windows, ys: np.ndarray) -> None:

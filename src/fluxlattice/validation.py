@@ -19,7 +19,10 @@ fiber at (q-p)/q itself to compare anything.  `chambers_independence`
 compares the float64 spectra of Bloch fibers at momentum pairs with equal
 c(k) = 2 cos(q k1) + 2 beta^{2q} cos(q k2), relative to 2(1 + beta^2) (see
 `harper.chambers_defect`): it shows that spec H(k) depends on c(k) only,
-not that det(E I - H(k)) is linear in c.
+not that det(E I - H(k)) is linear in c.  Sign alternation and torus
+containment are measured relative to 2(1 + beta^2) as well, the scale of
+eta(mu_k) and of the Harper spectrum, so that their bounds hold at any beta;
+at beta = 1 they are the absolute bounds 1e-6 and 1e-9.
 
 A run takes an exact flux, as `graph_spectrum` does, and computes only what
 the checks read.  Every mu_k and eta(mu_k) comes from the Dirichlet record
@@ -46,7 +49,7 @@ from .harper import (HarperBands, RationalFlux, chambers_defect, harper_spectrum
                      torus_oracle)
 from .kp_oracle import kp_trace_many
 
-SIGN_ALTERNATION_SLACK = 1e-6  # equality is attained (free V, midpoint-even V)
+SIGN_ALTERNATION_SLACK = 2.5e-7  # relative; equality is attained (free V, midpoint-even V)
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,10 @@ def check_wronskian(c: CouplingParams, z_min: float, z_max: float) -> PropertyRe
 
 def check_sign_alternation(c: CouplingParams, z_max: float) -> PropertyResult:
     """(-1)^k eta(mu_k) <= -2(1+beta^2) at every mu_k of `pole_record(c, z_max)`;
-    the defect is the signed worst margin max_k (-1)^k eta(mu_k) + 2(1+beta^2)."""
+    the defect is the signed worst margin max_k (-1)^k eta(mu_k) + 2(1+beta^2)
+    relative to 2(1+beta^2)."""
     _, etas, _ = pole_record(c, z_max)
-    worst = float(np.max((-1.0) ** np.arange(etas.size) * etas + c.threshold))
+    worst = float(np.max((-1.0) ** np.arange(etas.size) * etas + c.threshold)) / c.threshold
     return PropertyResult("sign_alternation", worst, SIGN_ALTERNATION_SLACK)
 
 
@@ -108,7 +112,9 @@ def check_torus_containment(bands: HarperBands) -> PropertyResult:
     lo, hi = np.asarray(bands.bands).T
     e = evals[:, None]
     dist = np.maximum(np.maximum(lo - e, e - hi), 0.0).min(axis=1)
-    return PropertyResult("torus_containment", float(np.max(dist)), 1e-9)
+    # relative to the Harper norm bound 2(1+beta^2), as chambers_defect
+    scale = 2.0 * (1.0 + bands.beta**2)
+    return PropertyResult("torus_containment", float(np.max(dist)) / scale, 2.5e-10)
 
 
 def check_flux_periodicity(bands: HarperBands) -> PropertyResult:

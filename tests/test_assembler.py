@@ -32,7 +32,7 @@ def test_free_integer_flux_full_line(free_coupling):
                                                                abs=1e-10)
     for pt in s.point_spectrum:
         assert pt.classification is Classification.BAND_EDGE
-    assert gap_report(s).gaps == () or all(g.hi <= 0.0 for g in gap_report(s).gaps)
+    assert all(g.hi <= 0.0 for g in gap_report(s))
 
 
 def test_half_flux_bands_and_isolated_mu(free_coupling):
@@ -44,7 +44,7 @@ def test_half_flux_bands_and_isolated_mu(free_coupling):
     assert union[1][1] == 2.0  # truncated at z_max
     assert any(iv.truncated for iv in s.continuous)
     assert s.point_spectrum[0].classification is Classification.ISOLATED
-    gaps = gap_report(s).gaps
+    gaps = gap_report(s)
     mu_gap = [g for g in gaps if g.contains_mu]
     assert len(mu_gap) == 1
     assert mu_gap[0].lo == pytest.approx(9.0 / 16.0, abs=1e-8)
@@ -236,7 +236,7 @@ def test_default_floor_is_lowest_window_edge(free_pot, alpha):
     s = graph_spectrum(c, RationalFlux(1, 3), None, 5.0)
     assert s.z_min == pytest.approx(s.windows[0].a_full, abs=1e-9)
     assert s.windows[0].index == 0
-    assert not any(w.truncated_lo for w in s.windows)
+    assert all(w.a_full >= s.z_min for w in s.windows)
     far = graph_spectrum(c, RationalFlux(1, 3), z_min=-100.0, z_max=5.0)
     assert _ends(s).shape == _ends(far).shape
     assert np.max(np.abs(_ends(s) - _ends(far))) < 1e-9
@@ -282,10 +282,11 @@ def test_pullbacks_in_band_order_and_mu_in_gaps(free_pot, step_pot, alpha, beta,
     for w in s.windows:
         ivs = sorted((iv for iv in s.continuous if iv.window == w.index),
                      key=lambda iv: iv.band, reverse=not w.increasing)
-        assert all(w.a <= iv.z_lo <= iv.z_hi <= w.b for iv in ivs)
+        assert all(max(w.a_full, s.z_min) <= iv.z_lo <= iv.z_hi <= min(w.b_full, s.z_max)
+                   for iv in ivs)
         assert all(a.z_hi <= b.z_lo + EDGE_TOL_Z for a, b in zip(ivs, ivs[1:]))
     if flux.q > 1:
-        in_gaps = {mu for g in gap_report(s).gaps for mu in g.contains_mu}
+        in_gaps = {mu for g in gap_report(s) for mu in g.contains_mu}
         assert all(pt.mu in in_gaps for pt in s.point_spectrum)
 
 

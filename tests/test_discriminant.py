@@ -66,19 +66,19 @@ def test_coupling_validation(free_pot):
 def test_windows_free_case(free_coupling):
     ws = band_windows(free_coupling, -1.0, 10.0)
     assert [w.index for w in ws] == [0, 1, 2, 3]
-    assert ws[0].a == pytest.approx(0.0, abs=1e-9)
-    assert ws[0].b == 1.0 and ws[1].a == 1.0   # clamped exactly at mu_0
-    assert ws[1].b == 4.0 and ws[2].a == 4.0
-    assert ws[2].b == pytest.approx(9.0, abs=1e-9)
-    assert ws[3].b == 10.0 and ws[3].truncated_hi and ws[3].truncated
+    assert ws[0].a_full == pytest.approx(0.0, abs=1e-9)
+    assert ws[0].b_full == 1.0 and ws[1].a_full == 1.0   # clamped exactly at mu_0
+    assert ws[1].b_full == 4.0 and ws[2].a_full == 4.0
+    assert ws[2].b_full == pytest.approx(9.0, abs=1e-9)
+    assert ws[3].b_full > 10.0  # reaches past z_max, whole
     assert [w.increasing for w in ws] == [False, True, False, True]
 
 
 def test_windows_alpha_plus2(free_pot):
     c = CouplingParams(alpha=2.0, beta=1.0, potential=free_pot)
     ws = band_windows(c, -1.0, 2.0)
-    assert ws[0].a == pytest.approx(ALPHA_PLUS2_WINDOW0[0], abs=1e-9)
-    assert ws[0].b == pytest.approx(ALPHA_PLUS2_WINDOW0[1], abs=1e-9)
+    assert ws[0].a_full == pytest.approx(ALPHA_PLUS2_WINDOW0[0], abs=1e-9)
+    assert ws[0].b_full == pytest.approx(ALPHA_PLUS2_WINDOW0[1], abs=1e-9)
     # eta stays above +4 on the hyperbolic branch for alpha > 0
     assert free_eta(-0.5, alpha=2.0) > 4.0
 
@@ -86,28 +86,36 @@ def test_windows_alpha_plus2(free_pot):
 def test_windows_alpha_minus2_hyperbolic(free_pot):
     c = CouplingParams(alpha=-2.0, beta=1.0, potential=free_pot)
     ws = band_windows(c, -1.0, 2.0)
-    assert ws[0].a == pytest.approx(ALPHA_MINUS2_WINDOW0[0], abs=1e-9)
-    assert ws[0].a < 0.0
-    assert ws[0].b == pytest.approx(ALPHA_MINUS2_WINDOW0[1], abs=1e-9)
-    assert ws[0].b < 1.0
+    assert ws[0].a_full == pytest.approx(ALPHA_MINUS2_WINDOW0[0], abs=1e-9)
+    assert ws[0].a_full < 0.0
+    assert ws[0].b_full == pytest.approx(ALPHA_MINUS2_WINDOW0[1], abs=1e-9)
+    assert ws[0].b_full < 1.0
 
 
 def test_windows_empty_inside_gap(linear_pot):
     c = CouplingParams(alpha=0.0, beta=1.0, potential=linear_pot)
     ws = band_windows(c, -1.0, 15.0)
-    gap_lo, gap_hi = ws[0].b, ws[1].a
+    gap_lo, gap_hi = ws[0].b_full, ws[1].a_full
     assert gap_hi - gap_lo > 0.1  # convex V opens the gap
     pad = 0.25 * (gap_hi - gap_lo)
     assert band_windows(c, gap_lo + pad, gap_hi - pad) == []
 
 
-def test_window_between_each_eigenvalue_pair(step_pot):
+def test_window_between_each_eigenvalue_pair(request, step_pot):
     c = CouplingParams(alpha=1.0, beta=1.5, potential=step_pot)
     ws = band_windows(c, -2.0, 60.0)
     mus = dirichlet_eigenvalues(step_pot, 8).eigenvalues
     for w in ws:
         if w.index >= 1:
             assert mus[w.index - 1] <= w.a_full and w.b_full <= mus[w.index]
+    # eta rises on window n iff eta(mu_{n-1}) < 0, and falls on window 0,
+    # where eta -> +inf below: the parity of n, on every potential kind
+    for fixture in ("free_pot", "const5_pot", "step_pot", "linear_pot"):
+        c = CouplingParams(alpha=1.0, beta=1.5, potential=request.getfixturevalue(fixture))
+        _, etas, _ = pole_record(c, 60.0)
+        ws = band_windows(c, None, 60.0)
+        assert len(ws) > 5 and not ws[0].increasing
+        assert all(w.increasing == (etas[w.index - 1] < 0) for w in ws[1:])
 
 
 def test_invert_free_window(free_coupling):
@@ -365,14 +373,14 @@ def piecewise_edges(draw):
 def test_window_edges_do_not_depend_on_the_range(pot, alpha, beta, z_min, z_max, cut):
     # window n is solved from mu_{n-1} and mu_n alone, window 0 from the
     # anchor below mu_0, so a range nested in another gives every window the
-    # two share the same full edges, and validate's floor is spectrum's
-    # window 0, bit for bit, whatever record it reads
+    # two share as one and the same BandWindow, and validate's floor is
+    # spectrum's window 0, bit for bit, whatever record it reads
     c = CouplingParams(alpha=alpha, beta=beta, potential=pot)
-    outer = {w.index: (w.a_full, w.b_full) for w in band_windows(c, z_min, z_max)}
+    outer = {w.index: w for w in band_windows(c, z_min, z_max)}
     lo = -80.0 if z_min is None else z_min
     a, b = sorted(lo + np.asarray(cut) * (z_max - lo))
     inner = band_windows(c, a, b) if a < b else []
-    assert all(outer.get(w.index) == (w.a_full, w.b_full) for w in inner)
+    assert all(outer.get(w.index) == w for w in inner)
     top = max(z_max, float(pole_record(c, z_max)[0][0]))
     floor = lowest_window_edge(c, top)
     assert floor == band_windows(c, None, top)[0].a_full
@@ -407,7 +415,7 @@ def test_free_edge_gap_beside_every_mu(free_pot, alpha):
     assert [w.index for w in ws] == list(range(21))
     assert [w.b_full for w in ws[:20]] == mus.tolist()
     assert np.all(np.abs([w.a_full for w in ws[1:]] - tops) <= tol)
-    gaps = gap_report(graph_spectrum(c, RationalFlux(0, 1), None, 410.0)).gaps
+    gaps = gap_report(graph_spectrum(c, RationalFlux(0, 1), None, 410.0))
     assert [g.lo for g in gaps] == mus.tolist()
     assert np.all(np.abs([g.hi for g in gaps] - tops) <= tol)
 

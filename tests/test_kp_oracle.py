@@ -78,8 +78,8 @@ def test_kp_matches_integer_flux_spectrum(step_pot):
     alpha, beta = 2.0, 1.5
     c = CouplingParams(alpha=alpha, beta=beta, potential=step_pot)
     sigma = _integer_flux_bands(step_pot, alpha / (1.0 + beta**2), beta, -2.0, 60.0)
-    windows = merged_intervals([(w.a, w.b) for w in band_windows(c, -2.0, 60.0)],
-                               eps=1e-9)
+    windows = merged_intervals([(max(w.a_full, -2.0), min(w.b_full, 60.0))
+                                for w in band_windows(c, -2.0, 60.0)], eps=1e-9)
     assert len(sigma) == len(windows)
     for (a, b), (wa, wb) in zip(sigma, windows):
         assert a == pytest.approx(wa, abs=1e-8)

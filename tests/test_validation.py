@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fluxlattice import (ConfigError, CouplingParams, RationalFlux, graph_spectrum,
-                         validation)
+                         harper_spectrum, make_potential, validation)
 from fluxlattice.discriminant import EDGE_TOL_Z, _bucket_through, pole_record
 from fluxlattice.edge_solver import dirichlet_eigenvalues, round_up_index
 
@@ -74,24 +74,24 @@ def test_sign_alternation_reads_one_solve(request, edge):
     margin = (-1.0) ** np.arange(32) * per_k + c.threshold
     r = validation.check_sign_alternation(c, 400.0)
     assert r.passed
-    assert r.defect == pytest.approx(float(np.max(margin)), abs=1e-9)
+    assert r.defect == pytest.approx(float(np.max(margin)) / c.threshold, abs=1e-9)
 
 
 def test_sign_alternation_reports_the_signed_margin(step_pot):
     # the defect is max_k (-1)^k eta(mu_k) + 2(1+beta^2) over the record,
-    # negative where the bound holds with room, so it tells records apart:
-    # on the step edge the worst is at k = 7 up to z_max 40 and at k = 31
-    # up to 400
+    # relative to 2(1+beta^2) = 4, negative where the bound holds with room,
+    # so it tells records apart: on the step edge the worst is at k = 7 up
+    # to z_max 40 and at k = 31 up to 400
     c = CouplingParams(alpha=1.0, beta=1.0, potential=step_pot)
     defects = []
     for z_max in (40.0, 400.0):
         _, etas, _ = pole_record(c, z_max)
         margin = (-1.0) ** np.arange(etas.size) * etas + c.threshold
         r = validation.check_sign_alternation(c, z_max)
-        assert r.passed and r.defect == float(np.max(margin)) < 0.0
+        assert r.passed and r.defect == float(np.max(margin)) / c.threshold < 0.0
         defects.append(r.defect)
-    assert defects[0] == pytest.approx(-5.972e-4, rel=1e-3)
-    assert defects[1] == pytest.approx(-1.071e-8, rel=1e-3)
+    assert defects[0] == pytest.approx(-5.972e-4 / 4.0, rel=1e-3)
+    assert defects[1] == pytest.approx(-1.071e-8 / 4.0, rel=1e-3)
 
 
 def _flipped_check(c, k, monkeypatch):
@@ -106,7 +106,8 @@ def _flipped_check(c, k, monkeypatch):
     r = validation.check_sign_alternation(c, 400.0)
     assert not r.passed
     # (-1)^k (-eta(mu_k)) + threshold = (-1)^(k+1) eta(mu_k) + threshold
-    assert r.defect == (-1) ** (k + 1) * pole_record(c, 400.0)[1][k] + c.threshold
+    assert r.defect == ((-1) ** (k + 1) * pole_record(c, 400.0)[1][k]
+                        + c.threshold) / c.threshold
     return r
 
 
@@ -121,6 +122,28 @@ def test_sign_alternation_reads_the_whole_record(free_pot, monkeypatch):
     c = CouplingParams(alpha=0.0, beta=1.0, potential=free_pot)
     r = _flipped_check(c, 15, monkeypatch)
     assert r in validation.run_all(c, RationalFlux(1, 3), None, 400.0)
+
+
+def test_sign_alternation_relative_at_large_beta():
+    # V = 0, 10, 0 on thirds of [0, pi] is mirror-symmetric, so every mu_k
+    # sits on the threshold and the margin is eta(mu_k)'s rounding, which
+    # scales with 2(1+beta^2): 3.4e-5 at beta = 1e5 failed the absolute
+    # 1e-6, and is 1.7e-15 of the threshold
+    p = make_potential({"l": np.pi, "potential": {
+        "kind": "piecewise_constant", "values": [0.0, 10.0, 0.0],
+        "breakpoints": [0.0, np.pi / 3, 2 * np.pi / 3, np.pi]}})
+    r = validation.check_sign_alternation(
+        CouplingParams(alpha=1.0, beta=1e5, potential=p), 40.0)
+    assert r.passed and abs(r.defect) < 1e-14
+
+
+@pytest.mark.parametrize("flux,beta", [(RationalFlux(13, 34), 1e3), (RationalFlux(1, 3), 1e4)])
+def test_torus_containment_relative_at_large_beta(flux, beta):
+    # the distance of a torus eigenvalue from the bands is rounding of the
+    # order of 2(1+beta^2): 5.4e-9 at 13/34, beta = 1e3 and 1.6e-7 at 1/3,
+    # beta = 1e4 failed the absolute 1e-9, and are 2.7e-15 and 8.2e-16 of it
+    r = validation.check_torus_containment(harper_spectrum(flux, beta))
+    assert r.passed and r.defect < 1e-14
 
 
 def _kp_result(c):

@@ -1,18 +1,19 @@
 """Compare the output of every CLI subcommand between two source trees.
 
-    python tools/cli_diff.py OLD NEW [--edges free step const5 linear65 mathieu well] [--harper]
+    python tools/cli_diff.py OLD NEW [--edges free step const5 sym linear65 mathieu well] [--harper]
 
 OLD and NEW are checkouts of the repository (for example the parent commit,
 made with `git worktree add` or `git archive`).  Each tree runs the whole
 config grid in one worker process of its own, with PYTHONPATH at its `src`:
 
   * edges: free (V = 0), step (V = 0 then 10 on the halves of [0, pi]), and
-    on request const5 (V = 5), the sampled edges linear65 (V = t at 65
-    nodes) and mathieu (V = 10 cos 2t at 4097 nodes, the edge of the
-    `spectrum-mathieu` benchmark workload), and well (V = -5e4 on [0, 1]
-    and 0 on [1, pi]), on which only `dirichlet` runs: its lowest mu_k lie
-    in the well, thousands of free spacings below sup V, where the
-    Dirichlet brackets start furthest from the roots.  On one core of a 2
+    on request const5 (V = 5), sym (V = 0, 10, 0 on the thirds of [0, pi],
+    mirror-symmetric, so every mu_k is on the threshold), the sampled edges
+    linear65 (V = t at 65 nodes) and mathieu (V = 10 cos 2t at 4097 nodes,
+    the edge of the `spectrum-mathieu` benchmark workload), and well (V =
+    -5e4 on [0, 1] and 0 on [1, pi]), on which only `dirichlet` runs: its
+    lowest mu_k lie in the well, thousands of free spacings below sup V,
+    where the Dirichlet brackets start furthest from the roots.  On one core of a 2
     vCPU machine a piecewise edge takes about 2 s a tree, linear65 about 1
     minute and mathieu about 2 minutes (trees with RK4 cells took about 15
     minutes for linear65);
@@ -25,6 +26,10 @@ config grid in one worker process of its own, with PYTHONPATH at its `src`:
     0/1 and z_max 410, where a gap of width 0.4 / (4 pi) opens above each of
     the 20 mu_k in range, and `validate` there at theta 1/3, whose sign
     alternation reads the Dirichlet record of that z_max;
+  * on the step and sym edges, `validate` at alpha 1, theta 1/3, z_max 40
+    and beta in {1, 1e3, 1e5} (LARGE_BETAS), where the threshold 2(1+beta^2)
+    sets the size of the rounding that sign alternation and torus
+    containment see;
   * on the free and step edges, alpha in {1, -15}, beta in {0.5, 1, 1.3},
     `spectrum` at theta 1/3 and `butterfly` at q_max 5 over [z_min, 10],
     with z_min (DEEP_Z_MIN) at least 50 below the default floor, so a
@@ -82,6 +87,8 @@ EDGES = {
     "step": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 2, L],
              "values": [0.0, 10.0]},
     "const5": {"kind": "constant", "c": 5.0},
+    "sym": {"kind": "piecewise_constant", "breakpoints": [0.0, L / 3, 2 * L / 3, L],
+            "values": [0.0, 10.0, 0.0]},
     "linear65": {"kind": "sampled", "grid": LINEAR65.tolist(),
                  "values": LINEAR65.tolist()},
     "mathieu": {"kind": "sampled", "grid": MATHIEU.tolist(),
@@ -99,8 +106,10 @@ K_MAX = 10
 # more dirichlet k_max per edge, beside K_MAX: deep on the piecewise edges,
 # where a solve takes milliseconds, one more bucket on the sampled ones
 DIRICHLET_K_MAX = {"free": (63, 255), "step": (63, 255), "const5": (63, 255),
-                   "linear65": (15,), "mathieu": (15,), "well": (63, 255)}
+                   "sym": (63, 255), "linear65": (15,), "mathieu": (15,),
+                   "well": (63, 255)}
 Q_MAX = 5
+LARGE_BETAS = (1.0, 1e3, 1e5)
 HARPER_Q_MAX = 50
 HARPER_BETAS = (0.5, 1.0, 1.3, 2.0)
 # per alpha, a z_min at least 50 below the default floor of the free and
@@ -159,6 +168,11 @@ def grid(edges, harper):
         yield (f"spectrum {edge} {json.dumps(gap_run)}", ["spectrum"],
                {"l": L, "potential": EDGES[edge], **gap_run})
         run = {**gap_run, "theta": "1/3"}
+        yield (f"validate {edge} {json.dumps(run)}", ["validate"],
+               {"l": L, "potential": EDGES[edge], **run})
+    for edge, beta in itertools.product((e for e in edges if e in ("step", "sym")),
+                                        LARGE_BETAS):
+        run = {"alpha": 1.0, "beta": beta, "theta": "1/3", "z_max": 40.0}
         yield (f"validate {edge} {json.dumps(run)}", ["validate"],
                {"l": L, "potential": EDGES[edge], **run})
     for edge, alpha, beta in itertools.product(
